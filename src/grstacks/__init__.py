@@ -8,7 +8,7 @@ rationals, finite blade groups, and brute-force finite-field orbit checks.
 Everything is exact: no floats, no tolerances.
 """
 
-from .blades import BACKEND, blade_mul_mask, blade_sign
+from .blades import blade_mul_mask, blade_sign
 from .lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -50,7 +50,6 @@ from .report import CheckReport, CheckResult
 from .suites import SUITES
 
 __all__ = [
-    "BACKEND",
     "CheckReport",
     "CheckResult",
     "DomainError",

@@ -2,22 +2,29 @@
 
 Generators are indexed 1..n; a blade is the bitmask of its generator set.
 The sign convention bakes in the relations: each generator squares to -1 and
-distinct generators anticommute.  The compiled kernel is used when the build
-produced one, the pure module otherwise; both expose the same two functions.
+distinct generators anticommute.  The product of two blades is the symmetric
+difference, with a sign composed of the index crossings needed to interleave
+the sorted factors and one -1 per squared generator.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-try:
-    from . import _blademask as _kernel  # type: ignore[import-not-found]
-except ImportError:
-    from . import _blademask_py as _kernel  # type: ignore[no-redef]
 
-BACKEND: str = _kernel.BACKEND
-blade_sign = _kernel.blade_sign
-blade_mul_mask = _kernel.blade_mul_mask
+def blade_sign(s: int, t: int) -> int:
+    # crossings: pairs (i in s, j in t) with i > j
+    inv = 0
+    a = s >> 1
+    while a:
+        inv += (a & t).bit_count()
+        a >>= 1
+    inv += (s & t).bit_count()
+    return -1 if inv & 1 else 1
+
+
+def blade_mul_mask(s: int, t: int) -> tuple[int, int]:
+    return blade_sign(s, t), s ^ t
 
 
 def mask_of(indices: Iterable[int]) -> int:

@@ -718,18 +718,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             stab_bad += 1
         m = rho(fw)
         frame = mat_mul(p_inv, mat_mul(m, p_mat))
-        qw = space.q(w)
-        expect = [[GR_ZERO] * n for _ in range(n)]
-        expect[0][0] = GR_ONE
-        expect[0][1] = -qw
-        expect[1][1] = GR_ONE
-        for j in range(2, n):
-            expect[j][1] = w[j]
-            expect[0][j] = -2 * space.h(
-                tuple(GR_ONE if t == j else GR_ZERO for t in range(n)), w
-            )
-            expect[j][j] = GR_ONE
-        if frame != tuple(tuple(row) for row in expect):
+        if frame != phi_w_matrix(space, n, w):
             frame_bad += 1
     rep.add("f.stab", stab_bad == 0, f"{frame_runs - stab_bad}/{frame_runs} fix the pivot isotropic vector")
     rep.add(

@@ -70,16 +70,14 @@ class DeltaGroup:
     def commutator(self, a: Element, b: Element) -> Element:
         return self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
 
-    def commutator_subgroup(self, exhaustive: bool | None = None) -> set[Element]:
+    def commutator_subgroup(self) -> set[Element]:
         """Closure of the pairwise commutators.
 
-        With `exhaustive` (default for order <= 1024) every pair contributes a
-        generator; otherwise only pairs of group generators do, which gives
-        the same subgroup because all commutators here are central.
+        For order <= 1024 every pair contributes a generator; above that only
+        pairs of group generators do, which gives the same subgroup because
+        all commutators here are central.
         """
-        if exhaustive is None:
-            exhaustive = self.order <= 1024
-        if exhaustive:
+        if self.order <= 1024:
             gens = {self.commutator(a, b) for a in self.elements for b in self.elements}
         else:
             gg = self.generators()

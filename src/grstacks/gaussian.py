@@ -97,9 +97,6 @@ class GaussianRational:
         # multiplicative: norm(xy) = norm(x) norm(y)
         return self.re * self.re + self.im * self.im
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, _RAT):
             other = GaussianRational(other)

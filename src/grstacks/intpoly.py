@@ -15,7 +15,6 @@ prime factorizations with totient budget m finds all of them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 ZERO: tuple[int, ...] = ()
@@ -46,10 +45,6 @@ def add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 def neg(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in p)
-
-
-def sub(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return add(p, neg(q))
 
 
 def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -95,13 +90,6 @@ def monic_div(p: tuple[int, ...], d: tuple[int, ...]):
 
 def eval_at(p: tuple[int, ...], x):
     acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def eval_frac(p: tuple[int, ...], x: Fraction) -> Fraction:
-    acc = Fraction(0)
     for c in reversed(p):
         acc = acc * x + c
     return acc
