@@ -20,11 +20,11 @@ from .lefschetz import (
     lc_add,
     lc_eq,
     lc_eval_at,
-    lc_from_poly,
     lc_int,
     lc_inv,
     lc_mul,
     lc_neg,
+    lc_normalize,
     lc_pow,
     render_factors,
 )
@@ -76,11 +76,11 @@ __all__ = [
     "lc_add",
     "lc_eq",
     "lc_eval_at",
-    "lc_from_poly",
     "lc_int",
     "lc_inv",
     "lc_mul",
     "lc_neg",
+    "lc_normalize",
     "lc_pow",
     "leading_delta_coeff",
     "m_atom",

@@ -541,10 +541,11 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
     e1 = basis_vector(n, 1)
 
     case_counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    hom_bad = stab_bad = spin_bad = 0
-    for _ in range(samples):
-        b1 = pin_sample(n, rng, support=sub)
-        b2 = pin_sample(n, rng, support=sub)
+    tested = hom_bad = stab_bad = spin_bad = 0
+
+    def check_pair(b1: CliffordElement, b2: CliffordElement) -> None:
+        nonlocal tested, hom_bad, stab_bad, spin_bad
+        tested += 1
         p1, p2 = b1.parity(), b2.parity()
         assert p1 is not None and p2 is not None
         case_counts[(p1, p2)] += 1
@@ -560,14 +561,24 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
         if g1.parity() != 0:
             spin_bad += 1
 
+    for _ in range(samples):
+        check_pair(pin_sample(n, rng, support=sub), pin_sample(n, rng, support=sub))
+    # few samples can miss a parity pair; draw one pair of that parity each,
+    # with k = 2 - p vector factors, so every case is tested
+    for p1, p2 in [k for k, v in case_counts.items() if v == 0]:
+        check_pair(
+            pin_sample(n, rng, factors=2 - p1, support=sub),
+            pin_sample(n, rng, factors=2 - p2, support=sub),
+        )
+
     all_cases = all(v > 0 for v in case_counts.values())
     rep.add(
         "phi.cases",
         all_cases,
         "parity case coverage " + str({f"{k[0]}{k[1]}": v for k, v in sorted(case_counts.items())}),
     )
-    rep.add("phi.hom", hom_bad == 0, f"{samples - hom_bad}/{samples} pairs multiplicative")
-    rep.add("phi.stab", stab_bad == 0, f"{samples - stab_bad}/{samples} stabilize e1 up to sign")
+    rep.add("phi.hom", hom_bad == 0, f"{tested - hom_bad}/{tested} pairs multiplicative")
+    rep.add("phi.stab", stab_bad == 0, f"{tested - stab_bad}/{tested} stabilize e1 up to sign")
     rep.add("phi.even", spin_bad == 0, "first component always even")
 
     # spot check full spin membership on a few samples (costlier)

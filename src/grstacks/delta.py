@@ -124,19 +124,15 @@ class DeltaGroup:
                 w.writerow([blade_label(a)] + [blade_label(self.mul(a, b)) for b in els])
 
 
-def delta_group(n: int) -> DeltaGroup:
-    return DeltaGroup(n)
-
-
 def delta_embed_spin(n: int) -> dict[Element, Element]:
     """Generator i goes to e_i e_(n+1); blades map to even blades one size up."""
     grp = DeltaGroup(n)
+    big = DeltaGroup(n + 1)
     top = 1 << n
     out: dict[Element, Element] = {}
     for el in grp.elements:
         s, m = el
         acc: Element = (s, 0)
-        big = DeltaGroup(n + 1)
         for i in indices_of(m):
             acc = big.mul(acc, (1, (1 << (i - 1)) | top))
         out[el] = acc
@@ -145,7 +141,7 @@ def delta_embed_spin(n: int) -> dict[Element, Element]:
 
 def verify_delta_structure(n: int) -> CheckReport:
     rep = CheckReport(f"delta.{n}")
-    grp = delta_group(n)
+    grp = DeltaGroup(n)
     rep.add("order", len(grp.elements) == grp.order == 2 ** (n + 1), f"order {grp.order}")
 
     ident = grp.identity()
@@ -229,8 +225,8 @@ def verify_delta_embedding(n: int) -> CheckReport:
     if n > 6:
         raise ValueError("exhaustive embedding check is limited to n <= 6")
     rep = CheckReport(f"delta.embed.{n}")
-    grp = delta_group(n)
-    big = delta_group(n + 1)
+    grp = DeltaGroup(n)
+    big = DeltaGroup(n + 1)
     emb = delta_embed_spin(n)
 
     hom_ok = all(

@@ -369,29 +369,43 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
         return _eval(node)
 
 
-def _eval(node: ExprAst) -> MotiveExpr:
-    if isinstance(node, IntLit):
-        return m_scalar(lc_int(node.value))
-    if isinstance(node, LSymbol):
-        return m_scalar(l_power(1))
-    if isinstance(node, Neg):
-        return m_scale(_eval(node.child), lc_neg(LC_ONE))
+_BINARY = (Add, Sub, Mul, Div)
+
+
+def _binary(node: ExprAst, a: MotiveExpr, b: MotiveExpr) -> MotiveExpr:
     if isinstance(node, Add):
-        return m_add(_eval(node.left), _eval(node.right))
+        return m_add(a, b)
     if isinstance(node, Sub):
-        return _eval(node.left) - _eval(node.right)
+        return a - b
     if isinstance(node, Mul):
-        a, b = _eval(node.left), _eval(node.right)
         if a.is_scalar():
             return m_scale(b, a.scalar)
         if b.is_scalar():
             return m_scale(a, b.scalar)
         raise DomainError("product of two atom-bearing expressions")
-    if isinstance(node, Div):
-        a, b = _eval(node.left), _eval(node.right)
-        if not b.is_scalar():
-            raise NotAUnit("divisor carries atoms")
-        return m_scale(a, lc_inv(b.scalar))
+    if not b.is_scalar():
+        raise NotAUnit("divisor carries atoms")
+    return m_scale(a, lc_inv(b.scalar))
+
+
+def _eval(node: ExprAst) -> MotiveExpr:
+    if isinstance(node, IntLit):
+        return m_scalar(lc_int(node.value))
+    if isinstance(node, LSymbol):
+        return m_scalar(l_power(1))
+    if isinstance(node, _BINARY):
+        # the parser builds a+b+...+z as a left-leaning chain; walk its left
+        # spine in a loop so the recursion depth follows nesting, not length
+        spine = []
+        while isinstance(node, _BINARY):
+            spine.append(node)
+            node = node.left
+        acc = _eval(node)
+        for op in reversed(spine):
+            acc = _binary(op, acc, _eval(op.right))
+        return acc
+    if isinstance(node, Neg):
+        return m_scale(_eval(node.child), lc_neg(LC_ONE))
     if isinstance(node, Pow):
         base, k = _eval(node.base), node.exponent
         if base.is_scalar():

@@ -10,6 +10,11 @@ transpose twist:
 * a rank-2 cousin extended by swap, coordinate flip, and global sign,
 * the unitriangular subgroup extended by one order-two twist.
 
+Every model has the same shape: ``name``, ``q``, ``dim`` (the length of a
+point, a flat int tuple), ``group_order``, ``generators``, ``elements`` (all
+of them, or None when the group is too large to list), and the methods
+``mul``, ``inv``, ``identity``, ``apply(g, pt)`` and ``sample(rng)``.
+
 Group elements are explicit tuples, never their images on points: the rank-2
 action is not faithful (the matrix -1 acts like the global sign), so counting
 stabilizers inside the image would silently halve the answers.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from itertools import product
 from typing import Iterable
 
 from .lefschetz import lc_eval_at
@@ -68,27 +74,21 @@ def det3(a, q):
     ) % q
 
 
-def mat3_inv(a, q):
+def mat3_inv_transpose(a, q):
+    """Inverse transpose mod q: the cofactor matrix times det^-1."""
     d = det3(a, q)
     if d == 0:
         raise ZeroDivisionError("singular matrix")
     di = pow(d, -1, q)
-    cof = [
-        [
+    # the cyclic index trick folds the cofactor sign into the products
+    return tuple(
+        tuple(
             (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3])
+             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]) * di % q
             for j in range(3)
-        ]
+        )
         for i in range(3)
-    ]
-    # cof[i][j] is already the (i,j) cofactor with sign folded in by the
-    # cyclic index trick; the inverse is the transposed cofactor matrix
-    return tuple(tuple(cof[j][i] * di % q for j in range(3)) for i in range(3))
-
-
-def mat2_inv_det1(a):
-    (x, y), (z, w) = a
-    return ((w, -y), (-z, x))
+    )
 
 
 def mat2_tau_det1(a, q):
@@ -102,52 +102,46 @@ def identity_mat(n: int):
 
 
 def sl2_elements(q: int) -> list:
-    out = []
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    if (a * d - b * c) % q == 1:
-                        out.append(((a, b), (c, d)))
-    return out
+    return [
+        ((a, b), (c, d))
+        for a, b, c, d in product(range(q), repeat=4)
+        if (a * d - b * c) % q == 1
+    ]
 
 
 def unitriangular(q: int, a: int, b: int, c: int):
     return ((1, a % q, b % q), (0, 1, c % q), (0, 0, 1))
 
 
+def _sample_det1(rng: random.Random, q: int, n: int, det):
+    """Uniform n x n matrix of determinant 1: draw until invertible, then
+    scale the first row by det^-1."""
+    while True:
+        a = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        d = det(a, q)
+        if d:
+            break
+    di = pow(d, -1, q)
+    return (tuple(x * di % q for x in a[0]),) + a[1:]
+
+
+def _det2(b, q):
+    return (b[0][0] * b[1][1] - b[0][1] * b[1][0]) % q
+
+
 # ---------------------------------------------------------------------------
 # the three models
-
-class PairActionModel:
-    """Shared interface: tuples for elements, flat int tuples for points."""
-
-    name: str
-    q: int
-    group_order: int
-    generators: list
-    elements: list | None
-
-    def mul(self, g, h):
-        raise NotImplementedError
-
-    def inv(self, g):
-        raise NotImplementedError
-
-    def identity(self):
-        raise NotImplementedError
-
-    def apply(self, g, pt: Pt) -> Pt:
-        raise NotImplementedError
-
-    def sample(self, rng: random.Random):
-        raise NotImplementedError
-
 
 class _TwistedPairMixin:
     """Semidirect product by the swap: elements (A, T, xi) with T the inverse
     transpose of A, carried along so that no inverse is ever computed in the
     hot path (inverting swaps the roles of A and T up to transpose)."""
+
+    dim = 6
+
+    def element(self, a, xi: int = 1):
+        """The element with matrix part a and swap flag xi."""
+        return (a, mat3_inv_transpose(a, self.q), xi)
 
     def mul(self, g, h):
         a1, t1, x1 = g
@@ -164,8 +158,7 @@ class _TwistedPairMixin:
         return (mat_transpose(a), mat_transpose(t), x)
 
     def identity(self):
-        n = len(self.generators[0][0])
-        return (identity_mat(n), identity_mat(n), 1)
+        return self.element(identity_mat(3))
 
     def apply(self, g, pt):
         # unrolled for the 3x3 case: orbit searches spend their time here
@@ -187,7 +180,7 @@ class _TwistedPairMixin:
         )
 
 
-class ModelSL3Swap(_TwistedPairMixin, PairActionModel):
+class ModelSL3Swap(_TwistedPairMixin):
     """SL_3 acting on V + V^dual, extended by the swap of the two factors."""
 
     def __init__(self, q: int):
@@ -200,31 +193,21 @@ class ModelSL3Swap(_TwistedPairMixin, PairActionModel):
                 if i != j:
                     m = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
                     m[i][j] = 1
-                    a = tuple(tuple(r) for r in m)
-                    gens.append((a, mat_transpose(mat3_inv(a, q)), 1))
-        gens.append((identity_mat(3), identity_mat(3), -1))
+                    gens.append(self.element(tuple(tuple(r) for r in m)))
+        gens.append(self.element(identity_mat(3), -1))
         self.generators = gens
         self.elements = None
 
-    def element_from_matrix(self, a, xi: int = 1):
-        return (a, mat_transpose(mat3_inv(a, self.q)), xi)
-
     def sample(self, rng: random.Random):
-        q = self.q
-        while True:
-            a = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
-            d = det3(a, q)
-            if d:
-                break
-        di = pow(d, -1, q)
-        a = (tuple(x * di % q for x in a[0]),) + a[1:]
-        return self.element_from_matrix(a, rng.choice((1, -1)))
+        return self.element(_sample_det1(rng, self.q, 3, det3), rng.choice((1, -1)))
 
 
-class ModelRank2(PairActionModel):
+class ModelRank2:
     """SL_2 with three order-two twists: factor swap, coordinate flip, global
     sign.  Elements are (B, s, t, z) bit-flag tuples; the action on 4-tuples
     applies sign, flip, swap, then the matrix pair."""
+
+    dim = 4
 
     def __init__(self, q: int):
         self.name = "rank2_twists"
@@ -270,9 +253,7 @@ class ModelRank2(PairActionModel):
 
     def inv(self, g):
         b, s, t, z = g
-        q = self.q
-        bi = tuple(tuple(x % q for x in row) for row in mat2_inv_det1(b))
-        return (self._twist(bi, s, t), s, t, z)
+        return (self._twist(mat_transpose(mat2_tau_det1(b, self.q)), s, t), s, t, z)
 
     def identity(self):
         return (identity_mat(2), 0, 0, 0)
@@ -295,77 +276,64 @@ class ModelRank2(PairActionModel):
         return [g for g in self.elements if g[3] == 0]
 
     def sample(self, rng: random.Random):
-        q = self.q
-        while True:
-            b = tuple(tuple(rng.randrange(q) for _ in range(2)) for _ in range(2))
-            d = (b[0][0] * b[1][1] - b[0][1] * b[1][0]) % q
-            if d:
-                break
-        di = pow(d, -1, q)
-        b = (tuple(x * di % q for x in b[0]), b[1])
+        b = _sample_det1(rng, self.q, 2, _det2)
         return (b, rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
 
 
 # the order-two twist normalizing the unitriangular group: antidiagonal with
 # a middle sign, symmetric, involutive, determinant one
-def reversal_matrix():
-    return ((0, 0, 1), (0, -1, 0), (1, 0, 0))
+REVERSAL = ((0, 0, 1), (0, -1, 0), (1, 0, 0))
 
 
-class ModelUnitriangular(_TwistedPairMixin, PairActionModel):
+class ModelUnitriangular(_TwistedPairMixin):
     """Upper unitriangular 3x3 matrices extended by the reversal twist."""
 
     def __init__(self, q: int):
         self.name = "unitri_twist"
         self.q = q
         self.group_order = 2 * q**3
-        rev = tuple(tuple(x % q for x in row) for row in reversal_matrix())
-        gens = []
-        for slot in range(3):
-            abc = [0, 0, 0]
-            abc[slot] = 1
-            u = unitriangular(q, *abc)
-            gens.append((u, mat_transpose(mat3_inv(u, q)), 1))
-        gens.append((rev, rev, -1))
-        self.generators = gens
-        self._rev = rev
+        self._rev = self.element(tuple(tuple(x % q for x in row) for row in REVERSAL), -1)
+        self.generators = [
+            self.element(unitriangular(q, *abc)) for abc in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        ] + [self._rev]
         self.elements = []
-        for a in range(q):
-            for b in range(q):
-                for c in range(q):
-                    u = unitriangular(q, a, b, c)
-                    ut = mat_transpose(mat3_inv(u, q))
-                    self.elements.append((u, ut, 1))
-                    self.elements.append(
-                        (mat_mul_q(u, rev, q), mat_mul_q(ut, rev, q), -1)
-                    )
+        for a, b, c in product(range(q), repeat=3):
+            g = self.element(unitriangular(q, a, b, c))
+            self.elements += (g, self.mul(g, self._rev))
         assert len(self.elements) == self.group_order
 
     def twist_element(self):
-        return (self._rev, self._rev, -1)
+        return self._rev
 
     def sample(self, rng: random.Random):
         return self.elements[rng.randrange(len(self.elements))]
 
 
+PairModel = ModelSL3Swap | ModelRank2 | ModelUnitriangular
+
+
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
-def orbit_bfs(model: PairActionModel, start: Pt) -> set[Pt]:
+def _closure(start, step, gens) -> set:
+    """Everything reachable from start by repeated steps x -> step(g, x)."""
     seen = {start}
-    frontier = deque((start,))
-    gens = model.generators
+    frontier = deque(seen)
     while frontier:
         x = frontier.popleft()
         for g in gens:
-            y = model.apply(g, x)
+            y = step(g, x)
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
     return seen
 
 
-def orbit_decompose(model: PairActionModel, points: Iterable[Pt]) -> list[set[Pt]]:
+def orbit_bfs(model: PairModel, start: Pt) -> set[Pt]:
+    return _closure(start, model.apply, model.generators)
+
+
+def orbit_decompose(model: PairModel, points: Iterable[Pt]) -> list[set[Pt]]:
     left = set(points)
     out = []
     while left:
@@ -377,7 +345,7 @@ def orbit_decompose(model: PairActionModel, points: Iterable[Pt]) -> list[set[Pt
     return out
 
 
-def stabilizer_count(model: PairActionModel, point: Pt, elements: Iterable) -> int:
+def stabilizer_count(model: PairModel, point: Pt, elements: Iterable) -> int:
     return sum(1 for g in elements if model.apply(g, point) == point)
 
 
@@ -385,7 +353,7 @@ DIRECT_FILTER_LIMIT = 10_000
 
 
 def stabilizer_order(
-    model: PairActionModel, point: Pt, orbit_size: int | None = None
+    model: PairModel, point: Pt, orbit_size: int | None = None
 ) -> int:
     """Order of the stabilizer by orbit division; cross-checked by direct
     filtering whenever the group is small enough to enumerate."""
@@ -405,7 +373,7 @@ def stabilizer_order(
     return by_division
 
 
-def _element_order(model: PairActionModel, g) -> int:
+def _element_order(model: PairModel, g) -> int:
     ident = model.identity()
     acc, k = g, 1
     while acc != ident:
@@ -414,17 +382,16 @@ def _element_order(model: PairActionModel, g) -> int:
     return k
 
 
-def verify_model_laws(model: PairActionModel, samples: int = 100, seed: int = 0) -> CheckReport:
+def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> CheckReport:
     rep = CheckReport(f"finite.laws.{model.name}", seed)
     rng = random.Random(seed)
     q = model.q
-    npt = 6 if isinstance(model, (_TwistedPairMixin,)) else 4
     ident = model.identity()
 
     comp_bad = inv_bad = 0
     for _ in range(samples):
         g, h = model.sample(rng), model.sample(rng)
-        x = tuple(rng.randrange(q) for _ in range(npt))
+        x = tuple(rng.randrange(q) for _ in range(model.dim))
         if model.apply(model.mul(g, h), x) != model.apply(g, model.apply(h, x)):
             comp_bad += 1
         if model.mul(g, model.inv(g)) != ident or model.mul(model.inv(g), g) != ident:
@@ -433,18 +400,9 @@ def verify_model_laws(model: PairActionModel, samples: int = 100, seed: int = 0)
     rep.add("inverse", inv_bad == 0, f"{samples - inv_bad}/{samples} sampled inverses check out")
 
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
-        seen = {ident}
-        frontier = deque(seen)
-        while frontier:
-            x = frontier.popleft()
-            for g in model.generators:
-                y = model.mul(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
         rep.add(
             "closure",
-            seen == set(model.elements),
+            _closure(ident, model.mul, model.generators) == set(model.elements),
             f"generators reach all {model.group_order} elements",
         )
     return rep
@@ -469,7 +427,7 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     if q == 5:
         by_value: dict[int, int] = {}
         axes = nonzero_orth = 0
-        for pt in _all_points(q, 6):
+        for pt in product(range(q), repeat=model.dim):
             v, w = pt[:3], pt[3:]
             d = _dot(v, w, q)
             by_value[d] = by_value.get(d, 0) + 1
@@ -510,8 +468,8 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     inv_bad = 0
     for _ in range(200):
         pt = tuple(rng.randrange(q) for _ in range(6))
-        g = model.sample(rng)
-        if _dot(pt[:3], pt[3:], q) != _dot(*_split3(model.apply(g, pt)), q):
+        y = model.apply(model.sample(rng), pt)
+        if _dot(pt[:3], pt[3:], q) != _dot(y[:3], y[3:], q):
             inv_bad += 1
     rep.add("pairing.invariant", inv_bad == 0, "pairing value preserved on 200 samples")
 
@@ -558,23 +516,6 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     return rep
 
 
-def _split3(pt: Pt):
-    return pt[:3], pt[3:]
-
-
-def _all_points(q: int, dim: int):
-    pt = [0] * dim
-    while True:
-        yield tuple(pt)
-        i = dim - 1
-        while i >= 0 and pt[i] == q - 1:
-            pt[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        pt[i] += 1
-
-
 # ---------------------------------------------------------------------------
 # the rank-2 pairing space and its orthogonal locus
 
@@ -592,7 +533,7 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
 
     unit_pts = []
     orth_pts = []
-    for pt in _all_points(q, 4):
+    for pt in product(range(q), repeat=model.dim):
         v, w = pt[:2], pt[2:]
         d = (v[0] * w[0] + v[1] * w[1]) % q
         if d == 1:
@@ -802,7 +743,7 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
     expect = _strata_expectations(q)
 
     flag_ok = True
-    for v in _all_points(q, 3):
+    for v in product(range(q), repeat=3):
         la, lb = _level_last(v), _level_first(v)
         if any(v) and (la is None or lb is None):
             flag_ok = False
@@ -814,15 +755,12 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
     sigma = model.twist_element()
     sig_inv = model.inv(sigma)
     conj_ok = True
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                u = unitriangular(q, a, b, c)
-                g = (u, mat_transpose(mat3_inv(u, q)), 1)
-                want = unitriangular(q, c, (a * c - b) % q, a)
-                got = model.mul(sigma, model.mul(g, sig_inv))
-                if got[0] != want or got[2] != 1:
-                    conj_ok = False
+    for a, b, c in product(range(q), repeat=3):
+        g = model.element(unitriangular(q, a, b, c))
+        want = unitriangular(q, c, (a * c - b) % q, a)
+        got = model.mul(sigma, model.mul(g, sig_inv))
+        if got[0] != want or got[2] != 1:
+            conj_ok = False
     rep.add("twist.conj", conj_ok, "conjugation by the twist reverses the parameters")
 
     bases = _strata_base_points(q)
@@ -831,7 +769,7 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
 
     if q == 5:
         buckets: dict[str, list[Pt]] = {}
-        for pt in _all_points(q, 6):
+        for pt in product(range(q), repeat=model.dim):
             buckets.setdefault(stratum_of(pt, q), []).append(pt)
 
         rep.add("zero", len(buckets.get("zero", [])) == 1, "only the origin is unstratified")
@@ -931,19 +869,16 @@ def classcount_sanity(q: int) -> CheckReport:
     rep = CheckReport(f"finite.classcount.{q}")
 
     gl2 = sl2 = 0
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    det = (a * d - b * c) % q
-                    if det:
-                        gl2 += 1
-                    if det == 1:
-                        sl2 += 1
+    for a, b, c, d in product(range(q), repeat=4):
+        det = (a * d - b * c) % q
+        if det:
+            gl2 += 1
+        if det == 1:
+            sl2 += 1
 
     # rank 3 via independent pairs: (v, w) independent iff cross(v, w) != 0,
     # and each such pair completes to a determinant-1 matrix in q^2 ways
-    vecs = list(_all_points(q, 3))
+    vecs = list(product(range(q), repeat=3))
     pairs = 0
     for v in vecs:
         for w in vecs:
@@ -959,7 +894,7 @@ def classcount_sanity(q: int) -> CheckReport:
 
     if q == 3:
         naive_sl3 = naive_gl3 = 0
-        for flat in _all_points(q, 9):
+        for flat in product(range(q), repeat=9):
             m = (flat[0:3], flat[3:6], flat[6:9])
             d = det3(m, q)
             if d:

@@ -14,31 +14,13 @@ from .lefschetz import (
     l_power,
     lc_add,
     lc_eq,
-    lc_from_poly,
     lc_int,
     lc_inv,
     lc_mul,
+    lc_normalize,
 )
 from .motive import class_g2, class_sl, class_spin
 from .report import CheckReport
-
-
-def _prod(*terms: LefschetzClass) -> LefschetzClass:
-    out = LC_ONE
-    for t in terms:
-        out = lc_mul(out, t)
-    return out
-
-
-def _sum(*terms: LefschetzClass) -> LefschetzClass:
-    out = terms[0]
-    for t in terms[1:]:
-        out = lc_add(out, t)
-    return out
-
-
-def _inv_of(*terms: LefschetzClass) -> LefschetzClass:
-    return lc_inv(_prod(*terms))
 
 
 def _check(rep: CheckReport, id: str, lhs: LefschetzClass, rhs: LefschetzClass, detail: str = "") -> None:
@@ -57,44 +39,40 @@ def verify_g2_ledger() -> CheckReport:
     _check(
         rep,
         "g2.class_formula",
-        _prod(l_power(14), lc_add(LC_ONE, lc_mul(lc_int(-1), l_power(-2))),
-              lc_add(LC_ONE, lc_mul(lc_int(-1), l_power(-6)))),
+        l_power(14) * lc_add(LC_ONE, lc_mul(lc_int(-1), l_power(-2)))
+        * lc_add(LC_ONE, lc_mul(lc_int(-1), l_power(-6))),
         class_g2(),
         "L^14 (1 - L^-2)(1 - L^-6) = L^6 (L^2-1)(L^6-1)",
     )
 
     # the punctured-null-cone orbit value in the 7-dim representation
-    null7 = _prod(L_MINUS_1, l_power(-5), _inv_of(l_power(1), xm1(2), xm1(1)))
+    null7 = L_MINUS_1 * l_power(-5) * lc_inv(l_power(1) * xm1(2) * xm1(1))
     # ({GL_2} = (L^2-1)(L^2-L) = L (L^2-1)(L-1))
     _check(
         rep,
         "c7.orbit",
         null7,
-        _prod(l_power(-6), _inv_of(xm1(2))),
+        l_power(-6) * lc_inv(xm1(2)),
         "(L-1) L^-5 {GL_2}^-1 = L^-6 (L^2-1)^-1",
     )
 
     # the quadric-stabilizer value: two-stratum split of the 6-dim action
-    bh = _prod(l_power(-1), _inv_of(xm1(2)))
+    bh = l_power(-1) * lc_inv(xm1(2))
     bg_val = lc_mul(
         lc_inv(xm1(6)),
-        _sum(
-            l_power(-3),
-            _prod(l_power(-3), _inv_of(xm1(2))),
-            _prod(L_MINUS_1, bh),
-        ),
+        l_power(-3) + l_power(-3) * lc_inv(xm1(2)) + L_MINUS_1 * bh,
     )
     _check(
         rep,
         "g.strat",
         bg_val,
-        _inv_of(xm1(6), xm1(2)),
+        lc_inv(xm1(6) * xm1(2)),
         "(L^6-1)^-1 (L^-3 + L^-3 (L^2-1)^-1 + (L-1){BH}) = (L^6-1)^-1 (L^2-1)^-1",
     )
     _check(
         rep,
         "g.strat.bracket",
-        _sum(xm1(2), LC_ONE, lc_mul(L_MINUS_1, l_power(2))),
+        xm1(2) + LC_ONE + lc_mul(L_MINUS_1, l_power(2)),
         l_power(3),
         "L^2 - 1 + 1 + (L-1) L^2 = L^3",
     )
@@ -104,49 +82,48 @@ def verify_g2_ledger() -> CheckReport:
         rep,
         "d6.orbit",
         lc_mul(lc_inv(class_sl(2)), l_power(-2)),
-        _prod(l_power(-3), _inv_of(xm1(2))),
+        l_power(-3) * lc_inv(xm1(2)),
         "{SL_2}^-1 L^-2 = L^-3 (L^2-1)^-1",
     )
 
     # the ten-stratum unipotent computation: nine quotient classes, with
     # the self-referential stratum moved to the left-hand side
-    nine = _sum(
-        _prod(L_MINUS_1, L_MINUS_1, l_power(-1)),     # paired outer strata
-        _prod(L_MINUS_1, L_MINUS_1),                  # paired mixed strata
-        _prod(L_MINUS_1, L_MINUS_1, l_power(-2)),     # paired inner strata
-        lc_mul(xm1(3), l_power(-3)),                  # the axis stratum
-        _prod(L_MINUS_1, L_MINUS_1, l_power(-3)),     # diagonal-free outer
-        _prod(L_MINUS_1, L_MINUS_1, l_power(-1)),     # diagonal-free middle
-        _prod(L_MINUS_1, L_MINUS_1, L),               # diagonal-free inner
-        lc_mul(L_MINUS_1, l_power(-1)),               # middle diagonal
-        lc_mul(L, L_MINUS_1),                         # inner diagonal
+    nine = (
+        L_MINUS_1 * L_MINUS_1 * l_power(-1)           # paired outer strata
+        + L_MINUS_1 * L_MINUS_1                       # paired mixed strata
+        + L_MINUS_1 * L_MINUS_1 * l_power(-2)         # paired inner strata
+        + lc_mul(xm1(3), l_power(-3))                 # the axis stratum
+        + L_MINUS_1 * L_MINUS_1 * l_power(-3)         # diagonal-free outer
+        + L_MINUS_1 * L_MINUS_1 * l_power(-1)         # diagonal-free middle
+        + L_MINUS_1 * L_MINUS_1 * L                   # diagonal-free inner
+        + lc_mul(L_MINUS_1, l_power(-1))              # middle diagonal
+        + lc_mul(L, L_MINUS_1)                        # inner diagonal
     )
-    target = lc_mul(lc_from_poly((0, -1, 0, 0, 0, 0, 1)), l_power(-3))  # (L^6 - L) L^-3
+    target = lc_mul(lc_normalize((0, -1, 0, 0, 0, 0, 1)), l_power(-3))  # (L^6 - L) L^-3
     _check(rep, "strata.sum", nine, target, "nine-term stratum sum = (L^6 - L) L^-3")
     # the full equation (L^6-1) X = sum + (L-1) X then forces X = L^-3
-    x = lc_mul(nine, lc_inv(lc_from_poly((0, -1, 0, 0, 0, 0, 1))))
+    x = lc_mul(nine, lc_inv(lc_normalize((0, -1, 0, 0, 0, 0, 1))))
     _check(rep, "strata.solve", x, l_power(-3), "(L^6 - L)^-1 * sum = L^-3")
 
     # the 4-dim stabilizer group: three-stratum split
     _check(
         rep,
         "h.value",
-        lc_mul(lc_inv(xm1(4)), _sum(LC_ONE, l_power(-1), L_MINUS_1)),
+        lc_mul(lc_inv(xm1(4)), LC_ONE + l_power(-1) + L_MINUS_1),
         bh,
         "(L^4-1)^-1 (1 + L^-1 + (L-1)) = L^-1 (L^2-1)^-1",
     )
     _check(
         rep,
         "c4.split",
-        _sum(lc_mul(lc_int(2), l_power(-1)),
-             lc_mul(lc_from_poly((-2, 1)), l_power(-1))),
+        lc_mul(lc_int(2), l_power(-1)) + lc_mul(lc_normalize((-2, 1)), l_power(-1)),
         LC_ONE,
         "2 L^-1 + (L-2) L^-1 = 1",
     )
 
     # final assembly in the 7-dim representation
-    bg2 = lc_mul(lc_inv(xm1(7)), _sum(null7, lc_mul(L_MINUS_1, bg_val)))
-    final = _prod(l_power(-6), _inv_of(xm1(6), xm1(2)))
+    bg2 = lc_mul(lc_inv(xm1(7)), null7 + lc_mul(L_MINUS_1, bg_val))
+    final = l_power(-6) * lc_inv(xm1(6) * xm1(2))
     _check(
         rep,
         "bg2.final",
@@ -157,7 +134,7 @@ def verify_g2_ledger() -> CheckReport:
     _check(
         rep,
         "bg2.final.bracket",
-        _sum(xm1(6), lc_mul(L_MINUS_1, l_power(6))),
+        xm1(6) + lc_mul(L_MINUS_1, l_power(6)),
         xm1(7),
         "L^6 - 1 + (L-1) L^6 = L^7 - 1",
     )
@@ -176,12 +153,12 @@ def verify_spin78_ledger() -> CheckReport:
         rep,
         "c8.spin7",
         c8_7,
-        _prod(l_power(-9), _inv_of(xm1(3), xm1(2))),
+        l_power(-9) * lc_inv(xm1(3) * xm1(2)),
         "L^-6 {SL_3}^-1 = L^-9 (L^3-1)^-1 (L^2-1)^-1",
     )
 
     # quadric orbit: stabilizer is the rank-2 exceptional group times mu_2
-    q8_7 = _prod(l_power(-6), _inv_of(xm1(6), xm1(2)))
+    q8_7 = l_power(-6) * lc_inv(xm1(6) * xm1(2))
     _check(
         rep,
         "q8.spin7",
@@ -190,8 +167,8 @@ def verify_spin78_ledger() -> CheckReport:
         "{B(G_2 x mu_2)} = {G_2}^-1",
     )
 
-    bspin7 = lc_mul(lc_inv(xm1(8)), _sum(c8_7, lc_mul(L_MINUS_1, q8_7)))
-    spin7_value = _prod(l_power(-9), _inv_of(xm1(2), xm1(4), xm1(6)))
+    bspin7 = lc_mul(lc_inv(xm1(8)), c8_7 + lc_mul(L_MINUS_1, q8_7))
+    spin7_value = l_power(-9) * lc_inv(xm1(2) * xm1(4) * xm1(6))
     _check(
         rep,
         "bspin7.chain",
@@ -202,8 +179,8 @@ def verify_spin78_ledger() -> CheckReport:
     _check(
         rep,
         "bspin7.bracket",
-        _sum(lc_from_poly((1, 0, 0, 1)), lc_mul(L_MINUS_1, l_power(3))),
-        lc_from_poly((1, 0, 0, 0, 1)),
+        lc_normalize((1, 0, 0, 1)) + lc_mul(L_MINUS_1, l_power(3)),
+        lc_normalize((1, 0, 0, 0, 1)),
         "(L^3 + 1) + (L-1) L^3 = L^4 + 1",
     )
     _check(rep, "bspin7.inv", spin7_value, lc_inv(class_spin(7)), "{B Spin_7} = {Spin_7}^-1")
@@ -216,7 +193,7 @@ def verify_spin78_ledger() -> CheckReport:
         rep,
         "c8.spin8",
         c8_8,
-        _prod(l_power(-12), _inv_of(xm1(3), xm1(2), xm1(4))),
+        l_power(-12) * lc_inv(xm1(3) * xm1(2) * xm1(4)),
         "L^-6 {B Spin_6} = L^-12 (L^3-1)^-1 (L^2-1)^-1 (L^4-1)^-1",
     )
     q8_8 = spin7_value
@@ -224,10 +201,10 @@ def verify_spin78_ledger() -> CheckReport:
         rep,
         "q8.spin8",
         q8_8,
-        _prod(l_power(-9), _inv_of(xm1(2), xm1(4), xm1(6))),
+        l_power(-9) * lc_inv(xm1(2) * xm1(4) * xm1(6)),
         "{B(Spin_7 x mu_2)} = L^-9 (L^2-1)^-1 (L^4-1)^-1 (L^6-1)^-1",
     )
-    bspin8 = lc_mul(lc_inv(xm1(8)), _sum(c8_8, lc_mul(L_MINUS_1, q8_8)))
+    bspin8 = lc_mul(lc_inv(xm1(8)), c8_8 + lc_mul(L_MINUS_1, q8_8))
     _check(
         rep,
         "bspin8.assembly",

@@ -33,10 +33,10 @@ from .lefschetz import (
     l_power,
     lc_add,
     lc_eq,
-    lc_from_poly,
     lc_inv,
     lc_mul,
     lc_neg,
+    lc_normalize,
 )
 
 
@@ -255,7 +255,7 @@ def leading_delta_coeff(n: int) -> LefschetzClass:
     if n < 3:
         raise DomainError("n must be >= 3")
     coeff = bspin(n).atom_map().get(n - 1, LC_ZERO)
-    closed = lc_from_poly((-1, 1)) ** (n - 1)
+    closed = lc_normalize((-1, 1)) ** (n - 1)
     for i in range(2, n + 1):
         closed = lc_mul(closed, lc_inv(l_pow_minus_one(i)))
     if not lc_eq(coeff, closed):

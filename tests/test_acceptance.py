@@ -1,13 +1,16 @@
 """Acceptance gate: one test per shipped claim, each printing a single
 pass/fail line under pytest -v.  Time bounds are asserted where a claim
-carries one; all value checks are exact."""
+carries one; all value checks are exact.  Each suite built at seed 0 with
+100 samples also has its report JSON pinned by sha256, so a refactor that
+changes any check id, detail or rendered side shows up here."""
 
+import hashlib
 import random
 import time
 
 from dsl_corpus import CORPUS
 from grstacks import dsl
-from grstacks.lefschetz import LC_ONE, lc_eq, lc_from_poly, lc_inv, lc_mul, l_pow_minus_one
+from grstacks.lefschetz import LC_ONE, lc_eq, lc_inv, lc_mul, lc_normalize, l_pow_minus_one
 from grstacks.motive import (
     bspin,
     class_spin,
@@ -21,6 +24,7 @@ from grstacks.suites import (
     suite_g2,
     suite_ring,
     suite_spin78,
+    suite_tower,
 )
 
 
@@ -28,11 +32,16 @@ def _ids(rep):
     return {c.id: c for c in rep.checks}
 
 
+def _digest(rep):
+    return hashlib.sha256(rep.to_json().encode("utf-8")).hexdigest()
+
+
 def test_criterion_1_g2_ledger_exact_under_one_second():
     t0 = time.perf_counter()
     rep = suite_g2(seed=0, samples=100)
     dt = time.perf_counter() - t0
     assert rep.ok, rep.to_text()
+    assert _digest(rep) == "afb68498140641139a0834098296ace95e6a169470fec67ccce0b59a0e8a4c6a"
     checks = _ids(rep)
     for id_ in ("strata.sum", "h.value", "bg2.final", "bg2.unit"):
         assert checks[id_].status == "pass", id_
@@ -44,6 +53,7 @@ def test_criterion_2_spin_ledger_exact_under_one_second():
     rep = suite_spin78(seed=0, samples=100)
     dt = time.perf_counter() - t0
     assert rep.ok, rep.to_text()
+    assert _digest(rep) == "70b9ef80e1261a1c7be9ba538091bb872c3317ae4053fac1326a06f6002e1518"
     checks = _ids(rep)
     for id_ in ("bspin7.inv", "bspin7.unit", "bspin8.assembly", "bspin8.unit"):
         assert checks[id_].status == "pass", id_
@@ -53,7 +63,7 @@ def test_criterion_2_spin_ledger_exact_under_one_second():
 def test_criterion_3_tower_leading_coefficients_under_ten_seconds():
     clear_tower_cache()
     t0 = time.perf_counter()
-    one = lc_from_poly((-1, 1))
+    one = lc_normalize((-1, 1))
     for n in range(3, 31):
         e = bspin(n)
         coeff = e.atom_map().get(n - 1)
@@ -68,6 +78,12 @@ def test_criterion_3_tower_leading_coefficients_under_ten_seconds():
         assert max(e.support()) <= n - 1, f"support leak at n={n}"
     dt = time.perf_counter() - t0
     assert dt < 10.0, f"tower scan took {dt:.2f}s"
+
+
+def test_tower_suite_report_bytes():
+    rep = suite_tower(seed=0, samples=100)
+    assert rep.ok, rep.to_text()
+    assert _digest(rep) == "8b60c4bae13ce1d731483a0b728175eef175156151d1dd417b0533613c644df1"
 
 
 def test_criterion_4_solver_returns_all_ones_and_inverts_spin_classes():
@@ -86,6 +102,7 @@ def test_criterion_5_clifford_suite_clean_under_thirty_seconds():
     rep = suite_clifford(seed=0, samples=100)
     dt = time.perf_counter() - t0
     assert rep.ok, rep.to_text()
+    assert _digest(rep) == "3b4cf565c0b2b3c4e30ae08ac7da530ae92222b19a980313e55a973f2992778b"
     assert not rep.failures
     checks = _ids(rep)
     # every advertised family is present at its full range
@@ -112,6 +129,7 @@ def test_criterion_6_finite_models_under_sixty_seconds():
     rep = suite_finite(seed=0, samples=100, q=5)
     dt = time.perf_counter() - t0
     assert rep.ok, rep.to_text()
+    assert _digest(rep) == "9e949dac8fd291777576849cf307ddbce2c388172f951809d1cfd39ff29b4acc"
     checks = _ids(rep)
     assert "3100" in checks["q6.pairing.orbit"].detail
     assert checks["q6.pairing.orbit"].status == "pass"
@@ -132,6 +150,7 @@ def test_criterion_7_ring_suite_under_five_seconds():
     rep = suite_ring(seed=0, samples=100)
     dt = time.perf_counter() - t0
     assert rep.ok, rep.to_text()
+    assert _digest(rep) == "b757d3754503b6b92ab11631024a68a5b13c10d7cc61f9c914174e7edab1d64d"
     checks = _ids(rep)
     for id_ in (
         "canonical.unique",

@@ -1,9 +1,13 @@
 """Command line entry points: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grstacks
 from grstacks import cli, dsl
 from grstacks.report import CheckReport
 from grstacks.suites import SUITES
@@ -93,6 +97,22 @@ def test_eval_domain_error(capsys):
 def test_eval_at_with_atoms_left_is_an_error(capsys):
     assert cli.main(["eval", "BSpin(4)", "--at", "5"]) == 2
     assert "--deltas-one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("op, want", [("+", "30000"), ("*", "1")])
+def test_eval_long_chain_has_no_traceback(op, want):
+    # a 30,000-operand chain is far longer than the interpreter's recursion
+    # limit; run it in a fresh process so a crash shows as a traceback
+    src = os.path.dirname(os.path.dirname(grstacks.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "grstacks.cli", "eval", op.join(["1"] * 30_000)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout.strip()) == (0, want)
 
 
 # -- bspin ------------------------------------------------------------

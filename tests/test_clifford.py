@@ -309,6 +309,15 @@ def test_phi_pin_suite(n):
     assert rep.ok, rep.to_text()
 
 
+def test_phi_pin_covers_every_parity_pair_at_few_samples():
+    # ten random pairs miss one of the four parity pairs at some seeds; the
+    # verifier must then test that pair itself rather than report a failure
+    for n in range(3, 9):
+        for seed in range(20):
+            rep = verify_phi_pin_embedding(n, samples=10, seed=seed)
+            assert rep.ok, rep.to_text()
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_f_suite(n):
     rep = verify_f_properties(n, samples=25, seed=11)

@@ -6,9 +6,9 @@ import pytest
 
 from grstacks.clifford import is_spin, rho
 from grstacks.delta import (
+    DeltaGroup,
     blade_label,
     delta_embed_spin,
-    delta_group,
     verify_delta_embedding,
     verify_delta_structure,
 )
@@ -16,20 +16,20 @@ from grstacks.delta import (
 
 def test_order_and_identity():
     for n in range(1, 7):
-        grp = delta_group(n)
+        grp = DeltaGroup(n)
         assert grp.order == 2 ** (n + 1) == len(grp.elements)
         ident = grp.identity()
         assert all(grp.mul(ident, a) == a for a in grp.elements)
 
 
 def test_inverses():
-    grp = delta_group(4)
+    grp = DeltaGroup(4)
     for a in grp.elements:
         assert grp.mul(a, grp.inv(a)) == grp.identity()
 
 
 def test_rank_one_is_cyclic_of_order_four():
-    grp = delta_group(1)
+    grp = DeltaGroup(1)
     e = (1, 1)
     powers = [e]
     while True:
@@ -44,22 +44,22 @@ def test_rank_one_is_cyclic_of_order_four():
 
 def test_center_alternates_with_parity():
     # odd rank keeps the top blade central, even rank only the signs
-    assert len(delta_group(2).center()) == 2
-    assert len(delta_group(3).center()) == 4
-    assert len(delta_group(4).center()) == 2
-    assert len(delta_group(5).center()) == 4
+    assert len(DeltaGroup(2).center()) == 2
+    assert len(DeltaGroup(3).center()) == 4
+    assert len(DeltaGroup(4).center()) == 2
+    assert len(DeltaGroup(5).center()) == 4
 
 
 def test_commutator_subgroup_is_signs():
     for n in (2, 3, 4):
-        grp = delta_group(n)
+        grp = DeltaGroup(n)
         comm = grp.commutator_subgroup()
         assert comm == {(1, 0), (-1, 0)}
         assert grp.order // len(comm) == 2**n
 
 
 def test_squares_depend_on_grade_only():
-    grp = delta_group(3)
+    grp = DeltaGroup(3)
     assert grp.square((1, 0b001)) == (-1, 0)
     assert grp.square((1, 0b011)) == (-1, 0)
     assert grp.square((1, 0b111)) == (1, 0)
@@ -68,7 +68,7 @@ def test_squares_depend_on_grade_only():
 
 def test_rho_diagonal_matches_clifford_action():
     for n in (2, 3, 4):
-        grp = delta_group(n)
+        grp = DeltaGroup(n)
         for el in grp.elements:
             m = rho(grp.to_clifford(el))
             assert all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j)
@@ -77,19 +77,19 @@ def test_rho_diagonal_matches_clifford_action():
 
 
 def test_rho_diagonal_ignores_the_sign():
-    grp = delta_group(3)
+    grp = DeltaGroup(3)
     for _, m in grp.elements:
         assert grp.rho_diagonal((1, m)) == grp.rho_diagonal((-1, m))
 
 
 def test_rho_image_is_every_sign_pattern():
-    grp = delta_group(4)
+    grp = DeltaGroup(4)
     assert len({grp.rho_diagonal(a) for a in grp.elements}) == 2**4
 
 
 def test_embedding_is_an_even_injection():
     n = 3
-    grp, big = delta_group(n), delta_group(n + 1)
+    grp, big = DeltaGroup(n), DeltaGroup(n + 1)
     emb = delta_embed_spin(n)
     for a in grp.elements:
         for b in grp.elements:
@@ -100,7 +100,7 @@ def test_embedding_is_an_even_injection():
 
 
 def test_write_table(tmp_path):
-    grp = delta_group(2)
+    grp = DeltaGroup(2)
     path = tmp_path / "table.csv"
     grp.write_table(str(path))
     with open(path, newline="") as fh:
@@ -130,4 +130,4 @@ def test_embedding_suite():
 
 def test_rank_floor():
     with pytest.raises(ValueError):
-        delta_group(0)
+        DeltaGroup(0)

@@ -13,8 +13,9 @@ from grstacks.finite import (
     det3,
     identity_mat,
     mat2_tau_det1,
-    mat3_inv,
+    mat3_inv_transpose,
     mat_mul_q,
+    mat_transpose,
     orbit_bfs,
     sl2_elements,
     sqrt_minus_one,
@@ -53,9 +54,9 @@ def test_mat3_inverse():
         if det3(m, q) == 0:
             continue
         found += 1
-        assert mat_mul_q(m, mat3_inv(m, q), q) == identity_mat(3)
+        assert mat_mul_q(mat_transpose(m), mat3_inv_transpose(m, q), q) == identity_mat(3)
     with pytest.raises(ZeroDivisionError):
-        mat3_inv(((1, 0, 0), (2, 0, 0), (0, 0, 1)), q)
+        mat3_inv_transpose(((1, 0, 0), (2, 0, 0), (0, 0, 1)), q)
 
 
 def test_inverse_transpose_on_det_one():

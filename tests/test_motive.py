@@ -10,9 +10,9 @@ from grstacks.lefschetz import (
     l_power,
     lc_eq,
     lc_eval_at,
-    lc_from_poly,
     lc_inv,
     lc_mul,
+    lc_normalize,
 )
 from grstacks.motive import (
     M_ONE,
@@ -39,12 +39,12 @@ from grstacks.motive import (
     substitute_deltas,
 )
 
-L_MINUS_1 = lc_from_poly((-1, 1))
+L_MINUS_1 = lc_normalize((-1, 1))
 
 
 @strat.composite
 def scalars(draw):
-    c = lc_from_poly(tuple(draw(strat.lists(strat.integers(-4, 4), min_size=1, max_size=4))))
+    c = lc_normalize(tuple(draw(strat.lists(strat.integers(-4, 4), min_size=1, max_size=4))))
     return lc_mul(c, l_power(draw(strat.integers(-3, 3))))
 
 
@@ -74,7 +74,7 @@ def test_m_scale_distributes(a, b, c):
 
 @hypothesis.given(motives())
 def test_zero_coefficients_are_dropped(a):
-    z = m_scale(a, lc_from_poly(()))
+    z = m_scale(a, lc_normalize(()))
     assert z == M_ZERO and not z.atoms and not z.scalar
 
 
@@ -330,6 +330,6 @@ def test_solver_domain():
 
 def test_motive_operators():
     a = m_add(M_ONE, m_atom(2))
-    assert a + a == m_scale(a, lc_from_poly((2,)))
+    assert a + a == m_scale(a, lc_normalize((2,)))
     assert a - a == M_ZERO
     assert isinstance(a, MotiveExpr)
