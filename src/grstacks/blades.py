@@ -48,13 +48,3 @@ def indices_of(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def grade(mask: int) -> int:
-    return mask.bit_count()
-
-
-def blade_mul(s: frozenset[int], t: frozenset[int]) -> tuple[int, frozenset[int]]:
-    """Set-level wrapper: returns (sign, symmetric difference)."""
-    sign, u = blade_mul_mask(mask_of(s), mask_of(t))
-    return sign, frozenset(indices_of(u))

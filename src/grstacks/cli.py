@@ -9,6 +9,7 @@ blade groups.  Exit codes: 0 all checks pass, 1 at least one check failed,
 
 import argparse
 import json
+import os
 import sys
 
 from . import dsl
@@ -20,11 +21,27 @@ from .suites import SUITES
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     rep = SUITES[args.suite](seed=args.seed, samples=args.samples, q=args.q)
-    print(rep.to_text())
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(rep.to_json())
+    try:
+        print(rep.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); the checks' verdict still stands,
+        # and devnull takes the rest so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if rep.ok else 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -93,7 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named check suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    p.add_argument("--samples", type=int, default=100, help="samples per property")
+    p.add_argument(
+        "--samples", type=_positive_int, default=100, help="samples per property (at least 1)"
+    )
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.add_argument(
         "--q",

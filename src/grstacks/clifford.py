@@ -131,9 +131,7 @@ class CliffordElement:
                 out[mu] = c if cur is None else cur + c
         return CliffordElement(self.n, out)
 
-    def __rmul__(self, other: Scalar) -> "CliffordElement":
-        c = GaussianRational.coerce(other)
-        return CliffordElement(self.n, {m: c * v for m, v in self.terms.items()})
+    __rmul__ = __mul__  # Gaussian-rational products commute
 
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self.terms}
@@ -143,9 +141,6 @@ class CliffordElement:
         ps = {g & 1 for g in self.grades()}
         return ps.pop() if len(ps) == 1 else None
 
-    def grade_part(self, g: int) -> "CliffordElement":
-        return CliffordElement(self.n, {m: c for m, c in self.terms.items() if m.bit_count() == g})
-
     def is_vector(self) -> bool:
         return bool(self.terms) and all(m.bit_count() == 1 for m in self.terms)
 
@@ -154,27 +149,24 @@ class CliffordElement:
             raise ValueError("element has components outside grade 1")
         return tuple(self.coeff(1 << j) for j in range(self.n))
 
-    def eps(self) -> "CliffordElement":
-        # grade involution: blades of grade g scale by (-1)^g
+    def _negate_grades(self, negated: tuple[int, ...]) -> "CliffordElement":
+        # each involution's sign on a blade of grade g depends on g mod 4 only
         return CliffordElement(
             self.n,
-            {m: (-c if m.bit_count() & 1 else c) for m, c in self.terms.items()},
+            {m: (-c if m.bit_count() % 4 in negated else c) for m, c in self.terms.items()},
         )
+
+    def eps(self) -> "CliffordElement":
+        # grade involution: (-1)^g
+        return self._negate_grades((1, 3))
 
     def transpose(self) -> "CliffordElement":
         # reversal: (-1)^(g(g-1)/2)
-        out = {}
-        for m, c in self.terms.items():
-            g = m.bit_count()
-            out[m] = -c if (g * (g - 1) // 2) & 1 else c
-        return CliffordElement(self.n, out)
+        return self._negate_grades((2, 3))
 
     def bar(self) -> "CliffordElement":
-        out = {}
-        for m, c in self.terms.items():
-            g = m.bit_count()
-            out[m] = -c if (g * (g + 1) // 2) & 1 else c
-        return CliffordElement(self.n, out)
+        # eps after transpose: (-1)^(g(g+1)/2)
+        return self._negate_grades((1, 2))
 
     def __str__(self) -> str:
         if not self.terms:
@@ -195,10 +187,6 @@ class CliffordElement:
 
 def basis_vector(n: int, i: int) -> CliffordElement:
     return CliffordElement(n, {1 << (i - 1): GR_ONE})
-
-
-def involutions(a: CliffordElement) -> tuple[CliffordElement, CliffordElement, CliffordElement]:
-    return a.eps(), a.transpose(), a.bar()
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +230,6 @@ def mat_det(a: Matrix) -> GaussianRational:
     return det
 
 
-def mat_inv(a: Matrix) -> Matrix:
-    n = len(a)
-    rows = [list(r) + [GR_ONE if i == j else GR_ZERO for j in range(n)] for i, r in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = GR_ONE / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
-
-
 # ---------------------------------------------------------------------------
 # quadratic spaces
 
@@ -276,17 +247,10 @@ class QuadSpace:
             raise ValueError(f"unknown form {self.form!r}")
 
     def q(self, v: Vector) -> GaussianRational:
-        if self.form == NEG_SUM:
-            return -sum((x * x for x in v), GR_ZERO)
-        tot = GR_ZERO
-        for k in range(0, self.n - 1, 2):
-            tot = tot + v[k] * v[k + 1]
-        if self.n & 1:
-            tot = tot + v[-1] * v[-1]
-        return tot
+        return self.h(v, v)
 
     def h(self, v: Vector, w: Vector) -> GaussianRational:
-        # closed polarization of each form, so h(v, v) = q(v)
+        # closed polarization of each form
         if self.form == NEG_SUM:
             return -sum((a * b for a, b in zip(v, w)), GR_ZERO)
         tot = GR_ZERO
@@ -295,9 +259,6 @@ class QuadSpace:
         if self.n & 1:
             tot = tot + v[-1] * w[-1]
         return tot
-
-    def norm2(self, v: Vector) -> GaussianRational:
-        return sum((x * x for x in v), GR_ZERO)
 
     def _pair_entry(self, i: int, j: int) -> GaussianRational:
         # h on basis vectors, by index
@@ -328,23 +289,32 @@ class QuadSpace:
 # ---------------------------------------------------------------------------
 # pin and spin membership, twisted conjugation
 
-def _stabilizes_vectors(a: CliffordElement, conj: CliffordElement) -> bool:
+def _vector_images(a: CliffordElement) -> list[Vector] | None:
+    """Coordinates of eps(a) e_i bar(a) for i = 1..n, or None when `a` is not
+    in the pin group: mixed parity, a bar(a) != 1, or some image not a vector.
+
+    Membership is defined by the plain conjugation a v bar(a).  An element of
+    one parity has eps(a) = +-a, so the plain and the twisted conjugation
+    differ only by a sign and send vectors to vectors together: one pass over
+    the basis both decides membership and gives the columns of rho.
+    """
+    if a.parity() is None:
+        return None
+    ab = a.bar()
+    if a * ab != 1:
+        return None
+    ea = a.eps()
+    cols = []
     for i in range(1, a.n + 1):
-        w = a * basis_vector(a.n, i) * conj
-        if any(m.bit_count() != 1 for m in w.terms):
-            return False
-    return True
+        w = ea * basis_vector(a.n, i) * ab
+        if not w.is_vector():
+            return None
+        cols.append(w.vector_coords())
+    return cols
 
 
 def is_pin(a: CliffordElement) -> bool:
-    if a.parity() is None:
-        return False
-    ab = a.bar()
-    if a * ab != 1:
-        return False
-    # definition uses plain conjugation a v bar(a); the twisted form used by
-    # the vector action is checked in rho
-    return _stabilizes_vectors(a, ab)
+    return _vector_images(a) is not None
 
 
 def is_spin(a: CliffordElement) -> bool:
@@ -353,14 +323,10 @@ def is_spin(a: CliffordElement) -> bool:
 
 def rho(a: CliffordElement) -> Matrix:
     """Matrix of v -> eps(a) v bar(a) on e_1..e_n.  Raises NotPin."""
-    if not is_pin(a):
+    cols = _vector_images(a)
+    if cols is None:
         raise NotPin(str(a))
-    ea, ab = a.eps(), a.bar()
-    cols = []
-    for i in range(1, a.n + 1):
-        w = ea * basis_vector(a.n, i) * ab
-        cols.append(w.vector_coords())
-    m = tuple(tuple(cols[j][i] for j in range(a.n)) for i in range(a.n))
+    m = tuple(zip(*cols))
     space = QuadSpace(a.n, NEG_SUM)
     if not space.preserves(m):
         raise NotPin(f"image of {a} does not preserve the form")
@@ -375,7 +341,8 @@ def _dot(u: Vector, v: Vector) -> GaussianRational:
 
 
 def reflect_point(base: Vector, u: Vector) -> Vector:
-    """Second intersection of the line base + t*u with the sphere sum x^2 = 1."""
+    """Reflect `base` in the hyperplane dot-orthogonal to `u`; on the sphere
+    sum x^2 = 1 this is the second intersection of the line base + t*u."""
     d = _dot(u, u)
     if not d:
         raise DegenerateDirection(f"direction {u} has isotropic dot square")
@@ -394,21 +361,22 @@ def _random_direction(n: int, rng: random.Random, support: tuple[int, ...]) -> V
     return tuple(u)
 
 
+_DIRECTION_TRIES = 64  # random directions drawn before giving up
+
+
 def unit_vector_sample(
     n: int,
-    seed: int | random.Random,
+    rng: random.Random,
     support: tuple[int, ...] | None = None,
-    retries: int = 64,
 ) -> Vector:
     """Exact vector with sum of squared coordinates 1, supported on `support`."""
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     if support is None:
         support = tuple(range(1, n + 1))
     if not support:
         raise ValueError("empty support")
     base = tuple(GR_ONE if i == support[0] else GR_ZERO for i in range(1, n + 1))
     last: DegenerateDirection | None = None
-    for _ in range(retries):
+    for _ in range(_DIRECTION_TRIES):
         u = _random_direction(n, rng, support)
         try:
             v = reflect_point(base, u)
@@ -417,7 +385,7 @@ def unit_vector_sample(
             continue
         assert _dot(v, v) == 1
         return v
-    raise DegenerateDirection(f"no usable direction after {retries} tries") from last
+    raise DegenerateDirection(f"no usable direction after {_DIRECTION_TRIES} tries") from last
 
 
 def pin_sample(
@@ -487,16 +455,10 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
     )
     rep.add("inv.compose", comp_bad == 0, "bar = eps after transpose, both orders")
 
+    ident = mat_identity(n)
     rep.add(
         "rho.reflect",
-        rho(CliffordElement.vector(n, basis_vector(n, 1).vector_coords()))
-        == tuple(
-            tuple(
-                (GR_ONE if i == j else GR_ZERO) if (i, j) != (0, 0) else -GR_ONE
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
+        rho(basis_vector(n, 1)) == ((-GR_ONE,) + ident[0][1:],) + ident[1:],
         "rho(e_1) is the reflection diag(-1, 1, ..., 1)",
     )
 
@@ -655,8 +617,7 @@ def _random_isotropic_tail(n: int, rng: random.Random) -> Vector:
     for _ in range(rng.randint(0, 2)):
         u = _random_direction(n, rng, tuple(range(3, n + 1)))
         if _dot(u, u):
-            t_num = 2 * _dot(u, v)
-            v = tuple(x - (t_num / _dot(u, u)) * ux for x, ux in zip(v, u))
+            v = reflect_point(v, u)
     return v
 
 
@@ -687,7 +648,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         a = GaussianRational(Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.choice((1, 2))))
         w = tuple(a * x for x in v)
         lhs = f_map(n, w)
-        nrm = space.norm2(w)
+        nrm = _dot(w, w)
         assert nrm == a * a
         wv = CliffordElement.vector(n, w)
         factor1 = wv * (GR_ONE / a)
@@ -708,7 +669,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
                 w = tuple(w)
             else:
                 w = _random_isotropic_tail(n, rng)
-            assert space.norm2(w) == 0
+            assert _dot(w, w) == 0
             wv = CliffordElement.vector(n, w)
             prod = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2
             if prod != f_map(n, w):
@@ -717,19 +678,15 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
 
     stab_bad = frame_bad = 0
     frame_runs = max(10, samples // 4)
-    fr_cols = [f1_vector(n), f2_vector(n)] + [
-        tuple(GR_ONE if j == i else GR_ZERO for j in range(n)) for i in range(2, n)
-    ]
-    p_mat = tuple(tuple(fr_cols[j][i] for j in range(n)) for i in range(n))
-    p_inv = mat_inv(p_mat)
+    # columns f1, f2, e_3..e_n; P is invertible, so rho(fw) P = P phi_w says
+    # that rho(fw) reads as phi_w in this frame
+    p_mat = tuple(zip(f1_vector(n), f2_vector(n), *mat_identity(n)[2:]))
     for _ in range(frame_runs):
         w = _random_tail_vector(n, rng)
         fw = f_map(n, w)
         if fw.eps() * f1 * fw.bar() != f1:
             stab_bad += 1
-        m = rho(fw)
-        frame = mat_mul(p_inv, mat_mul(m, p_mat))
-        if frame != phi_w_matrix(space, n, w):
+        if mat_mul(rho(fw), p_mat) != mat_mul(p_mat, phi_w_matrix(space, n, w)):
             frame_bad += 1
     rep.add("f.stab", stab_bad == 0, f"{frame_runs - stab_bad}/{frame_runs} fix the pivot isotropic vector")
     rep.add(
@@ -798,14 +755,14 @@ def phi_w_matrix(space: QuadSpace, n: int, w: Vector) -> Matrix:
         raise ValueError("dimension mismatch")
     _check_tail_support(n, w)
     qw = space.q(w)
+    ident = mat_identity(n)
     rows = [[GR_ZERO] * n for _ in range(n)]
     rows[0][0] = GR_ONE
     rows[0][1] = -qw
     rows[1][1] = GR_ONE
     for j in range(2, n):
         rows[j][1] = w[j]
-        ej = tuple(GR_ONE if t == j else GR_ZERO for t in range(n))
-        rows[0][j] = -2 * space.h(ej, w)
+        rows[0][j] = -2 * space.h(ident[j], w)
         rows[j][j] = GR_ONE
     return tuple(tuple(r) for r in rows)
 
@@ -816,7 +773,7 @@ def verify_phi_w(n: int, samples: int = 100, seed: int = 0) -> CheckReport:
     rep = CheckReport(f"clifford.phi_w.{n}", seed)
     rng = random.Random(seed)
     space = QuadSpace(n, SPLIT)
-    e1 = tuple(GR_ONE if i == 0 else GR_ZERO for i in range(n))
+    e1 = mat_identity(n)[0]
 
     zero = tuple([GR_ZERO] * n)
     rep.add("phiw.zero", phi_w_matrix(space, n, zero) == mat_identity(n), "w = 0 gives the identity")

@@ -11,7 +11,7 @@ check exhaustively.
 from __future__ import annotations
 
 import csv
-from collections import deque
+from collections import Counter, deque
 
 from .blades import blade_mul_mask, indices_of
 from .clifford import CliffordElement, is_spin, rho
@@ -193,16 +193,13 @@ def verify_delta_structure(n: int) -> CheckReport:
             f"abelianization has order {2 ** n}",
         )
 
-    diags = {grp.rho_diagonal(a) for a in grp.elements}
+    preimages = Counter(grp.rho_diagonal(a) for a in grp.elements)
     rep.add(
         "rho.image",
-        len(diags) == 2**n and all(all(d in (1, -1) for d in t) for t in diags),
+        len(preimages) == 2**n and all(all(d in (1, -1) for d in t) for t in preimages),
         f"vector action image is all {2 ** n} diagonal sign matrices",
     )
-    fibers_ok = all(
-        sum(1 for b in grp.elements if grp.rho_diagonal(b) == grp.rho_diagonal(a)) == 2
-        for a in grp.elements[:8]
-    )
+    fibers_ok = all(preimages[grp.rho_diagonal(a)] == 2 for a in grp.elements[:8])
     rep.add("rho.fiber", fibers_ok, "each diagonal has exactly two preimages (spot checked)")
 
     if n <= 6:

@@ -63,6 +63,34 @@ def test_verify_rejects_unsupported_field(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_rejects_samples_below_one(samples, capsys):
+    # with no samples every sampled check would pass having tested nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "ring", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_survives_a_closed_pipe(tmp_path):
+    # the reader closes its end before the report is printed, as `| head`
+    # does; the verdict is the suite's, with no traceback, and the JSON is
+    # written first
+    src = os.path.dirname(os.path.dirname(grstacks.__file__))
+    path = tmp_path / "ring.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grstacks.cli", "verify", "ring", "--samples", "5", "--json", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert proc.returncode == 0
+    assert json.loads(path.read_bytes())["suite"] == "ring"
+
+
 # -- eval -------------------------------------------------------------
 
 

@@ -22,12 +22,10 @@ from grstacks.clifford import (
     f2_vector,
     f_map,
     f_recover,
-    involutions,
     is_pin,
     is_spin,
     mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
     mat_vec,
     phi_pin,
@@ -116,10 +114,9 @@ def test_involution_signs_on_blades():
     # eps: (-1)^g, transpose: (-1)^(g(g-1)/2), bar: (-1)^(g(g+1)/2)
     for g in range(5):
         b = CliffordElement.blade(5, tuple(range(1, g + 1)))
-        ep, tr, br = involutions(b)
-        assert ep == ((-1) ** g) * b
-        assert tr == ((-1) ** (g * (g - 1) // 2)) * b
-        assert br == ((-1) ** (g * (g + 1) // 2)) * b
+        assert b.eps() == ((-1) ** g) * b
+        assert b.transpose() == ((-1) ** (g * (g - 1) // 2)) * b
+        assert b.bar() == ((-1) ** (g * (g + 1) // 2)) * b
 
 
 @hypothesis.given(strat.integers(0, 7), strat.integers(0, 7))
@@ -196,6 +193,12 @@ def test_unit_vector_sample_support():
         assert v[0] == v[2] == v[4] == GR_ZERO
 
 
+def _unit_norm_even_non_pin():
+    # a = 3/5 + 4/5 e1..e6: even with a bar(a) = 1, yet a e1 bar(a) has a
+    # grade-5 part, so only the vector-image test rejects it
+    return CliffordElement(6, {0: Fraction(3, 5), 0b111111: Fraction(4, 5)})
+
+
 def test_pin_membership():
     rng = random.Random(1)
     a = pin_sample(4, rng)
@@ -204,6 +207,9 @@ def test_pin_membership():
     assert is_spin(s) and s.parity() == 0
     assert not is_pin(basis_vector(4, 1) + 1)  # mixed parity
     assert not is_pin(CliffordElement.scalar(4, GaussianRational(2)))
+    b = _unit_norm_even_non_pin()
+    assert b.parity() == 0 and b * b.bar() == 1
+    assert is_pin(b) is False
 
 
 def test_rho_of_a_generator_is_a_reflection():
@@ -228,12 +234,15 @@ def test_rho_is_multiplicative():
 def test_rho_rejects_non_pin():
     with pytest.raises(NotPin):
         rho(basis_vector(3, 1) * GaussianRational(2))
+    with pytest.raises(NotPin):
+        rho(_unit_norm_even_non_pin())
 
 
 def test_matrix_inverse():
+    # bar(a) is the inverse of a on the pin group, so rho(bar(a)) inverts rho(a)
     rng = random.Random(9)
-    m = rho(pin_sample(4, rng))
-    assert mat_mul(m, mat_inv(m)) == mat_identity(4)
+    a = pin_sample(4, rng)
+    assert mat_mul(rho(a), rho(a.bar())) == mat_identity(4)
 
 
 # -- the one-lower pin embedding --------------------------------------
