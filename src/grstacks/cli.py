@@ -22,8 +22,11 @@ from .suites import SUITES
 def _cmd_verify(args: argparse.Namespace) -> int:
     rep = SUITES[args.suite](seed=args.seed, samples=args.samples, q=args.q)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(rep.to_json())
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(rep.to_json())
+        except OSError as exc:
+            return _cannot_write(args.json, exc)
     try:
         print(rep.to_text())
         sys.stdout.flush()
@@ -32,6 +35,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # and devnull takes the rest so the exit flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if rep.ok else 1
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
 
 
 def _positive_int(text: str) -> int:
@@ -95,7 +103,10 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     if len(center) == grp.order:
         print("abelian")
     if args.table:
-        grp.write_table(args.table)
+        try:
+            grp.write_table(args.table)
+        except OSError as exc:
+            return _cannot_write(args.table, exc)
         print(f"table written to {args.table}")
     return 0
 

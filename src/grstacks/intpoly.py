@@ -4,18 +4,34 @@ A polynomial is a tuple of ints indexed by degree, with no trailing zeros;
 the zero polynomial is the empty tuple.  Tuples keep values hashable, which
 the memo tables downstream rely on.
 
-The only nontrivial exports are cyclotomic(d), computed by the recurrence
-Phi_d = (x^d - 1) / prod_{e|d, e<d} Phi_e with exact monic division, and
-phi_bounded(m), which enumerates every d with totient(d) <= m.  The latter
-is the complete candidate set for cyclotomic trial division: if Phi_d
-divides a polynomial of degree m then totient(d) <= m, and every prime
-p dividing such a d satisfies p - 1 <= totient(d) <= m, so a DFS over
-prime factorizations with totient budget m finds all of them.
+mul is Kronecker substitution: each factor is packed into one Python int,
+one coefficient per byte-aligned slot wide enough for any product
+coefficient, the two ints are multiplied once (CPython's Karatsuba), and the
+slots are read back.  A half-slot offset makes every slot non-negative, so
+signed coefficients pack and unpack without borrows, and both directions
+are linear in the length.
+
+cyclotomic(d) is the Moebius product  prod_{s | d squarefree}
+(x^{d/s} - 1)^{mu(s)}:  multiplying by x^k - 1 is a shift and subtract,
+dividing exactly by it is a running sum with stride k.  cyclotomic_divides
+decides Phi_d | p without dividing p: Phi_d divides x^d - 1, so it divides
+p iff it divides p mod (x^d - 1), whose degree is below d.  phi_bounded(m)
+enumerates every d with totient(d) <= m.  The latter is the complete
+candidate set for cyclotomic trial division: if Phi_d divides a polynomial
+of degree m then totient(d) <= m, and every prime p dividing such a d
+satisfies p - 1 <= totient(d) <= m, so a DFS over prime factorizations with
+totient budget m finds all of them.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import accumulate
+from operator import neg as _negate, sub as _subtract
+
+class NotDivisible(ArithmeticError):
+    """An exact division left a remainder."""
+
 
 ZERO: tuple[int, ...] = ()
 ONE: tuple[int, ...] = (1,)
@@ -48,14 +64,29 @@ def neg(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Product by Kronecker substitution (see the module docstring)."""
     if not p or not q:
         return ZERO
-    cs = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                cs[i + j] += a * b
-    return tuple(cs)
+    n = len(p) + len(q) - 1
+    # every input and product coefficient is at most this bound in absolute
+    # value, and a slot of w bytes holds [-2^(8w-1), 2^(8w-1)) after the offset
+    bound = max(max(map(abs, p)), 1) * max(max(map(abs, q)), 1) * min(len(p), len(q))
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    prod = _pack(p, w, half) * _pack(q, w, half) + (_ones(n, w) << (8 * w - 1))
+    data = prod.to_bytes(n * w, "little")
+    return tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, n * w, w))
+
+
+def _ones(n: int, w: int) -> int:
+    """The int with a 1 in each of n slots of w bytes."""
+    return ((1 << (8 * w * n)) - 1) // ((1 << (8 * w)) - 1)
+
+
+def _pack(p: tuple[int, ...], w: int, half: int) -> int:
+    """sum p[i] * 2^(8wi), built from the offset (non-negative) slots."""
+    data = b"".join((c + half).to_bytes(w, "little") for c in p)
+    return int.from_bytes(data, "little") - (_ones(len(p), w) << (8 * w - 1))
 
 
 def shift(p: tuple[int, ...], k: int) -> tuple[int, ...]:
@@ -65,27 +96,48 @@ def shift(p: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (0,) * k + p
 
 
-def monic_div(p: tuple[int, ...], d: tuple[int, ...]):
-    """Exact division by a monic divisor; None if the remainder is nonzero.
+def _long_division(p: tuple[int, ...], d: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of p (len(p) >= len(d)) by a monic d, as lists.
 
     The divisor being monic keeps every intermediate coefficient an integer.
     """
-    assert d and d[-1] == 1
-    if not p:
-        return ZERO
-    if len(p) < len(d):
-        return None
     rem = list(p)
     quot = [0] * (len(p) - len(d) + 1)
+    terms = [(j, b) for j, b in enumerate(d) if b]
     for i in range(len(quot) - 1, -1, -1):
         c = rem[i + len(d) - 1]
         if c:
             quot[i] = c
-            for j, b in enumerate(d):
+            for j, b in terms:
                 rem[i + j] -= c * b
-    if any(rem[: len(d) - 1]):
+    return quot, rem[: len(d) - 1]
+
+
+def monic_div(p: tuple[int, ...], d: tuple[int, ...]):
+    """Exact division by a monic divisor; None if the remainder is nonzero."""
+    if not d or d[-1] != 1:
+        raise ValueError(f"divisor must be monic, got {d!r}")
+    if not p:
+        return ZERO
+    if len(p) < len(d):
+        return None
+    quot, rem = _long_division(p, d)
+    if any(rem):
         return None
     return normalize(quot)
+
+
+def cyclotomic_divides(p: tuple[int, ...], d: int) -> bool:
+    """Whether Phi_d divides p, by dividing only p mod (x^d - 1).
+
+    Phi_d divides x^d - 1, so it divides p iff it divides the residue; the
+    residue takes d slice sums and has degree below d.
+    """
+    r = normalize(sum(p[i::d]) for i in range(d))
+    phi = cyclotomic(d)
+    if len(r) < len(phi):
+        return not r
+    return not any(_long_division(r, phi)[1])
 
 
 def eval_at(p: tuple[int, ...], x):
@@ -107,18 +159,72 @@ def x_pow_minus_one(n: int) -> tuple[int, ...]:
     return (-1,) + (0,) * (n - 1) + (1,)
 
 
+def _mul_binomial(p: list[int], k: int) -> list[int]:
+    """p * (x^k - 1): shift by k, subtract p."""
+    out = [0] * k + p
+    out[: len(p)] = map(_subtract, out[: len(p)], p)
+    return out
+
+
+def _div_binomial(p: list[int], k: int) -> list[int]:
+    """p / (x^k - 1), exact, as a running sum with stride k.
+
+    From p_i = q_{i-k} - q_i, each residue class of q mod k is the negated
+    prefix sum of p's; the top k coefficients of p are the remainder check.
+    """
+    m = len(p) - k
+    if m <= 0:
+        raise NotDivisible(f"x^{k} - 1 does not divide a polynomial of degree {len(p) - 1}")
+    q = [0] * m
+    for r in range(min(k, m)):
+        q[r::k] = accumulate(map(_negate, p[r:m:k]))
+    if p[m:] != [0] * max(k - m, 0) + q[max(m - k, 0) :]:
+        raise NotDivisible(f"x^{k} - 1 leaves a remainder")
+    return q
+
+
+def _moebius_binomials(d: int) -> list[tuple[int, int]]:
+    """(d/s, mu(s)) over squarefree s | d, in an order whose running
+    product stays a polynomial.
+
+    s runs over the divisors of p_1 ... p_j one prime at a time, and after
+    the j-th prime the running product is Phi_{p_1...p_j}(x^(d/(p_1...p_j))).
+    Within one prime's batch the mu(s) = +1 factors come first, so each
+    mu(s) = -1 factor after them divides exactly.
+    """
+    primes: list[int] = []
+    r, p = d, 2
+    while p * p <= r:
+        if r % p == 0:
+            primes.append(p)
+            while r % p == 0:
+                r //= p
+        p += 1
+    if r > 1:
+        primes.append(r)
+    out = [(d, 1)]
+    for p in primes:
+        out += sorted(((k // p, -mu) for k, mu in out), key=lambda e: -e[1])
+    return out
+
+
 @cache
 def cyclotomic(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial, as an integer tuple."""
-    if d == 1:
-        return (-1, 1)
-    p = x_pow_minus_one(d)
-    for e in range(1, d):
-        if d % e == 0:
-            q = monic_div(p, cyclotomic(e))
-            assert q is not None
-            p = q
-    return p
+    if d < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
+    p = [1]
+    for k, mu in _moebius_binomials(d):
+        p = _mul_binomial(p, k) if mu > 0 else _div_binomial(p, k)
+    return tuple(p)
+
+
+@cache
+def cyclotomic_power(d: int, m: int) -> tuple[int, ...]:
+    """Phi_d^m for m >= 1, from memoized halves."""
+    if m == 1:
+        return cyclotomic(d)
+    return mul(cyclotomic_power(d, m // 2), cyclotomic_power(d, m - m // 2))
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -169,32 +275,15 @@ def cyclotomic_at(d: int, t: int) -> int:
 
     Avoids materializing Phi_d during divisibility prefiltering.
     """
-    if d == 1:
-        return t - 1
-    # factor d, then build prod (t^{d/s} - 1)^{mu(s)} over squarefree s
-    fac: list[int] = []
-    r, p = d, 2
-    while p * p <= r:
-        if r % p == 0:
-            fac.append(p)
-            while r % p == 0:
-                r //= p
-        p += 1
-    if r > 1:
-        fac.append(r)
-    num, den = 1, 1
-    for bits in range(1 << len(fac)):
-        s = 1
-        for i, q in enumerate(fac):
-            if bits >> i & 1:
-                s *= q
-        term = t ** (d // s) - 1
-        if bin(bits).count("1") % 2 == 0:
-            num *= term
+    top, bottom = 1, 1
+    for k, mu in _moebius_binomials(d):
+        if mu > 0:
+            top *= t**k - 1
         else:
-            den *= term
-    val, rem = divmod(num, den)
-    assert rem == 0
+            bottom *= t**k - 1
+    val, rem = divmod(top, bottom)
+    if rem:
+        raise NotDivisible(f"Moebius product for Phi_{d}({t}) is not exact")
     return val
 
 

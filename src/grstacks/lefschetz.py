@@ -14,15 +14,26 @@ cyclotomic factors.
 
 Multiplication never re-scans cores for cyclotomic factors: a product of
 two polynomials not divisible by any Phi_d is again not divisible by any
-Phi_d (irreducibility), so only the L-valuation needs re-extraction.
+Phi_d (irreducibility), so only the L-valuation needs re-extraction.  When
+one core is +-1, as it is for the unit classes the tower mostly multiplies
+by, no polynomial product is formed at all.
+
 Addition pulls out the common factor of the two operands, adds the expanded
-cofactors and renormalizes the sum from scratch.
+cofactors and renormalizes the sum from scratch.  Each cofactor's Phi-part
+is multiplied out first, from memoized powers Phi_d^m, and then multiplied
+into the shifted core once.
+
+Normalization trial-divides by the complete candidate set of Phi_d.  A
+candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
+then the exact residue test intpoly.cyclotomic_divides before any division
+of the full core, so every such division succeeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from . import intpoly
 
@@ -80,7 +91,8 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     Strips the L-valuation of core into l_exp, then trial-divides by every
     Phi_d whose totient is at most deg(core) -- the complete candidate set,
     see intpoly.phi_bounded.  An integer-point divisibility prefilter skips
-    nearly all failing candidates without a polynomial division.
+    most failing candidates; the exact residue test settles the rest, and
+    ends each multiplicity loop, without dividing the full core.
     """
     core = intpoly.normalize(core)
     exps: dict[int, int] = dict(cyc_exps) if cyc_exps else {}
@@ -90,7 +102,7 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     l_exp += v
     deg = intpoly.degree(core)
     if deg > 0:
-        lead = core[-1] < 0
+        lead = core[-1]
         t = 2
         while intpoly.eval_at(core, t) == 0:
             t += 1
@@ -99,18 +111,20 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
             phi_t = intpoly.cyclotomic_at(d, t)
             if phi_t != 0 and point % phi_t:
                 continue
-            while True:
-                q = intpoly.monic_div(core, intpoly.cyclotomic(d))
-                if q is None:
-                    break
-                core = q
+            hit = False
+            while intpoly.cyclotomic_divides(core, d):
+                core = intpoly.monic_div(core, intpoly.cyclotomic(d))
                 exps[d] = exps.get(d, 0) + 1
-                point = intpoly.eval_at(core, t)
-                if intpoly.degree(core) == 0:
+                hit = True
+                if len(core) == 1:
                     break
-            if intpoly.degree(core) == 0:
+            if len(core) == 1:
                 break
-        assert (core[-1] < 0) == lead
+            if hit:
+                point = intpoly.eval_at(core, t)
+        # exact division by monic factors keeps the leading coefficient
+        if core[-1] != lead:
+            raise intpoly.NotDivisible(f"leading coefficient moved from {lead} to {core[-1]}")
     cyc = tuple(sorted((d, m) for d, m in exps.items() if m))
     return LefschetzClass(core, l_exp, cyc)
 
@@ -137,9 +151,15 @@ def lc_neg(a: LefschetzClass) -> LefschetzClass:
 def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     if not a.core or not b.core:
         return LC_ZERO
-    core = intpoly.mul(a.core, b.core)
-    # cores are Phi-free so their product is; only x | core is impossible
-    # too (both constant terms nonzero), hence no re-extraction at all.
+    if b.is_unit():
+        a, b = b, a
+    if a.is_unit():
+        # a unit core is +-1: no polynomial product needed
+        core = b.core if a.core[0] == 1 else intpoly.neg(b.core)
+    else:
+        # cores are Phi-free so their product is; only x | core is impossible
+        # too (both constant terms nonzero), hence no re-extraction at all.
+        core = intpoly.mul(a.core, b.core)
     exps: dict[int, int] = dict(a.cyc)
     for d, m in b.cyc:
         exps[d] = exps.get(d, 0) + m
@@ -161,12 +181,15 @@ def _common_cofactors(a: LefschetzClass, b: LefschetzClass):
 
     def cofactor(x: LefschetzClass, xm: dict[int, int]) -> tuple[int, ...]:
         # exponent difference is >= 0 by construction of the min, but the
-        # loop must cover factors present only in the common part
+        # loop must cover factors present only in the common part.  The
+        # small Phi-part is multiplied out first, then into the core once.
         p = intpoly.shift(x.core, x.l_exp - l0)
-        for d in set(xm) | set(common):
-            for _ in range(xm.get(d, 0) - common.get(d, 0)):
-                p = intpoly.mul(p, intpoly.cyclotomic(d))
-        return p
+        phis = [
+            intpoly.cyclotomic_power(d, xm.get(d, 0) - common.get(d, 0))
+            for d in set(xm) | set(common)
+            if xm.get(d, 0) != common.get(d, 0)
+        ]
+        return intpoly.mul(p, reduce(intpoly.mul, phis)) if phis else p
 
     return cofactor(a, am), cofactor(b, bm), l0, common
 
@@ -181,7 +204,8 @@ def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
 
 
 def lc_pow(a: LefschetzClass, k: int) -> LefschetzClass:
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"lc_pow needs k >= 0, got {k}; invert first")
     out = LC_ONE
     base = a
     while k:

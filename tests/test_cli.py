@@ -13,6 +13,18 @@ from grstacks.report import CheckReport
 from grstacks.suites import SUITES
 
 
+def _run_cli(*args, flags=()):
+    """Run the command line in a fresh process, so a crash shows as a traceback."""
+    src = os.path.dirname(os.path.dirname(grstacks.__file__))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "grstacks.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+
+
 # -- verify -----------------------------------------------------------
 
 
@@ -91,6 +103,24 @@ def test_verify_survives_a_closed_pipe(tmp_path):
     assert json.loads(path.read_bytes())["suite"] == "ring"
 
 
+def _assert_one_error_line(proc):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write ")
+
+
+def test_verify_unwritable_json_path_is_usage_error(tmp_path):
+    _assert_one_error_line(_run_cli("verify", "g2", "--json", str(tmp_path / "no" / "x.json")))
+
+
+def test_checks_hold_without_asserts():
+    # python -O strips assert statements; the invariants must still be checked
+    for suite in ("ring", "tower"):
+        proc = _run_cli("verify", suite, flags=("-O",))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # -- eval -------------------------------------------------------------
 
 
@@ -130,15 +160,8 @@ def test_eval_at_with_atoms_left_is_an_error(capsys):
 @pytest.mark.parametrize("op, want", [("+", "30000"), ("*", "1")])
 def test_eval_long_chain_has_no_traceback(op, want):
     # a 30,000-operand chain is far longer than the interpreter's recursion
-    # limit; run it in a fresh process so a crash shows as a traceback
-    src = os.path.dirname(os.path.dirname(grstacks.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "grstacks.cli", "eval", op.join(["1"] * 30_000)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
-    )
+    # limit
+    proc = _run_cli("eval", op.join(["1"] * 30_000))
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout.strip()) == (0, want)
 
@@ -192,6 +215,10 @@ def test_delta_table(tmp_path, capsys):
     capsys.readouterr()
     lines = path.read_text().splitlines()
     assert len(lines) == 17  # order 16 plus the header
+
+
+def test_delta_unwritable_table_path_is_usage_error(tmp_path):
+    _assert_one_error_line(_run_cli("delta", "3", "--table", str(tmp_path / "no" / "x.csv")))
 
 
 def test_delta_out_of_range(capsys):

@@ -1,5 +1,6 @@
 """Exact arithmetic in the localized ring of Lefschetz classes."""
 
+import functools
 from fractions import Fraction
 
 import hypothesis
@@ -267,6 +268,182 @@ def test_phi_product_recovers_binomial_as_classes():
             if n % d == 0:
                 prod = lc_mul(prod, lc_normalize(intpoly.ONE, 0, ((d, 1),)))
         assert lc_eq(prod, l_pow_minus_one(n))
+
+
+@functools.cache
+def _recurrence_cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d = (x^d - 1) / prod_{e | d, e < d} Phi_e, by long division."""
+    p = intpoly.x_pow_minus_one(d)
+    for e in range(1, d):
+        if d % e == 0:
+            p = intpoly.monic_div(p, _recurrence_cyclotomic(e))
+    return p
+
+
+def test_cyclotomic_matches_divisor_recurrence():
+    for d in range(1, 301):
+        assert intpoly.cyclotomic(d) == _recurrence_cyclotomic(d), d
+
+
+def test_cyclotomic_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in list(range(1, 121)) + [210, 1155, 2310]:
+        want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert intpoly.cyclotomic(d) == tuple(int(c) for c in want), d
+
+
+def test_cyclotomic_of_a_large_squarefree_index():
+    # 64 binomials; the divisor recurrence took about a minute here
+    phi = intpoly.cyclotomic(30030)
+    assert intpoly.degree(phi) == 5760
+    assert intpoly.eval_at(phi, 2) == intpoly.cyclotomic_at(30030, 2)
+
+
+def test_binomial_division_rejects_a_remainder():
+    assert intpoly._div_binomial([-1, 0, 0, 1], 3) == [1]
+    with pytest.raises(intpoly.NotDivisible):
+        intpoly._div_binomial([-1, 0, 1, 1], 3)
+    with pytest.raises(intpoly.NotDivisible):
+        intpoly._div_binomial([1, 1], 3)
+
+
+def test_typed_errors_for_bad_arguments():
+    with pytest.raises(ValueError):
+        intpoly.monic_div((1, 2, 3), (1, 2))
+    with pytest.raises(ValueError):
+        intpoly.monic_div((), ())
+    with pytest.raises(ValueError):
+        intpoly.cyclotomic(0)
+    with pytest.raises(ValueError):
+        lc_pow(l_power(1), -1)
+
+
+# -- kernels against independent oracles -------------------------------
+
+
+def _schoolbook_mul(p, q):
+    if not p or not q:
+        return ()
+    cs = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            cs[i + j] += a * b
+    return tuple(cs)
+
+
+def _random_poly(rng, length, bits):
+    # zeros inside and at either end, small values and values near +-2^bits
+    pick = (
+        lambda: 0,
+        lambda: rng.randint(-3, 3),
+        lambda: rng.randint(-(2**bits), 2**bits),
+        lambda: rng.choice((-1, 1)) * 2**bits,
+    )
+    return tuple(rng.choice(pick)() for _ in range(length))
+
+
+@hypothesis.given(
+    strat.integers(0, 300),
+    strat.integers(0, 300),
+    strat.integers(0, 200),
+    strat.randoms(use_true_random=False),
+)
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_mul_matches_schoolbook(len_p, len_q, bits, rng):
+    p, q = _random_poly(rng, len_p, bits), _random_poly(rng, len_q, rng.randint(0, 200))
+    want = _schoolbook_mul(p, q)
+    assert intpoly.mul(p, q) == want
+    assert intpoly.mul(q, p) == want
+
+
+def test_mul_edge_values():
+    big = 2**200
+    for p, q in [
+        ((), (1, 2)),
+        ((0,), (5,)),
+        ((1000,), (0,)),
+        ((-big, 0, big), (big, -1)),
+        ((-1,) * 300, (1,) * 300),
+        ((0, 0, -128), (128, 0, 0)),
+    ]:
+        assert intpoly.mul(p, q) == _schoolbook_mul(p, q)
+        assert intpoly.mul(q, p) == _schoolbook_mul(p, q)
+    # constant-sign factors reach the slot-width bound exactly, for bounds of
+    # every bit length up to 147
+    for bits in range(70):
+        for c in (2**bits - 1, 2**bits):
+            for n in (1, 2, 3, 17, 18):
+                p, q = (c,) * n, (-c,) * n
+                assert intpoly.mul(p, q) == _schoolbook_mul(p, q)
+                assert intpoly.mul(p, p) == _schoolbook_mul(p, p)
+
+
+@hypothesis.given(
+    strat.integers(1, 60),
+    strat.lists(strat.integers(-9, 9), min_size=1, max_size=25),
+    strat.integers(0, 3),
+)
+def test_exact_phi_test_matches_division(d, g, k):
+    # on Phi_d^k * g and on Phi_d^k * g + 1 the residue test agrees with the
+    # remainder of a full long division
+    f = intpoly.normalize(g)
+    for _ in range(k):
+        f = intpoly.mul(f, intpoly.cyclotomic(d))
+    for h in (f, intpoly.add(f, intpoly.ONE)):
+        if h:
+            want = intpoly.monic_div(h, intpoly.cyclotomic(d)) is not None
+            assert intpoly.cyclotomic_divides(h, d) == want
+
+
+def test_normalize_divides_the_core_only_when_it_succeeds(monkeypatch):
+    # the residue test settles every candidate the prefilter lets through,
+    # so each long division of a core by Phi_d is exact
+    results = []
+    real = intpoly.monic_div
+
+    def recording(p, d):
+        results.append(real(p, d))
+        return results[-1]
+
+    monkeypatch.setattr(intpoly, "monic_div", recording)
+    for n in range(1, 25):
+        lc_normalize(intpoly.add(intpoly.x_pow_minus_one(n), (0, 0, 3)))
+        lc_normalize(intpoly.x_pow_minus_one(n), 0, ((n, -1),))
+    assert results and None not in results
+
+
+@hypothesis.given(
+    strat.lists(strat.integers(-6, 6), min_size=1, max_size=6),
+    strat.dictionaries(strat.integers(1, 30), strat.integers(1, 3), max_size=4),
+    strat.integers(0, 3),
+)
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_normalize_matches_sympy_factor_list(g, phis, v):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    core = intpoly.normalize(g)
+    hypothesis.assume(core)
+    f = intpoly.shift(core, v)
+    for d, m in phis.items():
+        f = intpoly.mul(f, intpoly.cyclotomic_power(d, m))
+    content, factors = sympy.factor_list(sympy.Poly(f[::-1], x))
+    want_core, want_l, want_cyc = sympy.Poly(content, x), 0, {}
+    for fac, m in factors:
+        if fac == sympy.Poly(x, x):
+            want_l += m
+            continue
+        k = fac.degree()
+        for d in range(1, 2 * k * k + 3):
+            if sympy.totient(d) == k and fac == sympy.Poly(sympy.cyclotomic_poly(d, x), x):
+                want_cyc[d] = want_cyc.get(d, 0) + m
+                break
+        else:
+            want_core = want_core * fac**m
+    got = lc_normalize(f)
+    assert got.core == tuple(int(c) for c in want_core.all_coeffs()[::-1])
+    assert got.l_exp == want_l
+    assert got.cyc == tuple(sorted(want_cyc.items()))
 
 
 def test_non_factor_closed_quotient_reduces():

@@ -1,8 +1,12 @@
 """Class formulas, the stratification equation, and the recursion tower."""
 
+import hashlib
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
+
+from grstacks import dsl
 
 from grstacks.lefschetz import (
     LC_ONE,
@@ -233,6 +237,30 @@ def test_memoization_is_transparent():
     clear_tower_cache()
     b = bspin(6)
     assert a == b
+
+
+# sha256 of dsl.render(bspin(n)), recorded before the polynomial kernels
+# changed; canonical forms are unique, so any change to them shows here
+BSPIN_RENDER_SHA256 = {
+    20: "114110c6923855da6068f987f4fcbacad6608d04d47431ba7296f9cbaa48002b",
+    21: "203f0e019c2ecf645cde2151f695638e4b76235b2837a700b81acb61438c902c",
+    22: "ec3476495eb12c6a4ea589f52b7588f31a93e2109ac2dfd016036c22f7f55aa9",
+    23: "30aa5986aacc54eafda84dcdfec29134e0867eb0bf4f9e614245cb4a65bb9d74",
+    24: "692e0ecf8696dc1cab9de331d15be5fb31cc5a66ae21193c72b2e48204dee365",
+    25: "a34dd60b89d1ed6eaa85e007cb62ffb3d33cd663b0709c118ebf45aa87ac5dcd",
+    26: "5c6035a13b96cbf9ce323305a2e08fe43d51b8b7d4eb46b52415b43c908ae25e",
+    27: "0bf7cfec3b7323d34eb35897e0abaa49a16d9ac009ed35e07ebd976b5e7dfe4a",
+    28: "004b943d80bec12642ceb833cddd5bc8324c546df3a4fca1e7516e0e57e65484",
+    29: "9d2d0ef69eba194a56692f86f357c02bcdfa01ccf2a45b58ce3169801cbc6b54",
+    30: "59595c009cd89d9921c6c528ebf52b3ca32b7d1e174749cdca668ad6da6a08ca",
+}
+
+
+def test_tower_renders_are_pinned():
+    clear_tower_cache()
+    for n, want in BSPIN_RENDER_SHA256.items():
+        got = hashlib.sha256(dsl.render(bspin(n)).encode()).hexdigest()
+        assert got == want, n
 
 
 # -- the leading coefficient ------------------------------------------
