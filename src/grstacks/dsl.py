@@ -15,6 +15,7 @@ demand a unit scalar, products of two atom-bearing values are refused.
 """
 
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -47,17 +48,24 @@ from .motive import (
     m_scale,
 )
 
-# name -> argument count
-REGISTRY: dict[str, int] = {
-    "GL": 1,
-    "SL": 1,
-    "Spin": 1,
-    "G2": 0,
-    "BSpin": 1,
-    "BPin": 1,
-    "BDelta": 1,
-    "BG": 2,
-    "cyclo": 1,
+
+def _cyclo(d: int) -> MotiveExpr:
+    if d < 1:
+        raise DomainError("cyclotomic index must be >= 1")
+    return m_scalar(lc_normalize(intpoly.ONE, 0, ((d, 1),)))
+
+
+# name -> (argument count, builder of the value from the integer arguments)
+REGISTRY: dict[str, tuple[int, Callable[..., MotiveExpr]]] = {
+    "GL": (1, lambda n: m_scalar(class_gl(n))),
+    "SL": (1, lambda n: m_scalar(class_sl(n))),
+    "Spin": (1, lambda n: m_scalar(class_spin(n))),
+    "G2": (0, lambda: m_scalar(class_g2())),
+    "BSpin": (1, bspin),
+    "BPin": (1, bpin),
+    "BDelta": (1, m_atom),
+    "BG": (2, bg),
+    "cyclo": (1, _cyclo),
 }
 
 MAX_DEPTH = 400
@@ -309,7 +317,7 @@ class _Parser:
                     self.take()
                     args.append(self.signed_int())
             self.expect(")")
-            want = REGISTRY[t.value]
+            want = REGISTRY[t.value][0]
             if len(args) != want:
                 raise ArityError(t.value, len(args), want, t.offset)
             return Call(t.value, tuple(args))
@@ -332,30 +340,6 @@ def parse(text: str | bytes) -> ExprAst:
 
 
 # -- evaluation --------------------------------------------------------
-
-
-def _call(name: str, args: tuple[int, ...]) -> MotiveExpr:
-    if name == "GL":
-        return m_scalar(class_gl(args[0]))
-    if name == "SL":
-        return m_scalar(class_sl(args[0]))
-    if name == "Spin":
-        return m_scalar(class_spin(args[0]))
-    if name == "G2":
-        return m_scalar(class_g2())
-    if name == "BSpin":
-        return bspin(args[0])
-    if name == "BPin":
-        return bpin(args[0])
-    if name == "BDelta":
-        return m_atom(args[0])
-    if name == "BG":
-        return bg(args[0], args[1])
-    if name == "cyclo":
-        if args[0] < 1:
-            raise DomainError("cyclotomic index must be >= 1")
-        return m_scalar(lc_normalize(intpoly.ONE, 0, ((args[0], 1),)))
-    raise UnknownIdent(name, 0)
 
 
 def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
@@ -420,7 +404,12 @@ def _eval(node: ExprAst) -> MotiveExpr:
             return base
         raise DomainError("higher power of an atom-bearing expression")
     if isinstance(node, Call):
-        return _call(node.name, node.args)
+        if node.name not in REGISTRY:
+            raise UnknownIdent(node.name, 0)
+        want, build = REGISTRY[node.name]
+        if len(node.args) != want:
+            raise ArityError(node.name, len(node.args), want, 0)
+        return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
 
 

@@ -138,8 +138,11 @@ def l_power(k: int) -> LefschetzClass:
 
 
 def l_pow_minus_one(n: int) -> LefschetzClass:
-    """The class of L^n - 1, with the cyclotomic factors split out."""
-    return lc_normalize(intpoly.x_pow_minus_one(n))
+    """The class of L^n - 1 = prod_(d | n) Phi_d, built from its known
+    factorization rather than by trial division."""
+    if n < 1:
+        raise ValueError(f"L^n - 1 needs n >= 1, got {n}")
+    return LefschetzClass(intpoly.ONE, 0, tuple((d, 1) for d in range(1, n + 1) if n % d == 0))
 
 
 def lc_neg(a: LefschetzClass) -> LefschetzClass:

@@ -3,16 +3,16 @@ equation, and the recursion tower that writes the class of B Spin_n as a
 linear combination of the finite-group atoms BDelta_m.
 
 A MotiveExpr is a scalar LefschetzClass plus a finite map m -> coefficient
-on formal atoms BDelta_m.  The three mutually recursive families
+on formal atoms BDelta_m.  The whole tower is one memoized recurrence in
+G(n, r), r >= -1, each step a two-stratum equation (null cone plus quadric):
 
-  spin(n):  (L^n - 1) * spin(n) = L^(2-n) * spin(n-2) + (L-1) * pin(n-1)
-  pin(n):   (L^n - 1) * pin(n)  = L^(2-n) * pin(n-2)  + (L-1) * g(n, 1)
-  g(n, r):  (L^(n-r) - 1) * g(n, r)
-                = L^(r+2-n) * g(n-2, r) + (L-1) * g(n, r+1)
+  (L^(n-r) - 1) * G(n, r) = L^(r+2-n) * G(n-2, r) + (L-1) * G(n, r+1)
 
-bottom out at pin(0) = pin(1) = spin(1) = 1, spin(2) = (L-1)^-1, and the
-collapse g(n, r) = BDelta_n for r >= n - 1.  The rank-1 corner g(1, 1) is
-the order-4 cyclic group (the diagonal preimage in rank 1); its classifying
+with bspin(m) = G(m-1, -1), bpin(n) = G(n, 0) and bg(n, r) = G(n, r) for
+r >= 1.  It bottoms out at G(n, r) = 1 for n <= 0, G(1, -1) = (L-1)^-1
+(so bspin(2) = (L-1)^-1), G(1, r) = 1 for r >= 0, and the collapse
+G(n, r) = BDelta_n for r >= n - 1.  The rank-1 corner G(1, 1) is the
+order-4 cyclic group (the diagonal preimage in rank 1); its classifying
 class is recorded as the constant 1, so the atom with index 1 never occurs.
 
 Every recursion step preserves n mod 2, so bspin(n) only supports atoms
@@ -59,7 +59,8 @@ class MotiveExpr:
 
     def __post_init__(self):
         for m, c in self.atoms:
-            assert m >= 1 and c.core, "zero coefficients must not be stored"
+            if m < 1 or not c.core:
+                raise DomainError("atoms need an index >= 1 and a nonzero coefficient")
 
     def atom_map(self) -> dict[int, LefschetzClass]:
         return dict(self.atoms)
@@ -174,63 +175,36 @@ def strat_equation(n: int, null_cone_term: MotiveExpr, quadric_term: MotiveExpr)
 # -- the recursion tower ----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class RecursionKey:
-    kind: str  # SPIN | PIN | G
-    n: int
-    r: int = 0
-
-    def __post_init__(self):
-        assert self.kind in ("SPIN", "PIN", "G")
-        if self.kind == "G" and not (1 <= self.r <= self.n):
-            raise DomainError(f"G requires 1 <= r <= n, got {self}")
-
-
 @cache
-def _tower(key: RecursionKey) -> MotiveExpr:
-    kind, n, r = key.kind, key.n, key.r
-    if kind == "SPIN":
-        if n == 1:
-            return M_ONE
-        if n == 2:
-            return m_scalar(lc_inv(l_pow_minus_one(1)))
-        return strat_equation(
-            n,
-            m_scale(bspin(n - 2), l_power(2 - n)),
-            bpin(n - 1),
-        )
-    if kind == "PIN":
-        if n <= 1:
-            return M_ONE
-        return strat_equation(
-            n,
-            m_scale(bpin(n - 2), l_power(2 - n)),
-            bg(n, 1),
-        )
-    # kind == "G"
+def _tower(n: int, r: int) -> MotiveExpr:
+    """G(n, r), r >= -1, of the recurrence in the module docstring."""
+    if n <= 0:
+        return M_ONE
     if n == 1:
+        if r == -1:
+            return m_scalar(lc_inv(l_pow_minus_one(1)))
         # rank-1 diagonal preimage is the cyclic group of order 4; its
         # classifying class is recorded as the constant 1, never an atom
         return M_ONE
     if r >= n - 1:
         return m_atom(n)
-    inner = m_add(
-        m_scale(bg(n - 2, r), l_power(r + 2 - n)),
-        m_scale(bg(n, r + 1), l_pow_minus_one(1)),
+    return strat_equation(
+        n - r,
+        m_scale(_tower(n - 2, r), l_power(r + 2 - n)),
+        _tower(n, r + 1),
     )
-    return m_scale(inner, lc_inv(l_pow_minus_one(n - r)))
 
 
 def bspin(n: int) -> MotiveExpr:
     if n < 1:
         raise DomainError("n must be >= 1")
-    return _tower(RecursionKey("SPIN", n))
+    return _tower(n - 1, -1)
 
 
 def bpin(n: int) -> MotiveExpr:
     if n < 0:
         raise DomainError("n must be >= 0")
-    return _tower(RecursionKey("PIN", n))
+    return _tower(n, 0)
 
 
 def bg(n: int, r: int) -> MotiveExpr:
@@ -238,7 +212,7 @@ def bg(n: int, r: int) -> MotiveExpr:
         raise DomainError(f"r = {r} exceeds n = {n}")
     if r < 1 or n < 1:
         raise DomainError("need n >= 1 and r >= 1")
-    return _tower(RecursionKey("G", n, r))
+    return _tower(n, r)
 
 
 def clear_tower_cache() -> None:
@@ -294,7 +268,8 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
     solved: dict[int, LefschetzClass] = {}
     for n in range(3, max_n + 1):
         e = bspin(n)
-        assert 1 not in e.support(), "atom index 1 must never occur"
+        if 1 in e.support():
+            raise Inconsistent(f"atom index 1 occurs in bspin({n})")
         target = lc_inv(spin_classes(n))
         residual = lc_neg(e.scalar)
         new_atom = None
@@ -313,12 +288,14 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
                 raise Inconsistent(f"scalar equation for n={n} fails")
             continue
         m, c = new_atom
-        assert m == n - 1, "the fresh atom is always the top one"
+        if m != n - 1:
+            raise Inconsistent(f"the fresh atom of row n={n} is {m}, not the top one {n - 1}")
         solved[m] = lc_mul(residual, lc_inv(c))
     for n in range(2, max_n + 1):
         lhs = substitute_deltas(bspin(n), solved)
         if not lc_eq(lhs, lc_inv(class_spin(n))):
             raise Inconsistent(f"solved values do not satisfy the n={n} equation")
     for n in range(3, 13):
-        assert 1 not in bspin(n).support(), "atom index 1 must never occur"
+        if 1 in bspin(n).support():
+            raise Inconsistent(f"atom index 1 occurs in bspin({n})")
     return solved

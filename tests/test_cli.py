@@ -121,6 +121,12 @@ def test_checks_hold_without_asserts():
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_ledgers_hold_without_asserts():
+    for suite in ("g2", "spin78"):
+        proc = _run_cli("verify", suite, flags=("-O",))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 # -- eval -------------------------------------------------------------
 
 

@@ -124,6 +124,14 @@ def test_wrong_arity():
         parse("G2(1)")
 
 
+def test_hand_built_calls_are_checked_at_evaluation():
+    with pytest.raises(UnknownIdent) as exc:
+        dsl_eval(dsl.Call("Foo", (1,)))
+    assert exc.value.name == "Foo" and exc.value.offset == 0
+    with pytest.raises(ArityError):
+        dsl_eval(dsl.Call("BG", (3,)))
+
+
 def test_empty_argument_list_where_one_is_required():
     with pytest.raises(ArityError) as exc:
         parse("GL()")

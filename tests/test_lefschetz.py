@@ -267,7 +267,11 @@ def test_phi_product_recovers_binomial_as_classes():
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = lc_mul(prod, lc_normalize(intpoly.ONE, 0, ((d, 1),)))
-        assert lc_eq(prod, l_pow_minus_one(n))
+        # l_pow_minus_one is built from this factorization, so compare with
+        # what normalize finds by trial division of the expanded binomial
+        binomial = lc_normalize(intpoly.x_pow_minus_one(n))
+        assert lc_eq(prod, binomial)
+        assert l_pow_minus_one(n) == binomial
 
 
 @functools.cache
@@ -317,6 +321,8 @@ def test_typed_errors_for_bad_arguments():
         intpoly.cyclotomic(0)
     with pytest.raises(ValueError):
         lc_pow(l_power(1), -1)
+    with pytest.raises(ValueError):
+        l_pow_minus_one(0)
 
 
 # -- kernels against independent oracles -------------------------------

@@ -1,15 +1,21 @@
 """Class formulas, the stratification equation, and the recursion tower."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from grstacks import dsl
+import grstacks
+from grstacks import dsl, motive
 
 from grstacks.lefschetz import (
     LC_ONE,
+    LC_ZERO,
     l_pow_minus_one,
     l_power,
     lc_eq,
@@ -86,6 +92,35 @@ def test_atom_indices_start_at_two_in_the_tower():
     for n in range(1, 13):
         assert 1 not in bspin(n).support()
         assert 1 not in bpin(n).support()
+
+
+def test_zero_coefficients_are_refused():
+    with pytest.raises(DomainError):
+        MotiveExpr(LC_ZERO, ((2, LC_ZERO),))
+    with pytest.raises(DomainError):
+        MotiveExpr(LC_ZERO, ((0, LC_ONE),))
+
+
+def test_zero_coefficient_guard_holds_without_asserts():
+    # python -O strips assert statements; the guard must still raise
+    code = (
+        "from grstacks.lefschetz import LC_ZERO\n"
+        "from grstacks.motive import DomainError, MotiveExpr\n"
+        "try:\n"
+        "    MotiveExpr(LC_ZERO, ((2, LC_ZERO),))\n"
+        "except DomainError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no DomainError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(grstacks.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_atom_accessors():
@@ -263,6 +298,31 @@ def test_tower_renders_are_pinned():
         assert got == want, n
 
 
+def _spin_order(n, q):
+    """|Spin_n(F_q)| of the split form, from the integer order formula."""
+    m = n // 2
+    if n % 2:
+        out = q ** (m * m)
+        for i in range(1, m + 1):
+            out *= q ** (2 * i) - 1
+        return out
+    out = q ** (m * m - m) * (q**m - 1)
+    for i in range(1, m):
+        out *= q ** (2 * i) - 1
+    return out
+
+
+def test_all_ones_tower_inverts_spin_point_counts():
+    # an oracle outside the ring: with every atom set to 1, bspin(n) at L = q
+    # is the reciprocal of the number of F_q-points of Spin_n
+    assert _spin_order(3, 2) == 6 and _spin_order(4, 3) == 24**2
+    for n in range(3, 31):
+        e = bspin(n)
+        value = substitute_deltas(e, {m: LC_ONE for m in e.support()})
+        for q in (2, 3, 5):
+            assert lc_eval_at(value, q) == Fraction(1, _spin_order(n, q)), (n, q)
+
+
 # -- the leading coefficient ------------------------------------------
 
 
@@ -347,6 +407,26 @@ def test_solver_rejects_corrupted_input():
 
     with pytest.raises(Inconsistent):
         solve_deltas(8, spin_classes=corrupted)
+
+
+def test_solver_invariants_raise_typed_errors(monkeypatch):
+    real = motive.bspin
+
+    def with_atom_one(n):
+        return m_add(real(n), m_atom(1)) if n == 4 else real(n)
+
+    monkeypatch.setattr(motive, "bspin", with_atom_one)
+    with pytest.raises(Inconsistent, match="atom index 1"):
+        solve_deltas(5)
+
+    def fresh_atom_off_the_top(n):
+        # bspin(5)'s fresh atom BDelta_4 renamed to BDelta_6
+        e = real(n)
+        return MotiveExpr(e.scalar, ((2, e.atom_map()[2]), (6, e.atom_map()[4]))) if n == 5 else e
+
+    monkeypatch.setattr(motive, "bspin", fresh_atom_off_the_top)
+    with pytest.raises(Inconsistent, match="fresh atom"):
+        solve_deltas(6)
 
 
 def test_solver_domain():
