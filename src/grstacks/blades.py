@@ -5,6 +5,12 @@ The sign convention bakes in the relations: each generator squares to -1 and
 distinct generators anticommute.  The product of two blades is the symmetric
 difference, with a sign composed of the index crossings needed to interleave
 the sorted factors and one -1 per squared generator.
+
+Both kinds of -1 are counted by one prefix-XOR parity.  Generator i of s
+crosses every generator of t below i and meets its own square when i is in
+t, so it contributes the parity of t's bits at positions <= i.  With Q(t)
+the inclusive prefix XOR of t (bit i of Q(t) is that parity), the sign is
+(-1)^popcount(s & Q(t)).
 """
 
 from __future__ import annotations
@@ -13,18 +19,29 @@ from collections.abc import Iterable
 
 
 def blade_sign(s: int, t: int) -> int:
-    # crossings: pairs (i in s, j in t) with i > j
-    inv = 0
-    a = s >> 1
-    while a:
-        inv += (a & t).bit_count()
-        a >>= 1
-    inv += (s & t).bit_count()
-    return -1 if inv & 1 else 1
+    # inclusive prefix XOR of t by doubling shifts, wide enough for s's bits
+    q = t
+    width = (s | t).bit_length()
+    k = 1
+    while k < width:
+        q ^= q << k
+        k <<= 1
+    return -1 if (s & q).bit_count() & 1 else 1
 
 
 def blade_mul_mask(s: int, t: int) -> tuple[int, int]:
     return blade_sign(s, t), s ^ t
+
+
+def sign_table(n: int) -> bytes:
+    """Signs of all blade products on n generators, one byte per pair.
+
+    Entry (s << n) | t is 1 when e_s e_t carries -1 and 0 otherwise.  Every
+    entry comes from `blade_sign`, so a check run on the table checks the
+    kernel.
+    """
+    size = 1 << n
+    return bytes(blade_sign(s, t) < 0 for s in range(size) for t in range(size))
 
 
 def mask_of(indices: Iterable[int]) -> int:

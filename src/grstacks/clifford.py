@@ -38,6 +38,10 @@ class BadSupport(ValueError):
     pass
 
 
+class InvariantBroken(ArithmeticError):
+    """An exact identity that holds by construction came out false."""
+
+
 class CliffordElement:
     __slots__ = ("n", "terms")
 
@@ -383,7 +387,8 @@ def unit_vector_sample(
         except DegenerateDirection as exc:
             last = exc
             continue
-        assert _dot(v, v) == 1
+        if _dot(v, v) != 1:
+            raise InvariantBroken(f"reflected point {v} is off the unit sphere")
         return v
     raise DegenerateDirection(f"no usable direction after {_DIRECTION_TRIES} tries") from last
 
@@ -465,12 +470,16 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
     hom_bad = det_bad = 0
     runs = max(10, samples // 4)
     for _ in range(runs):
-        a, b = pin_sample(n, rng), pin_sample(n, rng)
-        ra = rho(a)
-        if rho(a * b) != mat_mul(ra, rho(b)):
-            hom_bad += 1
-        if mat_det(ra) != GaussianRational(1 - 2 * (a.parity() or 0)):
-            det_bad += 1
+        try:
+            a, b = pin_sample(n, rng), pin_sample(n, rng)
+            ra = rho(a)
+            hom = rho(a * b) == mat_mul(ra, rho(b))
+            det = mat_det(ra) == GaussianRational(1 - 2 * (a.parity() or 0))
+        except (NotPin, InvariantBroken):
+            # a product of unit vectors left the pin group: neither law holds
+            hom = det = False
+        hom_bad += not hom
+        det_bad += not det
     rep.add("rho.hom", hom_bad == 0, f"rho(ab) = rho(a) rho(b) on {runs} pin pairs")
     rep.add(
         "rho.det",
@@ -509,7 +518,8 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
         nonlocal tested, hom_bad, stab_bad, spin_bad
         tested += 1
         p1, p2 = b1.parity(), b2.parity()
-        assert p1 is not None and p2 is not None
+        if p1 is None or p2 is None:
+            raise InvariantBroken("a product of unit vectors has mixed parity")
         case_counts[(p1, p2)] += 1
         g1, x1 = phi_pin(b1)
         g2, x2 = phi_pin(b2)
@@ -649,7 +659,8 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         w = tuple(a * x for x in v)
         lhs = f_map(n, w)
         nrm = _dot(w, w)
-        assert nrm == a * a
+        if nrm != a * a:
+            raise InvariantBroken(f"scaled unit vector has square norm {nrm}, not {a * a}")
         wv = CliffordElement.vector(n, w)
         factor1 = wv * (GR_ONE / a)
         factor2 = (nrm * f1 - wv) * (GR_ONE / a)
@@ -669,7 +680,8 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
                 w = tuple(w)
             else:
                 w = _random_isotropic_tail(n, rng)
-            assert _dot(w, w) == 0
+            if _dot(w, w):
+                raise InvariantBroken(f"tail vector {w} is not isotropic")
             wv = CliffordElement.vector(n, w)
             prod = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2
             if prod != f_map(n, w):

@@ -6,6 +6,12 @@ sits inside the pin group; its structure (center, commutators, the diagonal
 vector action, the shifted embedding into one-higher even blades) feeds the
 atom bookkeeping of the classifying-class recursion and is small enough to
 check exhaustively.
+
+A group of order <= TABLE_MAX_ORDER (n <= 9) reads its products from a
+sign table that `blades.sign_table` fills once, 2^(2n) bytes, by calling the
+blade kernel on every pair; that is also the order up to which the
+commutator pass runs over all pairs.  Larger groups call the kernel per
+product.
 """
 
 from __future__ import annotations
@@ -13,12 +19,14 @@ from __future__ import annotations
 import csv
 from collections import Counter, deque
 
-from .blades import blade_mul_mask, indices_of
-from .clifford import CliffordElement, is_spin, rho
+from .blades import blade_mul_mask, indices_of, sign_table
+from .clifford import CliffordElement, InvariantBroken, NotPin, is_spin, rho
 from .gaussian import GR_ONE
 from .report import CheckReport
 
 Element = tuple[int, int]  # (sign in {1,-1}, generator mask)
+
+TABLE_MAX_ORDER = 1024
 
 
 def blade_label(el: Element) -> str:
@@ -37,18 +45,28 @@ class DeltaGroup:
         self.elements: list[Element] = [
             (s, m) for m in range(1 << n) for s in (1, -1)
         ]
+        self._signs = sign_table(n) if self.order <= TABLE_MAX_ORDER else None
 
     @property
     def order(self) -> int:
         return 2 << self.n
 
     def mul(self, a: Element, b: Element) -> Element:
-        s, m = blade_mul_mask(a[1], b[1])
-        return (a[0] * b[0] * s, m)
+        signs = self._signs
+        if signs is None:
+            s, m = blade_mul_mask(a[1], b[1])
+            return (a[0] * b[0] * s, m)
+        sa, ma = a
+        sb, mb = b
+        return (-sa * sb if signs[ma << self.n | mb] else sa * sb, ma ^ mb)
 
     def inv(self, a: Element) -> Element:
-        s, m = blade_mul_mask(a[1], a[1])
         # a * a = s, so a^-1 = s * a
+        signs = self._signs
+        if signs is None:
+            s = blade_mul_mask(a[1], a[1])[0]
+        else:
+            s = -1 if signs[a[1] << self.n | a[1]] else 1
         return (a[0] * s, a[1])
 
     def identity(self) -> Element:
@@ -77,7 +95,7 @@ class DeltaGroup:
         pairs of group generators do, which gives the same subgroup because
         all commutators here are central.
         """
-        if self.order <= 1024:
+        if self.order <= TABLE_MAX_ORDER:
             gens = {self.commutator(a, b) for a in self.elements for b in self.elements}
         else:
             gg = self.generators()
@@ -107,7 +125,8 @@ class DeltaGroup:
             mj = 1 << j
             s1, m1 = blade_mul_mask(m, mj)
             s2, m2 = blade_mul_mask(m1, m)
-            assert m2 == mj
+            if m2 != mj:
+                raise InvariantBroken(f"conjugate of e_{j + 1} by mask {m} is not e_{j + 1}")
             out.append(base * s1 * s2)
         return tuple(out)
 
@@ -180,7 +199,7 @@ def verify_delta_structure(n: int) -> CheckReport:
     if n >= 2:
         comm = grp.commutator_subgroup()
         rep.add("commutators", comm == {(1, 0), (-1, 0)}, "commutator subgroup is {+-1}")
-        if grp.order > 1024:
+        if grp.order > TABLE_MAX_ORDER:
             els = grp.elements
             spot = all(
                 grp.commutator(els[i], els[(i * 7 + 3) % len(els)]) in comm
@@ -207,7 +226,12 @@ def verify_delta_structure(n: int) -> CheckReport:
         sample = grp.elements[:: max(1, len(grp.elements) // 8)]
         cross_ok = True
         for el in sample:
-            m = rho(grp.to_clifford(el))
+            try:
+                m = rho(grp.to_clifford(el))
+            except NotPin:
+                # every signed blade is in the pin group
+                cross_ok = False
+                continue
             diag = tuple(1 if m[j][j] == 1 else -1 for j in range(n))
             if diag != grp.rho_diagonal(el) or not all(
                 m[i][j] == 0 for i in range(n) for j in range(n) if i != j

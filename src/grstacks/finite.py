@@ -28,7 +28,7 @@ from itertools import product
 from typing import Iterable
 
 from .lefschetz import lc_eval_at
-from .motive import class_gl, class_sl, class_spin
+from .motive import Inconsistent, class_gl, class_sl, class_spin
 from .report import CheckReport
 
 Pt = tuple[int, ...]
@@ -230,7 +230,8 @@ class ModelRank2:
             for t in (0, 1)
             for z in (0, 1)
         ]
-        assert len(self.elements) == self.group_order
+        if len(self.elements) != self.group_order:
+            raise Inconsistent(f"{len(self.elements)} elements listed, group order {self.group_order}")
 
     def _twist(self, b, s: int, t: int):
         q = self.q
@@ -300,7 +301,8 @@ class ModelUnitriangular(_TwistedPairMixin):
         for a, b, c in product(range(q), repeat=3):
             g = self.element(unitriangular(q, a, b, c))
             self.elements += (g, self.mul(g, self._rev))
-        assert len(self.elements) == self.group_order
+        if len(self.elements) != self.group_order:
+            raise Inconsistent(f"{len(self.elements)} elements listed, group order {self.group_order}")
 
     def twist_element(self):
         return self._rev

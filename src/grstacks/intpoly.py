@@ -156,6 +156,8 @@ def content_and_valuation(p: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 
 def x_pow_minus_one(n: int) -> tuple[int, ...]:
+    if n < 1:
+        raise ValueError(f"x^n - 1 needs n >= 1, got {n}")
     return (-1,) + (0,) * (n - 1) + (1,)
 
 

@@ -1,8 +1,10 @@
 """Exact Clifford algebra over Gaussian rationals: elements, involutions,
 the twisted vector action, and the verification suites at small rank."""
 
+import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -72,6 +74,104 @@ def test_gaussian_foreign_types():
     assert Fraction(1, 2) * GaussianRational(0, 2) == GR_I
     with pytest.raises(TypeError):
         GaussianRational(1) + "x"
+
+
+# -- integer-numerator form against a Fraction-pair oracle ------------
+
+# The oracle is the arithmetic of a pair (re, im) of Fractions, written
+# out here; an operand is drawn with its oracle pair.
+rationals = strat.fractions(min_value=-20, max_value=20, max_denominator=12)
+operands = strat.one_of(
+    strat.integers(-20, 20).map(lambda k: (k, (Fraction(k), Fraction(0)))),
+    rationals.map(lambda q: (q, (q, Fraction(0)))),
+    strat.tuples(rationals, rationals).map(lambda p: (GaussianRational(*p), p)),
+)
+
+
+def _oracle(op, p, q):
+    (a, b), (c, d) = p, q
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _assert_matches(z, pair):
+    re, im = pair
+    assert isinstance(z, GaussianRational)
+    assert (z.re, z.im) == (re, im)
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    # canonical form: positive denominator, no common factor, one zero
+    assert z.d > 0 and gcd(z.x, z.y, z.d) == 1
+    if not (re or im):
+        assert (z.x, z.y, z.d) == (0, 0, 1)
+    assert z == GaussianRational(re, im)
+    assert hash(z) == hash((re, im))
+    assert bool(z) == bool(re or im)
+    # equal to a rational exactly when the imaginary part vanishes
+    assert (z == re) is (im == 0)
+    if re.denominator == 1:
+        assert (z == int(re)) is (im == 0)
+
+
+@hypothesis.given(strat.sampled_from("+-*/"), operands, operands)
+def test_gaussian_matches_fraction_pair_oracle(op, left, right):
+    (u, p), (v, q) = left, right
+    hypothesis.assume(isinstance(u, GaussianRational) or isinstance(v, GaussianRational))
+    if op == "/" and q == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            u / v
+        return
+    z = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op](u, v)
+    _assert_matches(z, _oracle(op, p, q))
+
+
+@hypothesis.given(rationals, rationals)
+def test_gaussian_unary_ops_match_oracle(re, im):
+    z = GaussianRational(re, im)
+    _assert_matches(z, (re, im))
+    _assert_matches(-z, (-re, -im))
+    _assert_matches(z.conjugate(), (re, -im))
+    assert z.norm() == re * re + im * im and type(z.norm()) is Fraction
+    assert GaussianRational.coerce(re) == GaussianRational(re)
+    assert GaussianRational.coerce(z) is z
+
+
+def test_gaussian_constructor_reduces_to_canonical_form():
+    z = GaussianRational(Fraction(2, 4), Fraction(-3, 6))
+    assert (z.x, z.y, z.d) == (1, -1, 2)
+    assert (GR_ZERO.x, GR_ZERO.y, GR_ZERO.d) == (0, 0, 1)
+    assert GaussianRational(0, Fraction(0, 7)).d == 1
+    assert GaussianRational(1.5) == Fraction(3, 2)
+    with pytest.raises(AttributeError):
+        z.x = 3
+
+
+@pytest.mark.parametrize(
+    "re, im, text, rep",
+    [
+        (0, 0, "0", "GaussianRational(Fraction(0, 1), Fraction(0, 1))"),
+        (3, 0, "3", "GaussianRational(Fraction(3, 1), Fraction(0, 1))"),
+        (Fraction(-1, 2), 0, "-1/2", "GaussianRational(Fraction(-1, 2), Fraction(0, 1))"),
+        (0, 1, "i", "GaussianRational(Fraction(0, 1), Fraction(1, 1))"),
+        (0, -1, "-i", "GaussianRational(Fraction(0, 1), Fraction(-1, 1))"),
+        (0, Fraction(3, 2), "3/2*i", "GaussianRational(Fraction(0, 1), Fraction(3, 2))"),
+        (0, -2, "-2*i", "GaussianRational(Fraction(0, 1), Fraction(-2, 1))"),
+        (1, 1, "1+i", "GaussianRational(Fraction(1, 1), Fraction(1, 1))"),
+        (Fraction(-2, 3), -1, "-2/3-i", "GaussianRational(Fraction(-2, 3), Fraction(-1, 1))"),
+        (5, Fraction(-7, 4), "5-7/4*i", "GaussianRational(Fraction(5, 1), Fraction(-7, 4))"),
+        (Fraction(1, 2), Fraction(1, 3), "1/2+1/3*i", "GaussianRational(Fraction(1, 2), Fraction(1, 3))"),
+        (Fraction(6, 4), Fraction(-10, 4), "3/2-5/2*i", "GaussianRational(Fraction(3, 2), Fraction(-5, 2))"),
+    ],
+)
+def test_gaussian_str_and_repr_are_unchanged(re, im, text, rep):
+    z = GaussianRational(re, im)
+    assert str(z) == text
+    assert repr(z) == rep
 
 
 # -- algebra basics ---------------------------------------------------

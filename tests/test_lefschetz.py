@@ -323,6 +323,9 @@ def test_typed_errors_for_bad_arguments():
         lc_pow(l_power(1), -1)
     with pytest.raises(ValueError):
         l_pow_minus_one(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            intpoly.x_pow_minus_one(n)
 
 
 # -- kernels against independent oracles -------------------------------
