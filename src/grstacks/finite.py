@@ -18,14 +18,26 @@ of them, or None when the group is too large to list), and the methods
 Group elements are explicit tuples, never their images on points: the rank-2
 action is not faithful (the matrix -1 acts like the global sign), so counting
 stabilizers inside the image would silently halve the answers.
+
+Orbit searches do not call ``apply`` per step.  Every generator of every
+model acts linearly and blockwise: it sends (v, w) to (f v, h w), or to
+(f w, h v) when it swaps the halves.  ``half_tables`` reads f and h off
+``apply`` on the half-points (v, 0) and (0, w), once per model and only when
+an orbit is first searched, and ``orbit_bfs`` walks point numbers through
+those tables before decoding the orbit back to tuples.  The generator
+closure in ``verify_model_laws`` runs on ``mul``.  When an orbit count does
+not add up (a size that does not divide the group order, or an orbit that
+escapes its stratum), the check reading it fails; the report does not raise.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from functools import cached_property
 from itertools import product
-from typing import Iterable
+from operator import mul
+from typing import Iterable, NamedTuple
 
 from .lefschetz import lc_eval_at
 from .motive import Inconsistent, class_gl, class_sl, class_spin
@@ -49,21 +61,16 @@ def sqrt_minus_one(q: int) -> int:
 # small exact matrices mod q
 
 def mat_mul_q(a, b, q):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) % q for col in cols]) for row in a])
 
 
 def mat_vec_q(a, v, q):
-    n = len(v)
-    return tuple(sum(a[i][j] * v[j] for j in range(n)) % q for i in range(n))
+    return tuple([sum(map(mul, row, v)) % q for row in a])
 
 
 def mat_transpose(a):
-    n = len(a)
-    return tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*a))
 
 
 def det3(a, q):
@@ -76,19 +83,18 @@ def det3(a, q):
 
 def mat3_inv_transpose(a, q):
     """Inverse transpose mod q: the cofactor matrix times det^-1."""
-    d = det3(a, q)
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+    cof = (
+        (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
+        (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0),
+        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
+    )
+    # the determinant, expanded along the first row
+    d = (a0 * cof[0][0] + a1 * cof[0][1] + a2 * cof[0][2]) % q
     if d == 0:
         raise ZeroDivisionError("singular matrix")
     di = pow(d, -1, q)
-    # the cyclic index trick folds the cofactor sign into the products
-    return tuple(
-        tuple(
-            (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]) * di % q
-            for j in range(3)
-        )
-        for i in range(3)
-    )
+    return tuple([tuple([x * di % q for x in row]) for row in cof])
 
 
 def mat2_tau_det1(a, q):
@@ -117,7 +123,7 @@ def _sample_det1(rng: random.Random, q: int, n: int, det):
     """Uniform n x n matrix of determinant 1: draw until invertible, then
     scale the first row by det^-1."""
     while True:
-        a = tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in range(n))
+        a = tuple([tuple([rng.randrange(q) for _ in range(n)]) for _ in range(n)])
         d = det(a, q)
         if d:
             break
@@ -132,7 +138,16 @@ def _det2(b, q):
 # ---------------------------------------------------------------------------
 # the three models
 
-class _TwistedPairMixin:
+class _BlockwiseModel:
+    """Every generator of every model maps each half of a point to one half."""
+
+    @cached_property
+    def half_tables(self) -> HalfTables:
+        # built on the first orbit search; the law checks never search orbits
+        return half_tables(self)
+
+
+class _TwistedPairMixin(_BlockwiseModel):
     """Semidirect product by the swap: elements (A, T, xi) with T the inverse
     transpose of A, carried along so that no inverse is ever computed in the
     hot path (inverting swaps the roles of A and T up to transpose)."""
@@ -161,7 +176,7 @@ class _TwistedPairMixin:
         return self.element(identity_mat(3))
 
     def apply(self, g, pt):
-        # unrolled for the 3x3 case: orbit searches spend their time here
+        # unrolled for the 3x3 case: the law checks apply many samples
         a, t, x = g
         q = self.q
         if x < 0:
@@ -202,7 +217,7 @@ class ModelSL3Swap(_TwistedPairMixin):
         return self.element(_sample_det1(rng, self.q, 3, det3), rng.choice((1, -1)))
 
 
-class ModelRank2:
+class ModelRank2(_BlockwiseModel):
     """SL_2 with three order-two twists: factor swap, coordinate flip, global
     sign.  Elements are (B, s, t, z) bit-flag tuples; the action on 4-tuples
     applies sign, flip, swap, then the matrix pair."""
@@ -331,17 +346,77 @@ def _closure(start, step, gens) -> set:
     return seen
 
 
+class HalfTables(NamedTuple):
+    """A model's generators as maps on numbered half-points.
+
+    Half-points are numbered in ``itertools.product`` order, and the point
+    (v, w) is the int ``index[v] * N + index[w]`` with ``N = len(halves)``.
+    Each entry of ``maps`` is ``(f, h, swap)``: the generator sends (v, w) to
+    (f[v], h[w]), or to (f[w], h[v]) when ``swap`` is set.  The entries of f
+    already carry the factor N, so an image is one addition.
+    """
+
+    halves: list[Pt]
+    index: dict[Pt, int]
+    maps: list[tuple[list[int], list[int], bool]]
+
+
+def half_tables(model: PairModel) -> HalfTables:
+    """Read each generator's half maps off ``model.apply`` on (v, 0) and (0, w).
+
+    Every model acts linearly, so these images fix the generator on all
+    points.  A generator whose half-point images are not each confined to
+    one half raises Inconsistent.
+    """
+    halves = list(product(range(model.q), repeat=model.dim // 2))
+    index = {v: i for i, v in enumerate(halves)}
+    n = len(halves)
+    zero = halves[0]
+    k = len(zero)
+    maps = []
+    for i, g in enumerate(model.generators):
+        from_v = [model.apply(g, v + zero) for v in halves]
+        from_w = [model.apply(g, zero + w) for w in halves]
+        stays = all(y[k:] == zero for y in from_v) and all(y[:k] == zero for y in from_w)
+        swaps = all(y[:k] == zero for y in from_v) and all(y[k:] == zero for y in from_w)
+        if stays == swaps:
+            raise Inconsistent(f"generator {i} of {model.name} does not act blockwise")
+        to_first, to_second = (from_w, from_v) if swaps else (from_v, from_w)
+        maps.append((
+            [index[y[:k]] * n for y in to_first],
+            [index[y[k:]] for y in to_second],
+            swaps,
+        ))
+    return HalfTables(halves, index, maps)
+
+
 def orbit_bfs(model: PairModel, start: Pt) -> set[Pt]:
-    return _closure(start, model.apply, model.generators)
+    """The orbit of start, searched on point numbers through the half tables."""
+    halves, index, maps = model.half_tables
+    n = len(halves)
+    k = model.dim // 2
+    p = index[start[:k]] * n + index[start[k:]]
+    seen = bytearray(n * n)
+    seen[p] = 1
+    found = [p]
+    for p in found:  # found grows while it is walked, so it is the BFS queue
+        iv, iw = divmod(p, n)
+        for f, h, swap in maps:
+            y = f[iw] + h[iv] if swap else f[iv] + h[iw]
+            if not seen[y]:
+                seen[y] = 1
+                found.append(y)
+    return {halves[p // n] + halves[p % n] for p in found}
 
 
 def orbit_decompose(model: PairModel, points: Iterable[Pt]) -> list[set[Pt]]:
     left = set(points)
     out = []
     while left:
-        orb = orbit_bfs(model, next(iter(left)))
-        if not orb <= left:
-            raise ValueError("orbit escapes the given point set")
+        start = next(iter(left))
+        orb = orbit_bfs(model, start)
+        if start not in orb or not orb <= left:
+            raise Inconsistent("orbit escapes the given point set")
         left -= orb
         out.append(orb)
     return out
@@ -375,6 +450,15 @@ def stabilizer_order(
     return by_division
 
 
+def _or_none(search, *args):
+    """search(*args), or None when the orbit data it reads do not add up, so
+    that the check reading it fails instead of the whole report raising."""
+    try:
+        return search(*args)
+    except (NonDivisible, Inconsistent):
+        return None
+
+
 def _element_order(model: PairModel, g) -> int:
     ident = model.identity()
     acc, k = g, 1
@@ -393,7 +477,7 @@ def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> Ch
     comp_bad = inv_bad = 0
     for _ in range(samples):
         g, h = model.sample(rng), model.sample(rng)
-        x = tuple(rng.randrange(q) for _ in range(model.dim))
+        x = tuple([rng.randrange(q) for _ in range(model.dim)])
         if model.apply(model.mul(g, h), x) != model.apply(g, model.apply(h, x)):
             comp_bad += 1
         if model.mul(g, model.inv(g)) != ident or model.mul(model.inv(g), g) != ident:
@@ -475,14 +559,15 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
             inv_bad += 1
     rep.add("pairing.invariant", inv_bad == 0, "pairing value preserved on 200 samples")
 
+    # only the sizes are read, so each orbit set is freed before the next search
     base_unit = (1, 0, 0, 1, 0, 0)
-    orb = orbit_bfs(model, base_unit)
+    unit_size = len(orbit_bfs(model, base_unit))
     rep.add(
         "pairing.orbit",
-        len(orb) == unit_count,
-        f"pairing-1 locus is a single orbit of size {len(orb)}",
+        unit_size == unit_count,
+        f"pairing-1 locus is a single orbit of size {unit_size}",
     )
-    stab = stabilizer_order(model, base_unit, len(orb))
+    stab = _or_none(stabilizer_order, model, base_unit, unit_size)
     rep.add(
         "pairing.stab",
         stab == 2 * (q**3 - q),
@@ -490,29 +575,29 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     )
 
     base_axis = (1, 0, 0, 0, 0, 0)
-    orb_axis = orbit_bfs(model, base_axis)
+    axis_size = len(orbit_bfs(model, base_axis))
     rep.add(
         "axes.orbit",
-        len(orb_axis) == axes_count,
-        f"axes form a single orbit of size {len(orb_axis)}",
+        axis_size == axes_count,
+        f"axes form a single orbit of size {axis_size}",
     )
     axis_stab = q * q * (q**3 - q)
     rep.add(
         "axes.stab",
-        stabilizer_order(model, base_axis, len(orb_axis)) == axis_stab,
+        _or_none(stabilizer_order, model, base_axis, axis_size) == axis_stab,
         f"stabilizer order {axis_stab} = q^2 |SL2|",
     )
 
     base_orth = (1, 0, 0, 0, 1, 0)
-    orb_orth = orbit_bfs(model, base_orth)
+    orth_size = len(orbit_bfs(model, base_orth))
     rep.describe(
         "orth.orbit",
-        f"orbit of a base orthogonal pair has size {len(orb_orth)} of {orth_count}; "
+        f"orbit of a base orthogonal pair has size {orth_size} of {orth_count}; "
         "transitivity in general needs square roots, so no assertion",
     )
     rep.add(
         "orth.stab.divides",
-        model.group_order % len(orb_orth) == 0,
+        model.group_order % orth_size == 0,
         "orbit size divides the group order",
     )
     return rep
@@ -552,7 +637,7 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     base_unit = (1, 0, 1, 0)
     orb = orbit_bfs(model, base_unit)
     rep.add("pairing.orbit", orb == set(unit_pts), "pairing-1 locus is a single orbit")
-    stab = stabilizer_order(model, base_unit, len(orb))
+    stab = _or_none(stabilizer_order, model, base_unit, len(orb))
     rep.add("pairing.stab", stab == 8, f"stabilizer order {stab} (direct filter cross-check ran)")
     # more than one group of order 8 exists, so report the computed shape without naming one
     fixers = [g for g in model.elements if model.apply(g, base_unit) == base_unit]
@@ -613,7 +698,7 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     if q == 5:
         rep.add("orth.special.all", not rest, "at q = 5 every lam satisfies lam^2 = +-1")
 
-    orbits = orbit_decompose(model, special)
+    orbits = _or_none(orbit_decompose, model, special) or []
     sizes = sorted(len(o) for o in orbits)
     rep.add(
         "orth.special.orbits",
@@ -636,12 +721,15 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     )
 
     if rest:
-        rest_orbits = orbit_decompose(model, rest)
-        rep.describe(
-            "orth.rest",
-            f"{len(rest)} points with lam^2 != +-1 fall into {len(rest_orbits)} orbits "
-            f"of sizes {sorted(len(o) for o in rest_orbits)}; no general claim asserted",
-        )
+        rest_orbits = _or_none(orbit_decompose, model, rest)
+        if rest_orbits is None:
+            rep.add("orth.rest", False, f"{len(rest)} points with lam^2 != +-1 are not a union of orbits")
+        else:
+            rep.describe(
+                "orth.rest",
+                f"{len(rest)} points with lam^2 != +-1 fall into {len(rest_orbits)} orbits "
+                f"of sizes {sorted(len(o) for o in rest_orbits)}; no general claim asserted",
+            )
     return rep
 
 
@@ -799,16 +887,15 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
         orbit_ok = True
         details = {}
         for s, e in expect.items():
-            orbits = orbit_decompose(model, buckets[s])
+            orbits = _or_none(orbit_decompose, model, buckets[s]) or []
             sizes: dict[int, int] = {}
             for o in orbits:
                 sizes[len(o)] = sizes.get(len(o), 0) + 1
             details[s] = sizes
             if len(orbits) != e["orbits"] or sizes != e["sizes"]:
                 orbit_ok = False
-            for o in orbits:
-                if model.group_order % len(o):
-                    raise NonDivisible(f"orbit size {len(o)} in {s}")
+            if any(model.group_order % len(o) for o in orbits):
+                orbit_ok = False
         rep.add("orbits", orbit_ok, "orbit counts and sizes match in every stratum " + str(details))
     else:
         # the full space has q^6 ~ 4.8M points; check the count ledger
@@ -845,18 +932,18 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
     direct = stabilizer_count(model, mid, model.elements)
     rep.add(
         "mid.stab",
-        direct == 2 * q and stabilizer_order(model, mid) == 2 * q,
+        direct == 2 * q and _or_none(stabilizer_order, model, mid) == 2 * q,
         f"stabilizer order {direct} = 2q by direct filter and by division",
     )
 
     rep.add(
         "free.stab",
-        stabilizer_order(model, bases["S7"][0]) == 1,
+        _or_none(stabilizer_order, model, bases["S7"][0]) == 1,
         "deep unmatched pairs have trivial stabilizer",
     )
     rep.add(
         "deep.diag.stab",
-        stabilizer_order(model, bases["S10"][0]) == 2,
+        _or_none(stabilizer_order, model, bases["S10"][0]) == 2,
         "deep matched pairs have stabilizer order 2",
     )
     return rep

@@ -20,7 +20,8 @@ enumerates every d with totient(d) <= m.  The latter is the complete
 candidate set for cyclotomic trial division: if Phi_d divides a polynomial
 of degree m then totient(d) <= m, and every prime p dividing such a d
 satisfies p - 1 <= totient(d) <= m, so a DFS over prime factorizations with
-totient budget m finds all of them.
+totient budget m finds all of them.  The DFS runs once per power-of-two
+budget, and phi_bounded(m) filters the walk for the least one >= m.
 """
 
 from __future__ import annotations
@@ -241,20 +242,18 @@ def _primes_upto(n: int) -> list[int]:
 
 
 @cache
-def phi_bounded(m: int) -> tuple[int, ...]:
-    """All d >= 1 with totient(d) <= m, ascending.
+def _phi_walk(m: int) -> tuple[tuple[int, int], ...]:
+    """(d, totient(d)) for every d with totient(d) <= m, ascending in d.
 
     Complete because every prime factor p of such a d has p - 1 <= m, and
     the DFS below walks all products of such primes whose totient stays
     within budget.
     """
-    if m < 1:
-        return ()
     primes = _primes_upto(m + 1)
-    found: list[int] = []
+    found: list[tuple[int, int]] = []
 
     def rec(start: int, d: int, tot: int) -> None:
-        found.append(d)
+        found.append((d, tot))
         for idx in range(start, len(primes)):
             p = primes[idx]
             t = tot * (p - 1)
@@ -269,6 +268,18 @@ def phi_bounded(m: int) -> tuple[int, ...]:
     rec(0, 1, 1)
     found.sort()
     return tuple(found)
+
+
+@cache
+def phi_bounded(m: int) -> tuple[int, ...]:
+    """All d >= 1 with totient(d) <= m, ascending.
+
+    A filter of the walk for the least power of two >= m, so a run of
+    growing degrees walks once per power of two, not once per degree.
+    """
+    if m < 1:
+        return ()
+    return tuple(d for d, t in _phi_walk(1 << (m - 1).bit_length()) if t <= m)
 
 
 @cache

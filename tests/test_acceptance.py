@@ -145,6 +145,16 @@ def test_criterion_6_finite_models_under_sixty_seconds():
     assert dt < 60.0, f"finite suite took {dt:.2f}s"
 
 
+def test_finite_suite_at_thirteen_report_bytes_under_thirty_seconds():
+    # the q = 13 orbit searches, which the q = 5 suite above does not reach
+    t0 = time.perf_counter()
+    rep = suite_finite(seed=0, samples=100, q=13)
+    dt = time.perf_counter() - t0
+    assert rep.ok, rep.to_text()
+    assert _digest(rep) == "7c42ff0ad43d9fd0af3b0d771f041e96cc217db7eb9db27b595608ccc2f974fa"
+    assert dt < 30.0, f"finite suite at q=13 took {dt:.2f}s"
+
+
 def test_criterion_7_ring_suite_under_five_seconds():
     t0 = time.perf_counter()
     rep = suite_ring(seed=0, samples=100)

@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from grstacks import blades, gaussian
+from grstacks import blades, finite, gaussian
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
+from grstacks.motive import Inconsistent
+from grstacks.suites import suite_finite
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
@@ -58,3 +60,86 @@ def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     rep = verify_clifford_relations(3, samples=25, seed=0)
     assert not rep.ok
     assert "rho.hom" in {c.id for c in rep.failures}
+
+
+# -- the finite layer ---------------------------------------------------
+
+
+@pytest.fixture
+def orbit_drops_a_point(monkeypatch):
+    search = finite.orbit_bfs
+
+    def dropping(model, start):
+        orb = search(model, start)
+        if len(orb) > 1:
+            orb.remove(max(orb - {start}))
+        return orb
+
+    monkeypatch.setattr(finite, "orbit_bfs", dropping)
+
+
+@pytest.mark.parametrize(
+    "verify, failing",
+    [
+        (finite.verify_q6_claims, {"pairing.orbit", "pairing.stab", "axes.orbit", "axes.stab"}),
+        (finite.verify_c4_structure, {"pairing.orbit", "pairing.stab", "orth.special.orbits"}),
+        (finite.verify_strata_partition, {"orbits", "mid.stab", "free.stab", "deep.diag.stab"}),
+    ],
+    ids=["q6", "c4", "strata"],
+)
+def test_orbit_short_by_one_point_fails_its_verifier(orbit_drops_a_point, verify, failing):
+    rep = verify(5)
+    assert not rep.ok
+    assert failing <= {c.id for c in rep.failures}
+
+
+def test_orbit_short_by_one_point_fails_the_other_orbits_at_13(orbit_drops_a_point):
+    # at q = 13 some orthogonal points have lam^2 != +-1, and their orbits
+    # no longer tile them
+    rep = finite.verify_c4_structure(13)
+    assert "orth.rest" in {c.id for c in rep.failures}
+
+
+def test_swapped_half_table_entries_fail_the_finite_suite(monkeypatch):
+    build = finite.half_tables
+
+    def swapped(model):
+        tables = build(model)
+        f = tables.maps[0][0]
+        f[1], f[2] = f[2], f[1]
+        return tables
+
+    monkeypatch.setattr(finite, "half_tables", swapped)
+    rep = suite_finite(seed=0, samples=25, q=5)
+    assert not rep.ok
+    # every model's first generator is off, so each orbit verifier fails
+    assert {c.id.split(".")[0] for c in rep.failures} >= {"q6", "q4", "strata"}
+
+
+def _spill(apply, q):
+    # adds the first coordinate of v into the first coordinate of w
+    def spilled(g, pt):
+        y = apply(g, pt)
+        k = len(y) // 2
+        return y[:k] + ((y[k] + pt[0]) % q,) + y[k + 1 :]
+
+    return spilled
+
+
+def _split_swap(apply, q):
+    # swaps the halves of a point only when its first coordinate is set
+    def split(g, pt):
+        y = apply(g, pt)
+        k = len(y) // 2
+        return y[k:] + y[:k] if pt[0] else y
+
+    return split
+
+
+@pytest.mark.parametrize("make", [finite.ModelSL3Swap, finite.ModelRank2, finite.ModelUnitriangular])
+@pytest.mark.parametrize("breach", [_spill, _split_swap])
+def test_generator_that_is_not_blockwise_raises(make, breach):
+    model = make(5)
+    model.apply = breach(model.apply, model.q)
+    with pytest.raises(Inconsistent):
+        finite.orbit_bfs(model, (1,) + (0,) * (model.dim - 1))

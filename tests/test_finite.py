@@ -1,6 +1,7 @@
 """Brute-force orbit and stabilizer checks over small prime fields."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,8 @@ from grstacks.finite import (
     ModelSL3Swap,
     ModelUnitriangular,
     NonDivisible,
+    _closure,
+    _strata_base_points,
     classcount_sanity,
     det3,
     identity_mat,
@@ -16,6 +19,7 @@ from grstacks.finite import (
     mat3_inv_transpose,
     mat_mul_q,
     mat_transpose,
+    mat_vec_q,
     orbit_bfs,
     sl2_elements,
     sqrt_minus_one,
@@ -73,6 +77,26 @@ def test_sl2_enumeration_matches_class_formula():
         assert len(sl2_elements(q)) == lc_eval_at(class_sl(2), q)
 
 
+def test_matrix_helpers_match_index_sums():
+    # the index-sum forms the helpers had, on shapes from 1x1 to 4x3
+    rng = random.Random(1)
+    q = 7
+    for rows, inner, cols in product(range(1, 5), range(1, 4), range(1, 4)):
+        a = tuple(tuple(rng.randrange(-20, 20) for _ in range(inner)) for _ in range(rows))
+        b = tuple(tuple(rng.randrange(-20, 20) for _ in range(cols)) for _ in range(inner))
+        v = tuple(rng.randrange(-20, 20) for _ in range(inner))
+        assert mat_mul_q(a, b, q) == tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(inner)) % q for j in range(cols))
+            for i in range(rows)
+        )
+        assert mat_vec_q(a, v, q) == tuple(
+            sum(a[i][k] * v[k] for k in range(inner)) % q for i in range(rows)
+        )
+        assert mat_transpose(a) == tuple(
+            tuple(a[i][j] for i in range(rows)) for j in range(inner)
+        )
+
+
 def test_unitriangular_composition():
     q = 5
     a = unitriangular(q, 1, 2, 3)
@@ -115,6 +139,62 @@ def test_orbit_of_fixed_point_is_trivial():
     # the origin is fixed by the whole group
     zero = tuple(0 for _ in range(6))
     assert orbit_bfs(model, zero) == {zero}
+
+
+# -- orbit search on half tables against the apply-driven search -------
+
+
+MODELS_AT_5 = [ModelSL3Swap(5), ModelRank2(5), ModelUnitriangular(5)]
+
+
+def _apply_bfs(model, start):
+    # the orbit search as it ran before the half tables: apply on tuples
+    return _closure(start, model.apply, model.generators)
+
+
+@pytest.mark.parametrize("model", MODELS_AT_5, ids=lambda m: m.name)
+def test_half_tables_act_like_apply(model):
+    halves, index, maps = model.half_tables
+    n = len(halves)
+    k = model.dim // 2
+    assert len(maps) == len(model.generators)
+    for pt in product(range(model.q), repeat=model.dim):
+        iv, iw = index[pt[:k]], index[pt[k:]]
+        for g, (f, h, swap) in zip(model.generators, maps):
+            y = f[iw] + h[iv] if swap else f[iv] + h[iw]
+            assert halves[y // n] + halves[y % n] == model.apply(g, pt), (g, pt)
+
+
+def test_half_tables_are_built_once_and_only_for_orbits():
+    model = ModelUnitriangular(5)
+    verify_model_laws(model, samples=10, seed=0)
+    assert "half_tables" not in vars(model)
+    orbit_bfs(model, (1, 0, 0, 0, 0, 1))
+    tables = model.half_tables
+    orbit_bfs(model, (0, 0, 1, 0, 0, 1))
+    assert model.half_tables is tables
+
+
+# the points the q6, c4 and strata verifiers search from
+BASES_AT_5 = {
+    "sl3_swap": [(1, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0)],
+    "rank2_twists": [(1, 0, 1, 0), (1, 0, 0, 1), (1, 0, 0, sqrt_minus_one(5))],
+    "unitri_twist": [pt for pt, _ in _strata_base_points(5).values()],
+}
+
+
+@pytest.mark.parametrize("model", MODELS_AT_5, ids=lambda m: m.name)
+def test_orbit_search_matches_apply_search_at_5(model):
+    for pt in BASES_AT_5[model.name]:
+        assert orbit_bfs(model, pt) == _apply_bfs(model, pt), pt
+
+
+def test_orbit_search_matches_apply_search_on_strata_bases_at_13():
+    model = ModelUnitriangular(13)
+    for pt, size in _strata_base_points(13).values():
+        orb = orbit_bfs(model, pt)
+        assert len(orb) == size
+        assert orb == _apply_bfs(model, pt), pt
 
 
 # -- the rank-3 pairing claims ----------------------------------------

@@ -289,6 +289,37 @@ def test_cyclotomic_matches_divisor_recurrence():
         assert intpoly.cyclotomic(d) == _recurrence_cyclotomic(d), d
 
 
+def _dfs_phi_bounded(m: int) -> tuple[int, ...]:
+    """Every d with totient(d) <= m, by one DFS over prime factorizations
+    with totient budget m: the per-degree walk phi_bounded used to run."""
+    if m < 1:
+        return ()
+    primes = [p for p in range(2, m + 2) if all(p % r for r in range(2, int(p**0.5) + 1))]
+    found = []
+
+    def rec(start, d, tot):
+        found.append(d)
+        for idx in range(start, len(primes)):
+            p = primes[idx]
+            t = tot * (p - 1)
+            if t > m:
+                break
+            dd, tt = d * p, t
+            while tt <= m:
+                rec(idx + 1, dd, tt)
+                dd *= p
+                tt *= p
+
+    rec(0, 1, 1)
+    return tuple(sorted(found))
+
+
+def test_phi_bounded_matches_a_walk_per_degree():
+    intpoly.phi_bounded.cache_clear()
+    for m in range(-1, 2001):
+        assert intpoly.phi_bounded(m) == _dfs_phi_bounded(m), m
+
+
 def test_cyclotomic_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
