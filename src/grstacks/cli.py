@@ -94,6 +94,10 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= 12:
         print("error: n must be between 1 and 12", file=sys.stderr)
         return 2
+    if args.table and args.n > 9:
+        # 4^(n+1) cells: n = 9 writes about 15 MB, n = 12 would take ~1 GB
+        print("error: --table needs n <= 9", file=sys.stderr)
+        return 2
     grp = DeltaGroup(args.n)
     center = grp.center()
     comm = grp.commutator_subgroup()

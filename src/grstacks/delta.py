@@ -9,9 +9,9 @@ check exhaustively.
 
 A group of order <= TABLE_MAX_ORDER (n <= 9) reads its products from a
 sign table that `blades.sign_table` fills once, 2^(2n) bytes, by calling the
-blade kernel on every pair; that is also the order up to which the
-commutator pass runs over all pairs.  Larger groups call the kernel per
-product.
+blade kernel on every pair; up to that order `verify_delta_structure` also
+reads every pair against the commutation rule.  Larger groups call the
+kernel per product.
 """
 
 from __future__ import annotations
@@ -61,13 +61,8 @@ class DeltaGroup:
         return (-sa * sb if signs[ma << self.n | mb] else sa * sb, ma ^ mb)
 
     def inv(self, a: Element) -> Element:
-        # a * a = s, so a^-1 = s * a
-        signs = self._signs
-        if signs is None:
-            s = blade_mul_mask(a[1], a[1])[0]
-        else:
-            s = -1 if signs[a[1] << self.n | a[1]] else 1
-        return (a[0] * s, a[1])
+        # a * a = +-1 is central, so a^-1 = (a * a) * a
+        return self.mul(self.mul(a, a), a)
 
     def identity(self) -> Element:
         return (1, 0)
@@ -79,7 +74,7 @@ class DeltaGroup:
         return self.mul(a, b) == self.mul(b, a)
 
     def center(self) -> list[Element]:
-        gens = [(1, 1 << j) for j in range(self.n)]
+        gens = self.generators()
         return [a for a in self.elements if all(self.commutes(a, g) for g in gens)]
 
     def square(self, a: Element) -> Element:
@@ -89,17 +84,13 @@ class DeltaGroup:
         return self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
 
     def commutator_subgroup(self) -> set[Element]:
-        """Closure of the pairwise commutators.
+        """Closure of the commutators of pairs of group generators.
 
-        For order <= 1024 every pair contributes a generator; above that only
-        pairs of group generators do, which gives the same subgroup because
-        all commutators here are central.
+        Every commutator here is central, so the generator pairs generate the
+        whole commutator subgroup.
         """
-        if self.order <= TABLE_MAX_ORDER:
-            gens = {self.commutator(a, b) for a in self.elements for b in self.elements}
-        else:
-            gg = self.generators()
-            gens = {self.commutator(a, b) for a in gg for b in gg}
+        gg = self.generators()
+        gens = {self.commutator(a, b) for a in gg for b in gg}
         seen = {self.identity()}
         frontier = deque(seen)
         while frontier:
@@ -198,7 +189,18 @@ def verify_delta_structure(n: int) -> CheckReport:
 
     if n >= 2:
         comm = grp.commutator_subgroup()
-        rep.add("commutators", comm == {(1, 0), (-1, 0)}, "commutator subgroup is {+-1}")
+        comm_ok = comm == {(1, 0), (-1, 0)}
+        if grp.order <= TABLE_MAX_ORDER:
+            # e_s e_t = (-1)^(|s||t| + |s & t|) e_t e_s; attached signs cancel,
+            # so the masks alone cover every pair of the group
+            masks = range(1 << n)
+            comm_ok = comm_ok and all(
+                grp.mul((1, s), (1, t))
+                == grp.mul(((-1) ** (s.bit_count() * t.bit_count() + (s & t).bit_count()), t), (1, s))
+                for s in masks
+                for t in masks
+            )
+        rep.add("commutators", comm_ok, "commutator subgroup is {+-1}")
         if grp.order > TABLE_MAX_ORDER:
             els = grp.elements
             spot = all(

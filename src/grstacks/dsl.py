@@ -29,7 +29,6 @@ from .lefschetz import (
     lc_neg,
     lc_normalize,
     lc_pow,
-    render_factors,
 )
 from .motive import (
     M_ONE,
@@ -418,14 +417,4 @@ def _eval(node: ExprAst) -> MotiveExpr:
 
 def render(e: MotiveExpr) -> str:
     """Deterministic display that reparses and re-evaluates to the same value."""
-    if not e.scalar.core and not e.atoms:
-        return "0"
-    parts: list[str] = []
-    if e.scalar.core or not e.atoms:
-        parts.append(render_factors(e.scalar))
-    for m, c in e.atoms:
-        if c == LC_ONE:
-            parts.append(f"BDelta({m})")
-        else:
-            parts.append(f"({render_factors(c)})*BDelta({m})")
-    return " + ".join(parts)
+    return str(e)

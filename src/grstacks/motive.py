@@ -37,6 +37,7 @@ from .lefschetz import (
     lc_mul,
     lc_neg,
     lc_normalize,
+    render_factors,
 )
 
 
@@ -78,9 +79,11 @@ class MotiveExpr:
         return m_add(self, m_scale(other, lc_neg(LC_ONE)))
 
     def __str__(self) -> str:
-        parts = [f"({self.scalar})"] if self.scalar.core or not self.atoms else []
+        if not self.scalar.core and not self.atoms:
+            return "0"
+        parts = [render_factors(self.scalar)] if self.scalar.core else []
         for m, c in self.atoms:
-            parts.append(f"({c})*BDelta({m})")
+            parts.append(f"BDelta({m})" if c == LC_ONE else f"({render_factors(c)})*BDelta({m})")
         return " + ".join(parts)
 
 

@@ -233,6 +233,29 @@ def test_delta_out_of_range(capsys):
     assert "1 and 12" in capsys.readouterr().err
 
 
+def test_delta_table_above_nine_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "mult.csv"
+    assert cli.main(["delta", "10", "--table", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --table needs n <= 9"]
+    assert not path.exists()
+
+
+def test_delta_summaries_match_closed_forms(capsys):
+    # spans the sign-table cut-over at n = 9; every n the command accepts
+    for n in range(1, 13):
+        assert cli.main(["delta", str(n)]) == 0
+        want = [
+            f"order {2 ** (n + 1)}",
+            f"center {2 if n % 2 == 0 else 4}",
+            f"abelianization {2**n if n >= 2 else 4}",
+        ]
+        if n == 1:
+            want.append("abelian")
+        assert capsys.readouterr().out.splitlines() == want, n
+
+
 # -- suites registry --------------------------------------------------
 
 

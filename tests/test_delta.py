@@ -1,9 +1,11 @@
 """The finite groups of signed blades and their spin embeddings."""
 
 import csv
+from collections import deque
 
 import pytest
 
+from grstacks.blades import blade_sign
 from grstacks.clifford import is_spin, rho
 from grstacks.delta import (
     DeltaGroup,
@@ -56,6 +58,36 @@ def test_commutator_subgroup_is_signs():
         comm = grp.commutator_subgroup()
         assert comm == {(1, 0), (-1, 0)}
         assert grp.order // len(comm) == 2**n
+
+
+def _signed_pair_commutator_closure(grp):
+    # closure of the commutators of every pair of signed elements
+    gens = {grp.commutator(a, b) for a in grp.elements for b in grp.elements}
+    seen = {grp.identity()}
+    frontier = deque(seen)
+    while frontier:
+        x = frontier.popleft()
+        for g in gens:
+            y = grp.mul(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_commutator_subgroup_matches_every_signed_pair(n):
+    grp = DeltaGroup(n)
+    assert grp.commutator_subgroup() == _signed_pair_commutator_closure(grp)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_inverse_is_the_square_sign_rule(n):
+    # n <= 9 multiplies from the sign table, n = 10 calls the kernel
+    grp = DeltaGroup(n)
+    for a in grp.elements:
+        m = a[1]
+        assert grp.inv(a) == (a[0] * blade_sign(m, m), m)
 
 
 def test_squares_depend_on_grade_only():

@@ -13,6 +13,8 @@ from grstacks.suites import suite_finite
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
+# e_1 e_3 times e_2 e_3: a pair no diagonal, center or vector-action check reads
+FLIPPED_OFF_DIAGONAL_PAIR = (0b101, 0b110)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -27,15 +29,19 @@ def test_sign_table_is_the_kernel(n):
         assert grp.mul(a, b) == (a[0] * b[0] * sign, mask)
 
 
-@pytest.fixture
-def flipped_blade_sign(monkeypatch):
+def _flip_blade_sign(monkeypatch, pair):
     kernel = blades.blade_sign
 
     def flipped(s, t):
         sign = kernel(s, t)
-        return -sign if (s, t) == FLIPPED_PAIR else sign
+        return -sign if (s, t) == pair else sign
 
     monkeypatch.setattr(blades, "blade_sign", flipped)
+
+
+@pytest.fixture
+def flipped_blade_sign(monkeypatch):
+    _flip_blade_sign(monkeypatch, FLIPPED_PAIR)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 10])
@@ -44,6 +50,14 @@ def test_flipped_blade_sign_fails_delta_structure(flipped_blade_sign, n):
     assert DeltaGroup(n).mul((1, 0b01), (1, 0b10)) == (-1, 0b11)
     rep = verify_delta_structure(n)
     assert not rep.ok
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 7])
+def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
+    _flip_blade_sign(monkeypatch, FLIPPED_OFF_DIAGONAL_PAIR)
+    assert DeltaGroup(n).mul((1, 0b101), (1, 0b110)) == (-1, 0b011)
+    rep = verify_delta_structure(n)
+    assert "commutators" in {c.id for c in rep.failures}
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

@@ -298,6 +298,13 @@ def test_tower_renders_are_pinned():
         assert got == want, n
 
 
+def test_str_is_the_dsl_rendering():
+    for n in range(2, 23):
+        e = bspin(n)
+        assert str(e) == dsl.render(e)
+    assert str(motive.M_ZERO) == dsl.render(motive.M_ZERO) == "0"
+
+
 def _spin_order(n, q):
     """|Spin_n(F_q)| of the split form, from the integer order formula."""
     m = n // 2
