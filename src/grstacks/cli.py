@@ -15,7 +15,7 @@ import sys
 from . import dsl
 from .delta import DeltaGroup
 from .lefschetz import LC_ONE, NotAUnit, ZeroInverse, lc_eval_at, render_factors
-from .motive import DomainError, bspin, substitute_deltas
+from .motive import DomainError, substitute_deltas
 from .suites import SUITES
 
 
@@ -75,7 +75,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bspin(args: argparse.Namespace) -> int:
     try:
-        e = bspin(args.n)
+        # through the evaluator, which bounds the tower index
+        e = dsl.eval(dsl.Call("BSpin", (args.n,)))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

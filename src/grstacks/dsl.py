@@ -10,14 +10,21 @@ multiplicative level, so -a*b reads -(a*b) while -a+b reads (-a)+b.
 
 Parsing works on the UTF-8 bytes of the input and reports 0-based byte
 offsets in every error, together with the set of tokens that would have been
-accepted.  Evaluation produces a MotiveExpr; division and negative powers
-demand a unit scalar, products of two atom-bearing values are refused.
+accepted.  One compiled byte regex splits the input: it matches an integer,
+an identifier, a punctuation byte, or any other non-whitespace byte, which is
+an error, and its finditer skips the whitespace between them.  The parser
+recurses only through `expr` and `factor`, so a parenthesized group costs two
+interpreter frames and a leading minus none; MAX_DEPTH nested groups need
+about 800 free frames, and parse and eval run inside the default recursion
+limit.  Evaluation produces a MotiveExpr; division and negative powers
+demand a unit scalar, products of two atom-bearing values are refused, and
+BSpin, BPin and BG refuse a first argument above MAX_TOWER_INDEX.
 """
 
-import sys
+import re
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import intpoly
 from .lefschetz import (
@@ -68,6 +75,11 @@ REGISTRY: dict[str, tuple[int, Callable[..., MotiveExpr]]] = {
 }
 
 MAX_DEPTH = 400
+
+# Bound on the first argument of BSpin, BPin and BG, so a cold tower stays
+# under 10 s: on a shared 2-vCPU host a cold BSpin(60) or BPin(60) took
+# 6-9 s and BPin(64) 11 s.
+MAX_TOWER_INDEX = 60
 
 
 class ParseError(ValueError):
@@ -154,8 +166,7 @@ ExprAst = IntLit | LSymbol | Neg | Add | Sub | Mul | Div | Pow | Call
 # -- tokens ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "ident", "end", or the punctuation character itself
     offset: int
     value: object = None
@@ -178,59 +189,34 @@ def _describe(t: Token) -> str:
     return f'"{t.kind}"'
 
 
-_WS = frozenset(b" \t\r\n\x0b\x0c")
+# every byte but whitespace starts a token or is an error, so finditer, which
+# skips only bytes that no alternative matches, skips exactly the whitespace
+_TOKEN = re.compile(
+    rb"(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|[-+*/^(),]|(?P<bad>[^ \t\r\n\x0b\x0c])"
+)
 
 
 def _tokenize(data: bytes) -> list[Token]:
     toks: list[Token] = []
-    i, n = 0, len(data)
-    while i < n:
-        b = data[i]
-        if b in _WS:
-            i += 1
-            continue
-        if 48 <= b <= 57:
-            j = i + 1
-            while j < n and 48 <= data[j] <= 57:
-                j += 1
-            toks.append(Token("int", i, int(data[i:j])))
-            i = j
-            continue
-        if 65 <= b <= 90 or 97 <= b <= 122 or b == 95:
-            j = i + 1
-            while j < n and (
-                48 <= data[j] <= 57
-                or 65 <= data[j] <= 90
-                or 97 <= data[j] <= 122
-                or data[j] == 95
-            ):
-                j += 1
-            toks.append(Token("ident", i, data[i:j].decode("ascii")))
-            i = j
-            continue
-        ch = chr(b)
-        if ch in "+-*/^(),":
-            toks.append(Token(ch, i, ch))
-            i += 1
-            continue
-        raise ParseError(f"unexpected byte 0x{b:02x}", i)
-    toks.append(Token("end", n))
+    for m in _TOKEN.finditer(data):
+        i, kind, word = m.start(), m.lastgroup, m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected byte 0x{word[0]:02x}", i)
+        if kind == "int":
+            try:
+                value: object = int(word)
+            except ValueError:
+                # more digits than the interpreter's int_max_str_digits
+                raise ParseError(f"integer literal of {len(word)} digits is too long", i) from None
+        else:
+            value = word.decode("ascii")
+        # a punctuation byte is its own kind
+        toks.append(Token(kind or value, i, value))
+    toks.append(Token("end", len(data)))
     return toks
 
 
 # -- parser ------------------------------------------------------------
-
-
-@contextmanager
-def _deep_stack():
-    # the guard admits 400 nested groups, which costs a few interpreter
-    # frames per level and exceeds the default recursion limit
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 20_000))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(old)
 
 
 class _Parser:
@@ -257,32 +243,26 @@ class _Parser:
             raise ParseError("expression nests too deeply", offset)
 
     def expr(self, depth: int) -> ExprAst:
-        node = self.term(depth)
-        while self.peek().kind in ("+", "-"):
+        node: ExprAst | None = None
+        op = None
+        while True:
+            # a term: leading minus signs over a product of factors; each
+            # sign nests one level, so -a*b reads -(a*b)
+            inner = depth
+            while self.peek().kind == "-":
+                self._bump(inner, self.take().offset)
+                inner += 1
+            term = self.factor(inner)
+            while self.peek().kind in ("*", "/"):
+                mul = self.take().kind == "*"
+                rhs = self.factor(inner)
+                term = Mul(term, rhs) if mul else Div(term, rhs)
+            for _ in range(inner - depth):
+                term = Neg(term)
+            node = term if node is None else (Add if op == "+" else Sub)(node, term)
+            if self.peek().kind not in ("+", "-"):
+                return node
             op = self.take().kind
-            rhs = self.term(depth)
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self, depth: int) -> ExprAst:
-        t = self.peek()
-        if t.kind == "-":
-            self.take()
-            self._bump(depth, t.offset)
-            return Neg(self.term(depth + 1))
-        node = self.factor(depth)
-        while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            rhs = self.factor(depth)
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def factor(self, depth: int) -> ExprAst:
-        node = self.atom(depth)
-        if self.peek().kind == "^":
-            self.take()
-            node = Pow(node, self.signed_int())
-        return node
 
     def signed_int(self) -> int:
         neg = self.peek().kind == "-"
@@ -291,21 +271,17 @@ class _Parser:
         t = self.expect("int")
         return -t.value if neg else t.value
 
-    def atom(self, depth: int) -> ExprAst:
-        t = self.peek()
+    def factor(self, depth: int) -> ExprAst:
+        t = self.take()
         if t.kind == "int":
-            self.take()
-            return IntLit(t.value)
-        if t.kind == "(":
-            self.take()
+            node = IntLit(t.value)
+        elif t.kind == "(":
             self._bump(depth, t.offset)
             node = self.expr(depth + 1)
             self.expect(")")
-            return node
-        if t.kind == "ident":
-            self.take()
-            if t.value == "L":
-                return LSymbol()
+        elif t.kind == "ident" and t.value == "L":
+            node = LSymbol()
+        elif t.kind == "ident":
             if t.value not in REGISTRY:
                 raise UnknownIdent(t.value, t.offset)
             self.expect("(")
@@ -319,10 +295,13 @@ class _Parser:
             want = REGISTRY[t.value][0]
             if len(args) != want:
                 raise ArityError(t.value, len(args), want, t.offset)
-            return Call(t.value, tuple(args))
-        raise ParseError(
-            f"unexpected {_describe(t)}", t.offset, ("int", "ident", "(")
-        )
+            node = Call(t.value, tuple(args))
+        else:
+            raise ParseError(f"unexpected {_describe(t)}", t.offset, ("int", "ident", "("))
+        if self.peek().kind == "^":
+            self.take()
+            node = Pow(node, self.signed_int())
+        return node
 
 
 def parse(text: str | bytes) -> ExprAst:
@@ -331,11 +310,10 @@ def parse(text: str | bytes) -> ExprAst:
         data = text.encode("utf-8", errors="replace")
     else:
         data = bytes(text)
-    with _deep_stack():
-        p = _Parser(_tokenize(data))
-        node = p.expr(0)
-        p.expect("end")
-        return node
+    p = _Parser(_tokenize(data))
+    node = p.expr(0)
+    p.expect("end")
+    return node
 
 
 # -- evaluation --------------------------------------------------------
@@ -346,10 +324,10 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
 
     Division and negative powers require a unit scalar on the right (NotAUnit
     otherwise); a product of two atom-bearing values has no representation
-    here and raises DomainError.
+    here and raises DomainError, as does a BSpin, BPin or BG index above
+    MAX_TOWER_INDEX.
     """
-    with _deep_stack():
-        return _eval(node)
+    return _eval(node)
 
 
 _BINARY = (Add, Sub, Mul, Div)
@@ -408,6 +386,8 @@ def _eval(node: ExprAst) -> MotiveExpr:
         want, build = REGISTRY[node.name]
         if len(node.args) != want:
             raise ArityError(node.name, len(node.args), want, 0)
+        if node.name in ("BSpin", "BPin", "BG") and node.args[0] > MAX_TOWER_INDEX:
+            raise DomainError(f"{node.name} index {node.args[0]} exceeds {MAX_TOWER_INDEX}")
         return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import grstacks
-from grstacks import cli, dsl
+from grstacks import cli, dsl, motive
 from grstacks.report import CheckReport
 from grstacks.suites import SUITES
 
@@ -198,6 +198,26 @@ def test_bspin_json_shape(capsys):
 def test_bspin_rejects_zero(capsys):
     assert cli.main(["bspin", "0"]) == 2
     capsys.readouterr()
+
+
+def test_tower_index_above_the_bound_is_usage_error(capsys):
+    top = dsl.MAX_TOWER_INDEX
+    misses = motive._tower.cache_info().misses
+    assert cli.main(["bspin", str(top + 1)]) == 2
+    assert cli.main(["eval", f"BG({top + 1}, {top})"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and f"exceeds {top}" in err
+    assert motive._tower.cache_info().misses == misses
+
+
+@pytest.mark.parametrize(
+    "args", [("bspin", "1000"), ("eval", "BSpin(1000)"), ("eval", "BPin(2000)")]
+)
+def test_huge_tower_index_fails_fast(args):
+    # a cold tower this tall would overflow the interpreter stack or run for hours
+    proc = _run_cli(*args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 # -- delta ------------------------------------------------------------

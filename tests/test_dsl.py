@@ -1,5 +1,12 @@
 """Expression grammar: parsing, evaluation, rendering, and fuzzing."""
 
+import dataclasses
+import hashlib
+import os
+import random
+import subprocess
+import sys
+
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
@@ -15,6 +22,7 @@ from grstacks.lefschetz import (
     lc_int,
     lc_neg,
 )
+from grstacks import motive
 from grstacks.motive import M_ONE, DomainError, class_g2, m_atom, m_scalar
 
 
@@ -169,6 +177,104 @@ def test_long_flat_sums_evaluate():
     assert ev("1+" * n + "1") == m_scalar(lc_int(n + 1))
 
 
+@pytest.mark.parametrize("template", ["{}", "L^{}", "BSpin({})"])
+def test_overlong_integer_literal_is_a_parse_error(template):
+    # 5,000 digits is past the interpreter's int_max_str_digits
+    digits = "1" * 5000
+    text = template.format(digits)
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == text.index(digits)
+
+
+# -- stack use --------------------------------------------------------
+
+DEEP_INPUTS = ("(" * 400 + "1" + ")" * 400, "-" * 400 + "1")
+
+
+def test_parse_and_eval_leave_the_recursion_limit_alone(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    for text in (*DEEP_INPUTS, "+".join(["1"] * 30_000)):
+        dsl_eval(parse(text))
+    assert calls == []
+
+
+def test_deep_inputs_fit_the_default_recursion_limit():
+    # 100 frames of padding stand for a caller's own stack
+    script = (
+        "import sys\n"
+        "from grstacks import dsl\n"
+        "assert sys.getrecursionlimit() == 1000\n"
+        "def pad(k, text):\n"
+        "    return pad(k - 1, text) if k else dsl.eval(dsl.parse(text))\n"
+        "for text in sys.argv[1:]:\n"
+        "    pad(100, text)\n"
+    )
+    src = os.path.dirname(os.path.dirname(dsl.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *DEEP_INPUTS],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _outcome(data) -> str:
+    """The AST in prefix order, or the error text.
+
+    The walk keeps its own stack: repr or == of a 400-deep AST would overflow
+    the default recursion limit by itself.
+    """
+    try:
+        stack = [parse(data)]
+    except ParseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    out = []
+    while stack:
+        node = stack.pop()
+        if dataclasses.is_dataclass(node):
+            out.append(type(node).__name__)
+            stack.extend(getattr(node, f.name) for f in reversed(dataclasses.fields(node)))
+        else:
+            out.append(repr(node))
+    return " ".join(out)
+
+
+def _pinned_inputs():
+    rng = random.Random(12)
+    yield from CORPUS
+    alphabet = "L()+-*/^0123456789, BSpinGDelta"
+    for _ in range(2000):
+        yield "".join(rng.choice(alphabet) for _ in range(rng.randrange(200)))
+    for _ in range(2000):
+        # corpus expressions joined by operators, then one byte dropped or
+        # inserted half the time
+        text = rng.choice(CORPUS)
+        for _ in range(rng.randrange(5)):
+            form = rng.choice(("({}){}({})", "-{}{}{}", "{}{}-({})^-2"))
+            text = form.format(text, rng.choice("+-*/"), rng.choice(CORPUS))
+        i = rng.randrange(len(text))
+        yield rng.choice((text, text[:i] + text[i + 1 :], text[:i] + rng.choice(alphabet) + text[i:]))
+    for _ in range(300):
+        yield bytes(rng.randrange(256) for _ in range(rng.randrange(512)))
+    for k in (399, 400, 401):
+        yield "(" * k + "1" + ")" * k
+        yield "-" * k + "1"
+        yield "-(" * k + "1" + ")" * k
+
+
+# recorded with the parser that recursed through expr, term, factor and atom
+PINNED_OUTCOMES_SHA256 = "38889f724c222a2f08163fdc9337db22d919d80b4a356d23d4c1c2f096e0cdf8"
+
+
+def test_parse_outcomes_are_pinned():
+    text = "\n".join(_outcome(data) for data in _pinned_inputs())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_OUTCOMES_SHA256
+
+
 # -- evaluation errors ------------------------------------------------
 
 
@@ -197,6 +303,17 @@ def test_call_argument_domains():
         ev("BDelta(0)")
     with pytest.raises(DomainError):
         ev("BG(3,7)")
+
+
+def test_tower_index_bound():
+    top = dsl.MAX_TOWER_INDEX
+    misses = motive._tower.cache_info().misses
+    for text in (f"BG({top + 1}, {top})", f"BSpin({top + 1})", f"BPin({top + 1})"):
+        with pytest.raises(DomainError):
+            ev(text)
+    assert motive._tower.cache_info().misses == misses
+    # r = n - 1 is an atom of the recurrence, no tower below it
+    assert ev(f"BG({top}, {top - 1})") == m_atom(top)
 
 
 # -- fuzzing ----------------------------------------------------------

@@ -52,8 +52,9 @@ def test_flipped_blade_sign_fails_delta_structure(flipped_blade_sign, n):
     assert not rep.ok
 
 
-@pytest.mark.parametrize("n", [3, 4, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 6, 7, 10])
 def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
+    # n <= 9 reads every pair from the table, n = 10 the low pairs from the kernel
     _flip_blade_sign(monkeypatch, FLIPPED_OFF_DIAGONAL_PAIR)
     assert DeltaGroup(n).mul((1, 0b101), (1, 0b110)) == (-1, 0b011)
     rep = verify_delta_structure(n)
