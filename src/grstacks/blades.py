@@ -10,7 +10,8 @@ Both kinds of -1 are counted by one prefix-XOR parity.  Generator i of s
 crosses every generator of t below i and meets its own square when i is in
 t, so it contributes the parity of t's bits at positions <= i.  With Q(t)
 the inclusive prefix XOR of t (bit i of Q(t) is that parity), the sign is
-(-1)^popcount(s & Q(t)).
+(-1)^popcount(s & Q(t)).  So the sign of e_s e_t is the product over i in s
+of the signs of e_i e_t; `delta` multiplies from those generator signs.
 """
 
 from __future__ import annotations
@@ -31,17 +32,6 @@ def blade_sign(s: int, t: int) -> int:
 
 def blade_mul_mask(s: int, t: int) -> tuple[int, int]:
     return blade_sign(s, t), s ^ t
-
-
-def sign_table(n: int) -> bytes:
-    """Signs of all blade products on n generators, one byte per pair.
-
-    Entry (s << n) | t is 1 when e_s e_t carries -1 and 0 otherwise.  Every
-    entry comes from `blade_sign`, so a check run on the table checks the
-    kernel.
-    """
-    size = 1 << n
-    return bytes(blade_sign(s, t) < 0 for s in range(size) for t in range(size))
 
 
 def mask_of(indices: Iterable[int]) -> int:

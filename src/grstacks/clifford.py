@@ -461,11 +461,12 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
     rep.add("inv.compose", comp_bad == 0, "bar = eps after transpose, both orders")
 
     ident = mat_identity(n)
-    rep.add(
-        "rho.reflect",
-        rho(basis_vector(n, 1)) == ((-GR_ONE,) + ident[0][1:],) + ident[1:],
-        "rho(e_1) is the reflection diag(-1, 1, ..., 1)",
-    )
+    try:
+        reflect = rho(basis_vector(n, 1)) == ((-GR_ONE,) + ident[0][1:],) + ident[1:]
+    except NotPin:
+        # e_1 is a unit vector, so its image must be the reflection
+        reflect = False
+    rep.add("rho.reflect", reflect, "rho(e_1) is the reflection diag(-1, 1, ..., 1)")
 
     hom_bad = det_bad = 0
     runs = max(10, samples // 4)
@@ -698,8 +699,12 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         fw = f_map(n, w)
         if fw.eps() * f1 * fw.bar() != f1:
             stab_bad += 1
-        if mat_mul(rho(fw), p_mat) != mat_mul(p_mat, phi_w_matrix(space, n, w)):
-            frame_bad += 1
+        try:
+            frame = mat_mul(rho(fw), p_mat) == mat_mul(p_mat, phi_w_matrix(space, n, w))
+        except NotPin:
+            # f(w) is a spin element, so rho must accept it
+            frame = False
+        frame_bad += not frame
     rep.add("f.stab", stab_bad == 0, f"{frame_runs - stab_bad}/{frame_runs} fix the pivot isotropic vector")
     rep.add(
         "f.frame",

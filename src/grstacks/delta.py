@@ -7,11 +7,12 @@ vector action, the shifted embedding into one-higher even blades) feeds the
 atom bookkeeping of the classifying-class recursion and is small enough to
 check exhaustively.
 
-A group of order <= TABLE_MAX_ORDER (n <= 9) reads its products from a
-sign table that `blades.sign_table` fills once, 2^(2n) bytes, by calling the
-blade kernel on every pair; up to that order `verify_delta_structure` also
-reads every pair against the commutation rule.  Larger groups call the
-kernel per product, and the rule reads every pair on the first six
+Each generator of s contributes to the sign of e_s e_t on its own (see
+`blades`), so a group keeps one n-bit row per mask t, bit i set when
+e_(i+1) e_t carries -1, read once from the blade kernel, and the sign of
+e_s e_t is the parity of s & row[t].  Up to order EXHAUSTIVE_MAX_ORDER
+(n <= 9) `verify_delta_structure` reads every pair against the commutation
+rule; for larger groups the rule reads every pair on the first six
 generators and a seeded sample of the others.
 """
 
@@ -22,14 +23,15 @@ import itertools
 import random
 from collections import Counter, deque
 
-from .blades import blade_mul_mask, indices_of, sign_table
+from . import blades
+from .blades import blade_mul_mask, indices_of
 from .clifford import CliffordElement, InvariantBroken, NotPin, is_spin, rho
 from .gaussian import GR_ONE
 from .report import CheckReport
 
 Element = tuple[int, int]  # (sign in {1,-1}, generator mask)
 
-TABLE_MAX_ORDER = 1024
+EXHAUSTIVE_MAX_ORDER = 1024
 
 
 def blade_label(el: Element) -> str:
@@ -48,20 +50,20 @@ class DeltaGroup:
         self.elements: list[Element] = [
             (s, m) for m in range(1 << n) for s in (1, -1)
         ]
-        self._signs = sign_table(n) if self.order <= TABLE_MAX_ORDER else None
+        # called through the module, so a patch of blades.blade_sign reaches the rows
+        self._rows = [
+            sum(1 << i for i in range(n) if blades.blade_sign(1 << i, t) < 0)
+            for t in range(1 << n)
+        ]
 
     @property
     def order(self) -> int:
         return 2 << self.n
 
     def mul(self, a: Element, b: Element) -> Element:
-        signs = self._signs
-        if signs is None:
-            s, m = blade_mul_mask(a[1], b[1])
-            return (a[0] * b[0] * s, m)
         sa, ma = a
         sb, mb = b
-        return (-sa * sb if signs[ma << self.n | mb] else sa * sb, ma ^ mb)
+        return (-sa * sb if (ma & self._rows[mb]).bit_count() & 1 else sa * sb, ma ^ mb)
 
     def inv(self, a: Element) -> Element:
         # a * a = +-1 is central, so a^-1 = (a * a) * a
@@ -192,7 +194,7 @@ def verify_delta_structure(n: int) -> CheckReport:
 
     if n >= 2:
         comm = grp.commutator_subgroup()
-        if grp.order <= TABLE_MAX_ORDER:
+        if grp.order <= EXHAUSTIVE_MAX_ORDER:
             pairs = itertools.product(range(1 << n), repeat=2)
         else:
             # every pair on the first six generators, where a single flipped
@@ -210,7 +212,7 @@ def verify_delta_structure(n: int) -> CheckReport:
             for s, t in pairs
         )
         rep.add("commutators", comm_ok, "commutator subgroup is {+-1}")
-        if grp.order > TABLE_MAX_ORDER:
+        if grp.order > EXHAUSTIVE_MAX_ORDER:
             els = grp.elements
             spot = all(
                 grp.commutator(els[i], els[(i * 7 + 3) % len(els)]) in comm

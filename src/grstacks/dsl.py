@@ -15,10 +15,12 @@ an identifier, a punctuation byte, or any other non-whitespace byte, which is
 an error, and its finditer skips the whitespace between them.  The parser
 recurses only through `expr` and `factor`, so a parenthesized group costs two
 interpreter frames and a leading minus none; MAX_DEPTH nested groups need
-about 800 free frames, and parse and eval run inside the default recursion
-limit.  Evaluation produces a MotiveExpr; division and negative powers
-demand a unit scalar, products of two atom-bearing values are refused, and
-BSpin, BPin and BG refuse a first argument above MAX_TOWER_INDEX.
+about 800 free frames, so parse runs inside the default recursion limit.
+Evaluation walks the AST on an explicit stack and produces a MotiveExpr;
+division and negative powers demand a unit scalar, products of two
+atom-bearing values are refused, and so are an AST nested deeper than parse
+builds (MAX_EVAL_DEPTH), a family index above its bound (MAX_TOWER_INDEX,
+MAX_GROUP_INDEX, MAX_CYCLO_INDEX) and an exponent above MAX_EXPONENT.
 """
 
 import re
@@ -76,10 +78,37 @@ REGISTRY: dict[str, tuple[int, Callable[..., MotiveExpr]]] = {
 
 MAX_DEPTH = 400
 
+# Nesting of an AST as `eval` counts it: every child is one level below its
+# parent, except a binary left operand that is itself binary (a chain such
+# as a+b+...+z).  Each of the MAX_DEPTH levels `parse` allows adds at most a
+# term, a factor and a power's base, and the innermost level three more, so
+# no parsed AST nests deeper than this; `eval` refuses a deeper one.
+MAX_EVAL_DEPTH = 3 * MAX_DEPTH + 3
+
 # Bound on the first argument of BSpin, BPin and BG, so a cold tower stays
 # under 10 s: on a shared 2-vCPU host a cold BSpin(60) or BPin(60) took
 # 6-9 s and BPin(64) 11 s.
 MAX_TOWER_INDEX = 60
+
+# Bounds on the other work-bearing integers, from cold `grstacks eval` on the
+# same host.  GL, SL and Spin index: SL(3000) 2.6 s, GL(3000) 2.2 s, GL(4000)
+# 4.1 s.  cyclo index, where a sum must factor a core of degree
+# totient(d): cyclo(4999) + 1 1.8 s, cyclo(7993) + 1 4.0 s, cyclo(9973) + 1
+# 8.0 s.  Absolute exponent: (2*L+3)^2000 2.3 s, (L+2)^2500 3.0 s,
+# (L+2)^3000 5.7 s.
+MAX_GROUP_INDEX = 3000
+MAX_CYCLO_INDEX = 5000
+MAX_EXPONENT = 2000
+
+_INDEX_BOUNDS = {
+    "BSpin": MAX_TOWER_INDEX,
+    "BPin": MAX_TOWER_INDEX,
+    "BG": MAX_TOWER_INDEX,
+    "GL": MAX_GROUP_INDEX,
+    "SL": MAX_GROUP_INDEX,
+    "Spin": MAX_GROUP_INDEX,
+    "cyclo": MAX_CYCLO_INDEX,
+}
 
 
 class ParseError(ValueError):
@@ -324,8 +353,8 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
 
     Division and negative powers require a unit scalar on the right (NotAUnit
     otherwise); a product of two atom-bearing values has no representation
-    here and raises DomainError, as does a BSpin, BPin or BG index above
-    MAX_TOWER_INDEX.
+    here and raises DomainError, as do an index or exponent above its bound
+    and an AST nested deeper than MAX_EVAL_DEPTH.
     """
     return _eval(node)
 
@@ -349,47 +378,73 @@ def _binary(node: ExprAst, a: MotiveExpr, b: MotiveExpr) -> MotiveExpr:
     return m_scale(a, lc_inv(b.scalar))
 
 
-def _eval(node: ExprAst) -> MotiveExpr:
+def _power(base: MotiveExpr, k: int) -> MotiveExpr:
+    if base.is_scalar():
+        if k < 0:
+            return m_scalar(lc_pow(lc_inv(base.scalar), -k))
+        return m_scalar(lc_pow(base.scalar, k))
+    if k < 0:
+        raise NotAUnit("negative power of an atom-bearing expression")
+    if k == 0:
+        return M_ONE
+    if k == 1:
+        return base
+    raise DomainError("higher power of an atom-bearing expression")
+
+
+def _leaf(node: ExprAst) -> MotiveExpr:
     if isinstance(node, IntLit):
         return m_scalar(lc_int(node.value))
     if isinstance(node, LSymbol):
         return m_scalar(l_power(1))
-    if isinstance(node, _BINARY):
-        # the parser builds a+b+...+z as a left-leaning chain; walk its left
-        # spine in a loop so the recursion depth follows nesting, not length
-        spine = []
-        while isinstance(node, _BINARY):
-            spine.append(node)
-            node = node.left
-        acc = _eval(node)
-        for op in reversed(spine):
-            acc = _binary(op, acc, _eval(op.right))
-        return acc
-    if isinstance(node, Neg):
-        return m_scale(_eval(node.child), lc_neg(LC_ONE))
-    if isinstance(node, Pow):
-        base, k = _eval(node.base), node.exponent
-        if base.is_scalar():
-            if k < 0:
-                return m_scalar(lc_pow(lc_inv(base.scalar), -k))
-            return m_scalar(lc_pow(base.scalar, k))
-        if k < 0:
-            raise NotAUnit("negative power of an atom-bearing expression")
-        if k == 0:
-            return M_ONE
-        if k == 1:
-            return base
-        raise DomainError("higher power of an atom-bearing expression")
     if isinstance(node, Call):
         if node.name not in REGISTRY:
             raise UnknownIdent(node.name, 0)
         want, build = REGISTRY[node.name]
         if len(node.args) != want:
             raise ArityError(node.name, len(node.args), want, 0)
-        if node.name in ("BSpin", "BPin", "BG") and node.args[0] > MAX_TOWER_INDEX:
-            raise DomainError(f"{node.name} index {node.args[0]} exceeds {MAX_TOWER_INDEX}")
+        bound = _INDEX_BOUNDS.get(node.name)
+        if bound is not None and node.args[0] > bound:
+            raise DomainError(f"{node.name} index {node.args[0]} exceeds {bound}")
         return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
+
+
+def _eval(root: ExprAst) -> MotiveExpr:
+    # post-order on an explicit stack, so no AST can exhaust the interpreter's:
+    # an inner node is popped once to push its children and once, marked
+    # ready, to combine their values, which wait on `values` in order
+    values: list[MotiveExpr] = []
+    todo: list[tuple[ExprAst, int, bool]] = [(root, 0, False)]
+    while todo:
+        node, depth, ready = todo.pop()
+        if ready:
+            if isinstance(node, Neg):
+                values[-1] = m_scale(values[-1], lc_neg(LC_ONE))
+            elif isinstance(node, Pow):
+                values[-1] = _power(values[-1], node.exponent)
+            else:
+                b = values.pop()
+                values[-1] = _binary(node, values[-1], b)
+            continue
+        if depth > MAX_EVAL_DEPTH:
+            raise DomainError(f"expression nests deeper than {MAX_EVAL_DEPTH}")
+        if isinstance(node, _BINARY):
+            todo.append((node, depth, True))
+            todo.append((node.right, depth + 1, False))
+            left = node.left
+            todo.append((left, depth if isinstance(left, _BINARY) else depth + 1, False))
+        elif isinstance(node, Neg):
+            todo.append((node, depth, True))
+            todo.append((node.child, depth + 1, False))
+        elif isinstance(node, Pow):
+            if abs(node.exponent) > MAX_EXPONENT:
+                raise DomainError(f"exponent {node.exponent} exceeds {MAX_EXPONENT} in size")
+            todo.append((node, depth, True))
+            todo.append((node.base, depth + 1, False))
+        else:
+            values.append(_leaf(node))
+    return values[0]
 
 
 # -- rendering ---------------------------------------------------------

@@ -220,6 +220,14 @@ def test_huge_tower_index_fails_fast(args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", ["GL(20000)", "(L+2)^20000", "cyclo(300000) + 1"])
+def test_huge_scalar_inputs_fail_fast(text):
+    # past the group, cyclo and exponent bounds; each would run for minutes
+    proc = _run_cli("eval", text)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # -- delta ------------------------------------------------------------
 
 

@@ -83,7 +83,7 @@ def test_commutator_subgroup_matches_every_signed_pair(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_inverse_is_the_square_sign_rule(n):
-    # n <= 9 multiplies from the sign table, n = 10 calls the kernel
+    # every n multiplies from the generator rows the kernel fills
     grp = DeltaGroup(n)
     for a in grp.elements:
         m = a[1]

@@ -222,6 +222,38 @@ def test_deep_inputs_fit_the_default_recursion_limit():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_eval_refuses_asts_deeper_than_parse_builds():
+    top = dsl.MAX_EVAL_DEPTH
+    for wrap in (dsl.Neg, lambda node: dsl.Add(dsl.IntLit(1), node)):
+        node = dsl.IntLit(1)
+        for _ in range(top):
+            node = wrap(node)
+        dsl_eval(node)
+        with pytest.raises(DomainError, match="nests deeper"):
+            dsl_eval(wrap(node))
+    # deep enough to overflow the interpreter stack under a recursive eval
+    neg, add = dsl.IntLit(1), dsl.IntLit(1)
+    for _ in range(2_000):
+        neg = dsl.Neg(neg)
+    for _ in range(3_000):
+        add = dsl.Add(dsl.IntLit(1), add)
+    for node in (neg, add):
+        with pytest.raises(DomainError):
+            dsl_eval(node)
+
+
+def test_deepest_parse_meets_the_eval_depth_bound(monkeypatch):
+    # a sum, a product and a power's base on every level: three eval levels
+    # per group, the most parse allows
+    k = dsl.MAX_DEPTH
+    text = "1+1*(" * k + "1+1*1^1" + ")^1" * k
+    node = parse(text)
+    assert dsl_eval(node) == m_scalar(lc_int(k + 2))
+    monkeypatch.setattr(dsl, "MAX_EVAL_DEPTH", dsl.MAX_EVAL_DEPTH - 1)
+    with pytest.raises(DomainError):
+        dsl_eval(node)
+
+
 def _outcome(data) -> str:
     """The AST in prefix order, or the error text.
 
@@ -314,6 +346,39 @@ def test_tower_index_bound():
     assert motive._tower.cache_info().misses == misses
     # r = n - 1 is an atom of the recurrence, no tower below it
     assert ev(f"BG({top}, {top - 1})") == m_atom(top)
+
+
+@pytest.mark.parametrize(
+    "name, bound",
+    [
+        ("GL", dsl.MAX_GROUP_INDEX),
+        ("SL", dsl.MAX_GROUP_INDEX),
+        ("Spin", dsl.MAX_GROUP_INDEX),
+        ("cyclo", dsl.MAX_CYCLO_INDEX),
+    ],
+)
+def test_scalar_family_index_bound(monkeypatch, name, bound):
+    # a stub builder shows what the bound lets through without paying for it
+    built = []
+    monkeypatch.setitem(dsl.REGISTRY, name, (1, lambda n: built.append(n) or M_ONE))
+    with pytest.raises(DomainError, match=f"{name} index {bound + 1} exceeds {bound}"):
+        ev(f"{name}({bound + 1})")
+    assert built == []
+    assert ev(f"{name}({bound})") == M_ONE and built == [bound]
+
+
+def test_exponent_bound():
+    top = dsl.MAX_EXPONENT
+    for k in (top + 1, -top - 1):
+        with pytest.raises(DomainError, match="exponent"):
+            ev(f"L^{k}")
+    assert ev(f"L^{top}") == m_scalar(l_power(top))
+    assert ev(f"L^-{top}") == m_scalar(l_power(-top))
+    # the exponent is refused before its base is built
+    misses = motive._tower.cache_info().misses
+    with pytest.raises(DomainError, match="exponent"):
+        ev(f"BSpin({dsl.MAX_TOWER_INDEX})^{top + 1}")
+    assert motive._tower.cache_info().misses == misses
 
 
 # -- fuzzing ----------------------------------------------------------

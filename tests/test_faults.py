@@ -5,11 +5,12 @@ import itertools
 
 import pytest
 
-from grstacks import blades, finite, gaussian
+from grstacks import blades, finite, gaussian, motive
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
+from grstacks.lefschetz import lc_normalize
 from grstacks.motive import Inconsistent
-from grstacks.suites import suite_finite
+from grstacks.suites import suite_clifford, suite_finite, suite_tower
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
@@ -19,10 +20,6 @@ FLIPPED_OFF_DIAGONAL_PAIR = (0b101, 0b110)
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_sign_table_is_the_kernel(n):
-    table = blades.sign_table(n)
-    assert len(table) == 1 << (2 * n)
-    for s, t in itertools.product(range(1 << n), repeat=2):
-        assert table[s << n | t] == (blades.blade_sign(s, t) < 0), (s, t)
     grp = DeltaGroup(n)
     for a, b in itertools.product(grp.elements, repeat=2):
         sign, mask = blades.blade_mul_mask(a[1], b[1])
@@ -46,7 +43,7 @@ def flipped_blade_sign(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 7, 10])
 def test_flipped_blade_sign_fails_delta_structure(flipped_blade_sign, n):
-    # n <= 9 reads the flipped sign from the table, n = 10 from the kernel
+    # (e_1, e_2) is a generator row, so every n reads the flipped sign
     assert DeltaGroup(n).mul((1, 0b01), (1, 0b10)) == (-1, 0b11)
     rep = verify_delta_structure(n)
     assert not rep.ok
@@ -54,8 +51,15 @@ def test_flipped_blade_sign_fails_delta_structure(flipped_blade_sign, n):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 7, 10])
 def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
-    # n <= 9 reads every pair from the table, n = 10 the low pairs from the kernel
-    _flip_blade_sign(monkeypatch, FLIPPED_OFF_DIAGONAL_PAIR)
+    # Delta reads the kernel only on generator rows, so the one-pair flip goes
+    # into its product; the rule reads every pair for n <= 9, the low pairs at 10
+    mul = DeltaGroup.mul
+
+    def flipped(self, a, b):
+        sign, mask = mul(self, a, b)
+        return (-sign if (a[1], b[1]) == FLIPPED_OFF_DIAGONAL_PAIR else sign, mask)
+
+    monkeypatch.setattr(DeltaGroup, "mul", flipped)
     assert DeltaGroup(n).mul((1, 0b101), (1, 0b110)) == (-1, 0b011)
     rep = verify_delta_structure(n)
     assert "commutators" in {c.id for c in rep.failures}
@@ -68,6 +72,20 @@ def test_flipped_blade_sign_fails_clifford_relations(flipped_blade_sign, n):
     assert "rel.polar" in {c.id for c in rep.failures}
 
 
+@pytest.mark.parametrize(
+    "pair, failing",
+    [(FLIPPED_OFF_DIAGONAL_PAIR, "n3.f.frame"), ((0b1, 0b1), "n2.rho.reflect")],
+    ids=["off-diagonal", "e1-square"],
+)
+def test_flipped_blade_sign_fails_the_clifford_suite_without_raising(monkeypatch, pair, failing):
+    # rho refuses the images these flips produce; the checks that call it
+    # record a FAIL instead of letting NotPin escape
+    _flip_blade_sign(monkeypatch, pair)
+    rep = suite_clifford(seed=0, samples=25)
+    assert not rep.ok
+    assert failing in {c.id for c in rep.failures}
+
+
 def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     # without the gcd step equal values have unequal (x, y, d), so the
     # exact equalities behind the pin-group laws turn false
@@ -75,6 +93,27 @@ def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     rep = verify_clifford_relations(3, samples=25, seed=0)
     assert not rep.ok
     assert "rho.hom" in {c.id for c in rep.failures}
+
+
+# -- the tower ----------------------------------------------------------
+
+
+def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
+    # (L^2 - 1) in place of (L - 1) on the quadric stratum: the closed form of
+    # the top atom and the solve both find the tower inconsistent
+    equation = motive.strat_equation
+
+    def wrong(n, null_cone_term, quadric_term):
+        return equation(n, null_cone_term, motive.m_scale(quadric_term, lc_normalize((1, 1))))
+
+    monkeypatch.setattr(motive, "strat_equation", wrong)
+    motive.clear_tower_cache()
+    try:
+        rep = suite_tower()
+    finally:
+        motive.clear_tower_cache()
+    failing = {c.id for c in rep.failures}
+    assert {f"lead.{n:02d}" for n in range(3, 31)} | {"solve.allones"} <= failing
 
 
 # -- the finite layer ---------------------------------------------------
