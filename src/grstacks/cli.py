@@ -14,7 +14,15 @@ import sys
 
 from . import dsl
 from .delta import DeltaGroup
-from .lefschetz import LC_ONE, NotAUnit, ZeroInverse, lc_eval_at, render_factors
+from .lefschetz import (
+    LC_ONE,
+    LefschetzClass,
+    NotAUnit,
+    ZeroInverse,
+    lc_eval_at,
+    lc_eval_digits,
+    render_factors,
+)
 from .motive import DomainError, substitute_deltas
 from .suites import SUITES
 
@@ -52,6 +60,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _print_at(cls: LefschetzClass, q: int) -> None:
+    # refuse a value the interpreter would not print before computing it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = lc_eval_digits(cls, q)
+    if limit and digits > limit:
+        raise ValueError(
+            f"the value at L={q} has about {digits} digits, above the {limit} the interpreter prints"
+        )
+    print(f"at L={q}: {lc_eval_at(cls, q)}")
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         value = dsl.eval(dsl.parse(args.expr))
@@ -59,14 +78,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             cls = substitute_deltas(value, {m: LC_ONE for m in value.support()})
             print(render_factors(cls))
             if args.at is not None:
-                print(f"at L={args.at}: {lc_eval_at(cls, args.at)}")
+                _print_at(cls, args.at)
             return 0
         print(dsl.render(value))
         if args.at is not None:
             if not value.is_scalar():
                 print("error: atoms remain, evaluate with --deltas-one", file=sys.stderr)
                 return 2
-            print(f"at L={args.at}: {lc_eval_at(value.scalar, args.at)}")
+            _print_at(value.scalar, args.at)
         return 0
     except (dsl.ParseError, NotAUnit, ZeroInverse, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,9 +11,9 @@ Each generator of s contributes to the sign of e_s e_t on its own (see
 `blades`), so a group keeps one n-bit row per mask t, bit i set when
 e_(i+1) e_t carries -1, read once from the blade kernel, and the sign of
 e_s e_t is the parity of s & row[t].  Up to order EXHAUSTIVE_MAX_ORDER
-(n <= 9) `verify_delta_structure` reads every pair against the commutation
-rule; for larger groups the rule reads every pair on the first six
-generators and a seeded sample of the others.
+(n <= 9) `verify_delta_structure` reads every unordered pair against the
+commutation rule; for larger groups the rule reads every unordered pair on
+the first six generators and a seeded sample of the others.
 """
 
 from __future__ import annotations
@@ -195,17 +195,18 @@ def verify_delta_structure(n: int) -> CheckReport:
     if n >= 2:
         comm = grp.commutator_subgroup()
         if grp.order <= EXHAUSTIVE_MAX_ORDER:
-            pairs = itertools.product(range(1 << n), repeat=2)
+            pairs = itertools.combinations_with_replacement(range(1 << n), 2)
         else:
             # every pair on the first six generators, where a single flipped
             # sign such as (e1e3, e2e3) lands, and a seeded sample of the rest
             rng = random.Random(n)
             pairs = itertools.chain(
-                itertools.product(range(1 << 6), repeat=2),
+                itertools.combinations_with_replacement(range(1 << 6), 2),
                 ((rng.getrandbits(n), rng.getrandbits(n)) for _ in range(4096)),
             )
         # e_s e_t = (-1)^(|s||t| + |s & t|) e_t e_s; attached signs cancel,
-        # so a pair of masks stands for all four signed pairs
+        # so a pair of masks stands for all four signed pairs, and the rule is
+        # symmetric in s and t, so each unordered pair is read once
         comm_ok = comm == {(1, 0), (-1, 0)} and all(
             grp.mul((1, s), (1, t))
             == grp.mul(((-1) ** (s.bit_count() * t.bit_count() + (s & t).bit_count()), t), (1, s))

@@ -16,11 +16,14 @@ an error, and its finditer skips the whitespace between them.  The parser
 recurses only through `expr` and `factor`, so a parenthesized group costs two
 interpreter frames and a leading minus none; MAX_DEPTH nested groups need
 about 800 free frames, so parse runs inside the default recursion limit.
-Evaluation walks the AST on an explicit stack and produces a MotiveExpr;
-division and negative powers demand a unit scalar, products of two
-atom-bearing values are refused, and so are an AST nested deeper than parse
-builds (MAX_EVAL_DEPTH), a family index above its bound (MAX_TOWER_INDEX,
-MAX_GROUP_INDEX, MAX_CYCLO_INDEX) and an exponent above MAX_EXPONENT.
+Evaluation walks the AST on an explicit stack, so its work is linear in the
+size of the AST however deep it nests, and produces a MotiveExpr; division
+and negative powers demand a unit scalar, and products of two atom-bearing
+values are refused.  REGISTRY, the one per-family table, gives each family
+its arity, the bound on its first argument (MAX_TOWER_INDEX, MAX_GROUP_INDEX,
+MAX_CYCLO_INDEX) and its builder; an exponent is bounded by MAX_EXPONENT,
+and a product or sum whose core would pass lefschetz.MAX_CORE_DEGREE is
+refused before it is built.
 """
 
 import re
@@ -37,7 +40,6 @@ from .lefschetz import (
     lc_inv,
     lc_neg,
     lc_normalize,
-    lc_pow,
 )
 from .motive import (
     M_ONE,
@@ -63,27 +65,7 @@ def _cyclo(d: int) -> MotiveExpr:
     return m_scalar(lc_normalize(intpoly.ONE, 0, ((d, 1),)))
 
 
-# name -> (argument count, builder of the value from the integer arguments)
-REGISTRY: dict[str, tuple[int, Callable[..., MotiveExpr]]] = {
-    "GL": (1, lambda n: m_scalar(class_gl(n))),
-    "SL": (1, lambda n: m_scalar(class_sl(n))),
-    "Spin": (1, lambda n: m_scalar(class_spin(n))),
-    "G2": (0, lambda: m_scalar(class_g2())),
-    "BSpin": (1, bspin),
-    "BPin": (1, bpin),
-    "BDelta": (1, m_atom),
-    "BG": (2, bg),
-    "cyclo": (1, _cyclo),
-}
-
 MAX_DEPTH = 400
-
-# Nesting of an AST as `eval` counts it: every child is one level below its
-# parent, except a binary left operand that is itself binary (a chain such
-# as a+b+...+z).  Each of the MAX_DEPTH levels `parse` allows adds at most a
-# term, a factor and a power's base, and the innermost level three more, so
-# no parsed AST nests deeper than this; `eval` refuses a deeper one.
-MAX_EVAL_DEPTH = 3 * MAX_DEPTH + 3
 
 # Bound on the first argument of BSpin, BPin and BG, so a cold tower stays
 # under 10 s: on a shared 2-vCPU host a cold BSpin(60) or BPin(60) took
@@ -94,20 +76,25 @@ MAX_TOWER_INDEX = 60
 # same host.  GL, SL and Spin index: SL(3000) 2.6 s, GL(3000) 2.2 s, GL(4000)
 # 4.1 s.  cyclo index, where a sum must factor a core of degree
 # totient(d): cyclo(4999) + 1 1.8 s, cyclo(7993) + 1 4.0 s, cyclo(9973) + 1
-# 8.0 s.  Absolute exponent: (2*L+3)^2000 2.3 s, (L+2)^2500 3.0 s,
-# (L+2)^3000 5.7 s.
+# 8.0 s; in a sum, a cyclo(d) with totient(d) above lefschetz.MAX_CORE_DEGREE
+# meets that bound first.  Absolute exponent: (2*L+3)^2000 2.3 s,
+# (L+2)^2500 3.0 s, (L+2)^3000 5.7 s.
 MAX_GROUP_INDEX = 3000
 MAX_CYCLO_INDEX = 5000
 MAX_EXPONENT = 2000
 
-_INDEX_BOUNDS = {
-    "BSpin": MAX_TOWER_INDEX,
-    "BPin": MAX_TOWER_INDEX,
-    "BG": MAX_TOWER_INDEX,
-    "GL": MAX_GROUP_INDEX,
-    "SL": MAX_GROUP_INDEX,
-    "Spin": MAX_GROUP_INDEX,
-    "cyclo": MAX_CYCLO_INDEX,
+# name -> (argument count, bound on the first argument or None, builder of
+# the value from the integer arguments)
+REGISTRY: dict[str, tuple[int, int | None, Callable[..., MotiveExpr]]] = {
+    "GL": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_gl(n))),
+    "SL": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_sl(n))),
+    "Spin": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_spin(n))),
+    "G2": (0, None, lambda: m_scalar(class_g2())),
+    "BSpin": (1, MAX_TOWER_INDEX, bspin),
+    "BPin": (1, MAX_TOWER_INDEX, bpin),
+    "BDelta": (1, None, m_atom),
+    "BG": (2, MAX_TOWER_INDEX, bg),
+    "cyclo": (1, MAX_CYCLO_INDEX, _cyclo),
 }
 
 
@@ -348,17 +335,6 @@ def parse(text: str | bytes) -> ExprAst:
 # -- evaluation --------------------------------------------------------
 
 
-def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
-    """Evaluate an AST to a MotiveExpr.
-
-    Division and negative powers require a unit scalar on the right (NotAUnit
-    otherwise); a product of two atom-bearing values has no representation
-    here and raises DomainError, as do an index or exponent above its bound
-    and an AST nested deeper than MAX_EVAL_DEPTH.
-    """
-    return _eval(node)
-
-
 _BINARY = (Add, Sub, Mul, Div)
 
 
@@ -380,9 +356,7 @@ def _binary(node: ExprAst, a: MotiveExpr, b: MotiveExpr) -> MotiveExpr:
 
 def _power(base: MotiveExpr, k: int) -> MotiveExpr:
     if base.is_scalar():
-        if k < 0:
-            return m_scalar(lc_pow(lc_inv(base.scalar), -k))
-        return m_scalar(lc_pow(base.scalar, k))
+        return m_scalar(base.scalar**k)
     if k < 0:
         raise NotAUnit("negative power of an atom-bearing expression")
     if k == 0:
@@ -400,24 +374,29 @@ def _leaf(node: ExprAst) -> MotiveExpr:
     if isinstance(node, Call):
         if node.name not in REGISTRY:
             raise UnknownIdent(node.name, 0)
-        want, build = REGISTRY[node.name]
+        want, bound, build = REGISTRY[node.name]
         if len(node.args) != want:
             raise ArityError(node.name, len(node.args), want, 0)
-        bound = _INDEX_BOUNDS.get(node.name)
         if bound is not None and node.args[0] > bound:
             raise DomainError(f"{node.name} index {node.args[0]} exceeds {bound}")
         return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def _eval(root: ExprAst) -> MotiveExpr:
+def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
+    """Evaluate an AST to a MotiveExpr.
+
+    Division and negative powers require a unit scalar on the right (NotAUnit
+    otherwise); a product of two atom-bearing values has no representation
+    here and raises DomainError, as does an index or exponent above its bound.
+    """
     # post-order on an explicit stack, so no AST can exhaust the interpreter's:
     # an inner node is popped once to push its children and once, marked
     # ready, to combine their values, which wait on `values` in order
     values: list[MotiveExpr] = []
-    todo: list[tuple[ExprAst, int, bool]] = [(root, 0, False)]
+    todo: list[tuple[ExprAst, bool]] = [(node, False)]
     while todo:
-        node, depth, ready = todo.pop()
+        node, ready = todo.pop()
         if ready:
             if isinstance(node, Neg):
                 values[-1] = m_scale(values[-1], lc_neg(LC_ONE))
@@ -426,22 +405,14 @@ def _eval(root: ExprAst) -> MotiveExpr:
             else:
                 b = values.pop()
                 values[-1] = _binary(node, values[-1], b)
-            continue
-        if depth > MAX_EVAL_DEPTH:
-            raise DomainError(f"expression nests deeper than {MAX_EVAL_DEPTH}")
-        if isinstance(node, _BINARY):
-            todo.append((node, depth, True))
-            todo.append((node.right, depth + 1, False))
-            left = node.left
-            todo.append((left, depth if isinstance(left, _BINARY) else depth + 1, False))
+        elif isinstance(node, _BINARY):
+            todo += ((node, True), (node.right, False), (node.left, False))
         elif isinstance(node, Neg):
-            todo.append((node, depth, True))
-            todo.append((node.child, depth + 1, False))
+            todo += ((node, True), (node.child, False))
         elif isinstance(node, Pow):
             if abs(node.exponent) > MAX_EXPONENT:
                 raise DomainError(f"exponent {node.exponent} exceeds {MAX_EXPONENT} in size")
-            todo.append((node, depth, True))
-            todo.append((node.base, depth + 1, False))
+            todo += ((node, True), (node.base, False))
         else:
             values.append(_leaf(node))
     return values[0]

@@ -223,6 +223,12 @@ def cyclotomic(d: int) -> tuple[int, ...]:
 
 
 @cache
+def totient(d: int) -> int:
+    """deg Phi_d, from the same Moebius binomials that build Phi_d."""
+    return sum(mu * k for k, mu in _moebius_binomials(d))
+
+
+@cache
 def cyclotomic_power(d: int, m: int) -> tuple[int, ...]:
     """Phi_d^m for m >= 1, from memoized halves."""
     if m == 1:

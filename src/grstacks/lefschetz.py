@@ -23,6 +23,10 @@ cofactors and renormalizes the sum from scratch.  Each cofactor's Phi-part
 is multiplied out first, from memoized powers Phi_d^m, and then multiplied
 into the shifted core once.
 
+Both build polynomials whose size the operands fix in advance, so each
+predicts the degree of the core it would build and refuses one above
+MAX_CORE_DEGREE (CoreTooLarge) before any polynomial work.
+
 Normalization trial-divides by the complete candidate set of Phi_d.  A
 candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
 then the exact residue test intpoly.cyclotomic_divides before any division
@@ -31,6 +35,7 @@ of the full core, so every such division succeeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -44,6 +49,27 @@ class NotAUnit(ArithmeticError):
 
 class ZeroInverse(ZeroDivisionError):
     pass
+
+
+# Bound on the degree of the core a product or a sum's cofactor would build.
+# Normalizing a sum factors its whole core, and a product's cost grows with
+# degree times coefficient size.  Cold `grstacks eval` on a shared 2-vCPU
+# host, by core degree: (L+2)^1000*(L+3)^1000 1.4 s, (2*L+3)^2000 1.7 s and
+# cyclo(7)^333 + 1 0.2 s at 2000; (L+2)^1250*(L+3)^1250 3.7 s at 2500;
+# (L+2)^1500*(L+3)^1500 6.6 s and cyclo(7)^500 + 1 0.9 s at 3000;
+# (L+2)^2000*(L+3)^2000 11 s at 4000, GL(100) + 1 6.4 s at 10,000.  The
+# largest core the suites build is of degree 200, in the tower suite, and
+# the largest in a cold BSpin(60) or BPin(60) is of degree 838.
+MAX_CORE_DEGREE = 2000
+
+
+class CoreTooLarge(ValueError):
+    """A product or sum would build a core above MAX_CORE_DEGREE."""
+
+
+def _check_core_degree(deg: int) -> None:
+    if deg > MAX_CORE_DEGREE:
+        raise CoreTooLarge(f"core of degree {deg} exceeds {MAX_CORE_DEGREE}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,6 +188,7 @@ def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     else:
         # cores are Phi-free so their product is; only x | core is impossible
         # too (both constant terms nonzero), hence no re-extraction at all.
+        _check_core_degree(len(a.core) + len(b.core) - 2)
         core = intpoly.mul(a.core, b.core)
     exps: dict[int, int] = dict(a.cyc)
     for d, m in b.cyc:
@@ -186,12 +213,17 @@ def _common_cofactors(a: LefschetzClass, b: LefschetzClass):
         # exponent difference is >= 0 by construction of the min, but the
         # loop must cover factors present only in the common part.  The
         # small Phi-part is multiplied out first, then into the core once.
-        p = intpoly.shift(x.core, x.l_exp - l0)
-        phis = [
-            intpoly.cyclotomic_power(d, xm.get(d, 0) - common.get(d, 0))
-            for d in set(xm) | set(common)
-            if xm.get(d, 0) != common.get(d, 0)
-        ]
+        shift = x.l_exp - l0
+        deg = len(x.core) - 1 + shift
+        extra = []
+        for d in set(xm) | set(common):
+            m = xm.get(d, 0) - common.get(d, 0)
+            if m:
+                extra.append((d, m))
+                deg += intpoly.totient(d) * m
+        _check_core_degree(deg)
+        p = intpoly.shift(x.core, shift)
+        phis = [intpoly.cyclotomic_power(d, m) for d, m in extra]
         return intpoly.mul(p, reduce(intpoly.mul, phis)) if phis else p
 
     return cofactor(a, am), cofactor(b, bm), l0, common
@@ -250,10 +282,32 @@ def _cross_multiply_eq(a: LefschetzClass, b: LefschetzClass) -> bool:
     return pa == pb
 
 
-def lc_eval_at(a: LefschetzClass, q: int) -> Fraction:
-    """Exact specialization at an integer q >= 2 (Phi_d(q) > 0 there)."""
+def _check_point(q: int) -> None:
     if q < 2:
         raise ValueError("specialization point must be >= 2")
+
+
+def lc_eval_digits(a: LefschetzClass, q: int) -> int:
+    """Leading-order count of decimal digits in lc_eval_at(a, q).
+
+    The larger of the numerator's and the denominator's degree in L, times
+    log10(q): Phi_d(q) is q^totient(d) up to a bounded factor, and the
+    core's coefficients are not counted.  It costs no big-integer work.
+    """
+    _check_point(q)
+    top = intpoly.degree(a.core) + max(a.l_exp, 0)
+    bottom = max(-a.l_exp, 0)
+    for d, m in a.cyc:
+        if m > 0:
+            top += intpoly.totient(d) * m
+        else:
+            bottom -= intpoly.totient(d) * m
+    return math.ceil(max(top, bottom) * math.log10(q))
+
+
+def lc_eval_at(a: LefschetzClass, q: int) -> Fraction:
+    """Exact specialization at an integer q >= 2 (Phi_d(q) > 0 there)."""
+    _check_point(q)
     if not a.core:
         return Fraction(0)
     out = Fraction(intpoly.eval_at(a.core, q))

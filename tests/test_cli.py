@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import grstacks
-from grstacks import cli, dsl, motive
+from grstacks import cli, dsl, lefschetz, motive
 from grstacks.report import CheckReport
 from grstacks.suites import SUITES
 
@@ -159,6 +160,18 @@ def test_eval_domain_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_eval_at_refuses_a_value_too_long_to_print(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert cli.main(["eval", "GL(30)", "--at", "13"]) == 0
+    want = lefschetz.lc_eval_at(motive.class_gl(30), 13)
+    assert capsys.readouterr().out.endswith(f"at L=13: {want}\n")
+    # about 1.1 million digits: refused before the value is computed
+    monkeypatch.setattr(cli, "lc_eval_at", lambda *args: pytest.fail("specialized anyway"))
+    assert cli.main(["eval", "GL(1000)", "--at", "13"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
+
+
 def test_eval_at_with_atoms_left_is_an_error(capsys):
     assert cli.main(["eval", "BSpin(4)", "--at", "5"]) == 2
     assert "--deltas-one" in capsys.readouterr().err
@@ -226,6 +239,26 @@ def test_huge_scalar_inputs_fail_fast(text):
     proc = _run_cli("eval", text)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "((L+2)^2000)^2000",
+        "(L+2)^2000*(L+3)^2000*(L+5)^2000",
+        "cyclo(7)^2000+1",
+        "GL(100)+1",
+    ],
+)
+def test_combinations_past_the_core_bound_fail_fast(text):
+    # every leaf and exponent is within its bound, but the product or sum
+    # would build a core of degree 4,000 to 10,000
+    start = time.perf_counter()
+    proc = _run_cli("eval", text)
+    assert time.perf_counter() - start < 15
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: core of degree ") and proc.stderr.count("\n") == 1
+    assert f"exceeds {lefschetz.MAX_CORE_DEGREE}" in proc.stderr
 
 
 # -- delta ------------------------------------------------------------

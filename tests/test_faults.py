@@ -5,12 +5,12 @@ import itertools
 
 import pytest
 
-from grstacks import blades, finite, gaussian, motive
+from grstacks import blades, finite, gaussian, intpoly, motive
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
 from grstacks.lefschetz import lc_normalize
 from grstacks.motive import Inconsistent
-from grstacks.suites import suite_clifford, suite_finite, suite_tower
+from grstacks.suites import suite_clifford, suite_finite, suite_g2, suite_tower
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
@@ -93,6 +93,38 @@ def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     rep = verify_clifford_relations(3, samples=25, seed=0)
     assert not rep.ok
     assert "rho.hom" in {c.id for c in rep.failures}
+
+
+def test_unreduced_gaussians_fail_the_clifford_suite_without_raising(monkeypatch):
+    # the samplers' own invariants break first (a reflected point off the
+    # unit sphere); the checks they feed record FAIL instead of raising
+    monkeypatch.setattr(gaussian, "gcd", lambda *args: 1)
+    rep = suite_clifford(seed=0, samples=10)
+    assert not rep.ok
+    assert {"n3.phi.hom", "n3.phi.spin", "n3.f.factor.anis", "eta.central", "eta.embed"} <= {
+        c.id for c in rep.failures
+    }
+
+
+# -- the ledgers --------------------------------------------------------
+
+
+def test_dropped_residue_class_fails_the_g2_ledger_without_raising(monkeypatch):
+    # skipping the last residue class of x^d - 1 misses Phi_d factors, so a
+    # unit keeps a non-unit core and inverting it raises NotAUnit; the checks
+    # that read it record FAIL with the error and every other check still runs
+    ids = {c.id for c in suite_g2().checks}
+
+    def dropped(p, d):
+        r = intpoly.normalize(sum(p[i::d]) for i in range(d - 1 if d > 2 else d))
+        phi = intpoly.cyclotomic(d)
+        return not r if len(r) < len(phi) else intpoly.monic_div(r, phi) is not None
+
+    monkeypatch.setattr(intpoly, "cyclotomic_divides", dropped)
+    rep = suite_g2()
+    assert {c.id for c in rep.checks} == ids
+    failed = {c.id: c.lhs for c in rep.failures}
+    assert failed["strata.solve"].startswith("NotAUnit: not a unit: core")
 
 
 # -- the tower ----------------------------------------------------------

@@ -11,6 +11,9 @@ from grstacks import intpoly
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
+    MAX_CORE_DEGREE,
+    CoreTooLarge,
+    LefschetzClass,
     NotAUnit,
     ZeroInverse,
     l_pow_minus_one,
@@ -491,6 +494,29 @@ def test_non_factor_closed_quotient_reduces():
     x = lc_mul(l_pow_minus_one(2), lc_inv(l_pow_minus_one(6)))
     assert x.core == (1,)
     assert x.cyc == ((3, -1), (6, -1))
+
+
+# -- work bound -------------------------------------------------------
+
+
+def test_core_degree_bound():
+    top = MAX_CORE_DEGREE
+
+    def sparse(k):
+        # L^k + 2: no root of unity has k-th power -2, so no Phi_d divides it
+        return LefschetzClass((2,) + (0,) * (k - 1) + (1,), 0, ())
+
+    def phi7_times_l(m, s):
+        # Phi_7^m L^s, whose cofactor against 1 expands to degree 6m + s
+        return LefschetzClass(intpoly.ONE, s, ((7, m),) if m else ())
+
+    assert intpoly.degree(lc_mul(sparse(top // 2), sparse(top - top // 2)).core) == top
+    with pytest.raises(CoreTooLarge, match=f"core of degree {top + 1} exceeds {top}"):
+        lc_mul(sparse(top // 2), sparse(top - top // 2 + 1))
+    for m in (0, top // 6):
+        lc_add(phi7_times_l(m, top - 6 * m), LC_ONE)
+        with pytest.raises(CoreTooLarge, match=f"core of degree {top + 1} exceeds {top}"):
+            lc_add(phi7_times_l(m, top - 6 * m + 1), LC_ONE)
 
 
 # -- specialization ---------------------------------------------------
