@@ -22,8 +22,9 @@ and negative powers demand a unit scalar, and products of two atom-bearing
 values are refused.  REGISTRY, the one per-family table, gives each family
 its arity, the bound on its first argument (MAX_TOWER_INDEX, MAX_GROUP_INDEX,
 MAX_CYCLO_INDEX) and its builder; an exponent is bounded by MAX_EXPONENT,
-and a product or sum whose core would pass lefschetz.MAX_CORE_DEGREE is
-refused before it is built.
+and a product or sum whose core would pass lefschetz.MAX_CORE_DEGREE, or
+whose product coefficients would pass lefschetz.MAX_COEFF_BITS, is refused
+before it is built.
 """
 
 import re
@@ -68,8 +69,9 @@ def _cyclo(d: int) -> MotiveExpr:
 MAX_DEPTH = 400
 
 # Bound on the first argument of BSpin, BPin and BG, so a cold tower stays
-# under 10 s: on a shared 2-vCPU host a cold BSpin(60) or BPin(60) took
-# 6-9 s and BPin(64) 11 s.
+# within a few seconds: on a shared 2-vCPU host a cold `grstacks eval` of
+# BSpin(60) or BPin(60) takes 0.9-1.0 s (6-9 s before the tower shared one
+# atom-coefficient table across all atoms).
 MAX_TOWER_INDEX = 60
 
 # Bounds on the other work-bearing integers, from cold `grstacks eval` on the

@@ -74,20 +74,21 @@ def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     bound = max(max(map(abs, p)), 1) * max(max(map(abs, q)), 1) * min(len(p), len(q))
     w = (bound.bit_length() + 8) // 8
     half = 1 << (8 * w - 1)
-    prod = _pack(p, w, half) * _pack(q, w, half) + (_ones(n, w) << (8 * w - 1))
+    prod = _pack(p, w, half) * _pack(q, w, half) + _halves(n, w)
     data = prod.to_bytes(n * w, "little")
     return tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, n * w, w))
 
 
-def _ones(n: int, w: int) -> int:
-    """The int with a 1 in each of n slots of w bytes."""
-    return ((1 << (8 * w * n)) - 1) // ((1 << (8 * w)) - 1)
+def _halves(n: int, w: int) -> int:
+    """The int with the half-slot offset 2^(8w-1) in each of n slots of w
+    bytes: each slot's top byte is 0x80."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
 def _pack(p: tuple[int, ...], w: int, half: int) -> int:
     """sum p[i] * 2^(8wi), built from the offset (non-negative) slots."""
     data = b"".join((c + half).to_bytes(w, "little") for c in p)
-    return int.from_bytes(data, "little") - (_ones(len(p), w) << (8 * w - 1))
+    return int.from_bytes(data, "little") - _halves(len(p), w)
 
 
 def shift(p: tuple[int, ...], k: int) -> tuple[int, ...]:

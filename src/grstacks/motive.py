@@ -18,6 +18,21 @@ class is recorded as the constant 1, so the atom with index 1 never occurs.
 Every recursion step preserves n mod 2, so bspin(n) only supports atoms
 with m == n - 1 (mod 2); in particular the n = 3..max solve in
 solve_deltas is triangular with a fresh atom BDelta_(n-1) in every row.
+
+The recurrence is linear and its coefficients depend only on k = n - r;
+its two inputs sit at k - 2 and k - 1, the atom boundary is the same for
+every m >= 2, and the scalar bases carry no atoms.  So the coefficient of
+BDelta_m in G(n, r) is A(n - m, n - r) for one table shared by every m and
+both parity classes:
+
+  (L^k - 1) * A(j, k) = L^(2-k) * A(j-2, k-2) + (L-1) * A(j, k-1)
+
+with A(0, k) = 1 and A(j > 0, k) = 0 for k <= 1, and A(j < 0, k) = 0;
+A(0, n) is the closed form leading_delta_coeff checks.  The tower keeps
+two memo tables, the scalar part S(n, r) of G(n, r) (the same recurrence
+and scalar bases, with S = 0 where G collapses to an atom) and A(j, k),
+and assembles each requested G(n, r) from them, so an atom coefficient is
+computed once however many cells share it.
 """
 
 from __future__ import annotations
@@ -178,24 +193,43 @@ def strat_equation(n: int, null_cone_term: MotiveExpr, quadric_term: MotiveExpr)
 # -- the recursion tower ----------------------------------------------
 
 
+def _step(k: int, null_cone: LefschetzClass, quadric: LefschetzClass) -> LefschetzClass:
+    """One recurrence step on scalar coefficients: the two-stratum equation
+    with rank k = n - r, null-cone input scaled by L^(2-k)."""
+    return strat_equation(
+        k, m_scalar(lc_mul(null_cone, l_power(2 - k))), m_scalar(quadric)
+    ).scalar
+
+
 @cache
-def _tower(n: int, r: int) -> MotiveExpr:
-    """G(n, r), r >= -1, of the recurrence in the module docstring."""
+def _scalar(n: int, r: int) -> LefschetzClass:
+    """S(n, r), the scalar part of G(n, r)."""
     if n <= 0:
-        return M_ONE
+        return LC_ONE
     if n == 1:
-        if r == -1:
-            return m_scalar(lc_inv(l_pow_minus_one(1)))
         # rank-1 diagonal preimage is the cyclic group of order 4; its
         # classifying class is recorded as the constant 1, never an atom
-        return M_ONE
+        return lc_inv(l_pow_minus_one(1)) if r == -1 else LC_ONE
     if r >= n - 1:
-        return m_atom(n)
-    return strat_equation(
-        n - r,
-        m_scale(_tower(n - 2, r), l_power(r + 2 - n)),
-        _tower(n, r + 1),
-    )
+        return LC_ZERO
+    return _step(n - r, _scalar(n - 2, r), _scalar(n, r + 1))
+
+
+@cache
+def _atom_coeff(j: int, k: int) -> LefschetzClass:
+    """A(j, k), the coefficient of BDelta_m in G(m + j, m + j - k)."""
+    if j < 0:
+        return LC_ZERO
+    if k <= 1:
+        return LC_ONE if j == 0 else LC_ZERO
+    return _step(k, _atom_coeff(j - 2, k - 2), _atom_coeff(j, k - 1))
+
+
+@cache
+def _tower(n: int, r: int) -> MotiveExpr:
+    """G(n, r), r >= -1, assembled from the two tables of the module docstring."""
+    atoms = ((m, _atom_coeff(n - m, n - r)) for m in range(2 + n % 2, n + 1, 2))
+    return MotiveExpr(_scalar(n, r), tuple((m, c) for m, c in atoms if c.core))
 
 
 def bspin(n: int) -> MotiveExpr:
@@ -219,8 +253,11 @@ def bg(n: int, r: int) -> MotiveExpr:
 
 
 def clear_tower_cache() -> None:
-    """Drop the memo table (used to test memoization transparency)."""
+    """Empty the assembled cells and both coefficient tables, so the next
+    tower request recomputes from the base cases."""
     _tower.cache_clear()
+    _scalar.cache_clear()
+    _atom_coeff.cache_clear()
 
 
 def leading_delta_coeff(n: int) -> LefschetzClass:

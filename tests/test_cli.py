@@ -261,6 +261,17 @@ def test_combinations_past_the_core_bound_fail_fast(text):
     assert f"exceeds {lefschetz.MAX_CORE_DEGREE}" in proc.stderr
 
 
+@pytest.mark.parametrize("power", [2, 100])
+def test_products_past_the_coefficient_bound_fail_fast(power):
+    # a degree-1 core with a 4000-digit coefficient: its square already
+    # predicts 26,578 bits, and the 100th power ran past 40 s unbounded
+    start = time.perf_counter()
+    proc = _run_cli("eval", f"({'9' * 4000}*L+1)^{power}")
+    assert time.perf_counter() - start < 15
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: product coefficients of 26578 bits exceed {lefschetz.MAX_COEFF_BITS}\n"
+
+
 # -- delta ------------------------------------------------------------
 
 

@@ -5,12 +5,12 @@ import itertools
 
 import pytest
 
-from grstacks import blades, finite, gaussian, intpoly, motive
+from grstacks import blades, finite, gaussian, intpoly, ledgers, motive
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import lc_normalize
+from grstacks.lefschetz import l_power, lc_mul, lc_normalize
 from grstacks.motive import Inconsistent
-from grstacks.suites import suite_clifford, suite_finite, suite_g2, suite_tower
+from grstacks.suites import suite_clifford, suite_finite, suite_g2, suite_spin78, suite_tower
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
@@ -125,6 +125,21 @@ def test_dropped_residue_class_fails_the_g2_ledger_without_raising(monkeypatch):
     assert {c.id for c in rep.checks} == ids
     failed = {c.id: c.lhs for c in rep.failures}
     assert failed["strata.solve"].startswith("NotAUnit: not a unit: core")
+
+
+def test_wrong_ledger_values_fail_the_ledgers_without_raising(monkeypatch):
+    # {G_2} and {Spin_8} off by a factor L: the ledgers bind these names at
+    # import, so they are patched there.  The displayed identities that read
+    # the wrong class fail, the one B(G_2 x mu_2) check in the spin ledger
+    # among them, and every other check still holds
+    monkeypatch.setattr(ledgers, "class_g2", lambda: lc_mul(motive.class_g2(), l_power(1)))
+    monkeypatch.setattr(
+        ledgers,
+        "class_spin",
+        lambda n: lc_mul(motive.class_spin(n), l_power(1)) if n == 8 else motive.class_spin(n),
+    )
+    assert {c.id for c in suite_g2().failures} == {"g2.class_formula", "bg2.unit"}
+    assert {c.id for c in suite_spin78().failures} == {"q8.spin7", "bspin8.assembly", "bspin8.unit"}
 
 
 # -- the tower ----------------------------------------------------------

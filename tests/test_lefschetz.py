@@ -11,7 +11,9 @@ from grstacks import intpoly
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
+    MAX_COEFF_BITS,
     MAX_CORE_DEGREE,
+    CoeffTooLarge,
     CoreTooLarge,
     LefschetzClass,
     NotAUnit,
@@ -422,6 +424,15 @@ def test_mul_edge_values():
                 assert intpoly.mul(p, p) == _schoolbook_mul(p, p)
 
 
+def test_half_offsets_match_the_division_formula():
+    # 2^(8w-1) in each of n slots of w bytes: the all-ones slot pattern,
+    # built by long division, shifted to the top bit of each slot
+    for n in (1, 2, 7, 60, 400):
+        for w in (1, 2, 8, 30):
+            ones = ((1 << (8 * w * n)) - 1) // ((1 << (8 * w)) - 1)
+            assert intpoly._halves(n, w) == ones << (8 * w - 1), (n, w)
+
+
 @hypothesis.given(
     strat.integers(1, 60),
     strat.lists(strat.integers(-9, 9), min_size=1, max_size=25),
@@ -517,6 +528,24 @@ def test_core_degree_bound():
         lc_add(phi7_times_l(m, top - 6 * m), LC_ONE)
         with pytest.raises(CoreTooLarge, match=f"core of degree {top + 1} exceeds {top}"):
             lc_add(phi7_times_l(m, top - 6 * m + 1), LC_ONE)
+
+
+def test_coefficient_bits_bound():
+    top = MAX_COEFF_BITS
+
+    def wide(bits):
+        # L + c, with c of the given bit length
+        return LefschetzClass((2 ** (bits - 1) + 1, 1), 0, ())
+
+    # a product of two length-2 cores predicts their bits plus 2
+    lc_mul(wide(top // 2), wide(top - top // 2 - 2))
+    with pytest.raises(CoeffTooLarge, match=f"coefficients of {top + 1} bits exceed {top}"):
+        lc_mul(wide(top // 2), wide(top - top // 2 - 1))
+    # a sum whose cofactor expands Phi_7 into the core
+    phi7 = LefschetzClass(intpoly.ONE, 0, ((7, 1),))
+    lc_add(lc_mul(wide(top - 3), phi7), wide(1))
+    with pytest.raises(CoeffTooLarge, match=f"coefficients of {top + 1} bits exceed {top}"):
+        lc_add(lc_mul(wide(top - 2), phi7), wide(1))
 
 
 # -- specialization ---------------------------------------------------

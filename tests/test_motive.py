@@ -1,5 +1,6 @@
 """Class formulas, the stratification equation, and the recursion tower."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -272,6 +273,52 @@ def test_memoization_is_transparent():
     clear_tower_cache()
     b = bspin(6)
     assert a == b
+
+
+def _oracle_step(k, null_cone, quadric):
+    # (L^k - 1)^-1 (L^(2-k) * null_cone + (L - 1) * quadric), on whole cells
+    inner = m_add(m_scale(null_cone, l_power(2 - k)), m_scale(quadric, L_MINUS_1))
+    return m_scale(inner, lc_inv(l_pow_minus_one(k)))
+
+
+@functools.cache
+def _oracle_tower(n, r):
+    """G(n, r) by the per-cell recursion, every cell carrying all its atoms."""
+    if n <= 0:
+        return M_ONE
+    if n == 1:
+        return m_scalar(lc_inv(L_MINUS_1)) if r == -1 else M_ONE
+    if r >= n - 1:
+        return m_atom(n)
+    return _oracle_step(n - r, _oracle_tower(n - 2, r), _oracle_tower(n, r + 1))
+
+
+def test_tables_match_the_per_cell_recursion():
+    clear_tower_cache()
+    for n in range(-1, 27):
+        for r in range(-1, n + 3):
+            assert motive._tower(n, r) == _oracle_tower(n, r), (n, r)
+
+
+def test_atom_coefficients_depend_only_on_the_offsets():
+    # the identity behind the atom table, on the per-cell recursion: the
+    # BDelta_m coefficient of G(n, r) is that of BDelta_(m+2) in G(n+2, r+2)
+    for n in range(2, 23):
+        for r in range(-1, n + 1):
+            here, up = _oracle_tower(n, r).atom_map(), _oracle_tower(n + 2, r + 2).atom_map()
+            for m in range(2 + n % 2, n + 1, 2):
+                assert here.get(m, LC_ZERO) == up.get(m + 2, LC_ZERO), (n, r, m)
+
+
+def test_clear_tower_cache_empties_every_table():
+    # a table left full would serve the next tower warm
+    tables = (motive._tower, motive._scalar, motive._atom_coeff)
+    bspin(12)
+    clear_tower_cache()
+    assert [t.cache_info().currsize for t in tables] == [0, 0, 0]
+    misses = [t.cache_info().misses for t in tables]
+    bspin(12)
+    assert all(t.cache_info().misses > k for t, k in zip(tables, misses))
 
 
 # sha256 of dsl.render(bspin(n)), recorded before the polynomial kernels
