@@ -1,14 +1,18 @@
 """Exact Clifford algebra on n anticommuting generators with square -1.
 
 Elements are sparse blade maps with Gaussian-rational coefficients, so every
-membership test and homomorphism law below is an exact equality.  The module
+membership test and homomorphism law below is an exact equality.  An element
+stores integer Gaussian numerators per blade over one shared denominator, so
+a product or sum is integer arithmetic and one gcd pass over its result (see
+CliffordElement).  The module
 covers the three standard involutions, the unit groups cut out by them, the
 twisted conjugation action on vectors, and the two explicit homomorphisms
 that drive the classifying-class recursion: the embedding of the one-lower
 pin group into the spin group times a sign, and the unipotent one-parameter
 family w -> w*f1 + 1 attached to an isotropic vector f1.
 
-Matrices are tuples of row tuples of GaussianRational.
+Matrices are tuples of row tuples of GaussianRational; their products, the
+quadratic forms and the sphere sampling sum products through `gaussian.dot`.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 
 from .blades import blade_mul_mask, indices_of, mask_of
-from .gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
+from .gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational, dot, reduced
 from .report import CheckReport
 
 Scalar = GaussianRational | int | Fraction
@@ -48,43 +54,61 @@ _BROKEN_SAMPLE = (InvariantBroken, NotPin)
 
 
 class CliffordElement:
-    __slots__ = ("n", "terms")
+    """An element sum_s ((x_s + y_s*i) / d) e_s of the Clifford algebra.
+
+    `terms` maps each blade mask s to its integer Gaussian numerator
+    (x_s, y_s), and `d > 0` is one denominator for the whole element.  The
+    form is canonical: no numerator is (0, 0), gcd(d, every x_s, every y_s)
+    is 1, and zero is no terms over d = 1.  It is unique, so equality and
+    hashing compare (n, d, terms).  Products, sums and the involutions run
+    on these ints and reduce each result once, by one gcd over all its
+    parts; coefficients go in and come out as GaussianRational.
+    """
+
+    __slots__ = ("n", "d", "terms")
 
     n: int
-    terms: dict[int, GaussianRational]
+    d: int
+    terms: dict[int, tuple[int, int]]
 
-    def __init__(self, n: int, terms: dict[int, GaussianRational] | None = None):
+    def __init__(self, n: int, terms: dict[int, Scalar] | None = None):
         if n < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "n", n)
-        clean = {}
+        coeffs = {}
         for mask, c in (terms or {}).items():
             if mask < 0 or mask >= 1 << n:
                 raise ValueError(f"blade mask {mask} out of range for n={n}")
             c = GaussianRational.coerce(c)
             if c:
-                clean[mask] = c
-        object.__setattr__(self, "terms", clean)
+                coeffs[mask] = c
+        # at each prime p of the lcm, the coefficient whose denominator holds
+        # p's highest power has a part prime to p and is scaled by a factor
+        # prime to p, so gcd(d, every part) is 1 without a reduction
+        d = lcm(*(c.d for c in coeffs.values()))
+        _set_n(self, n)
+        _set_d(self, d)
+        _set_terms(self, {m: (c.x * (d // c.d), c.y * (d // c.d)) for m, c in coeffs.items()})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CliffordElement is immutable")
 
     @classmethod
     def scalar(cls, n: int, c: Scalar) -> "CliffordElement":
-        return cls(n, {0: GaussianRational.coerce(c)})
+        return cls(n, {0: c})
 
     @classmethod
     def vector(cls, n: int, coords: tuple[Scalar, ...] | list[Scalar]) -> "CliffordElement":
         if len(coords) != n:
             raise ValueError(f"expected {n} coordinates, got {len(coords)}")
-        return cls(n, {1 << j: GaussianRational.coerce(c) for j, c in enumerate(coords)})
+        return cls(n, {1 << j: c for j, c in enumerate(coords)})
 
     @classmethod
     def blade(cls, n: int, indices: tuple[int, ...], coeff: Scalar = GR_ONE) -> "CliffordElement":
-        return cls(n, {mask_of(indices): GaussianRational.coerce(coeff)})
+        return cls(n, {mask_of(indices): coeff})
 
     def coeff(self, mask: int) -> GaussianRational:
-        return self.terms.get(mask, GR_ZERO)
+        t = self.terms.get(mask)
+        return GR_ZERO if t is None else reduced(t[0], t[1], self.d)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -94,17 +118,24 @@ class CliffordElement:
             other = CliffordElement.scalar(self.n, other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.d == other.d and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, self.d, frozenset(self.terms.items())))
 
     def __add__(self, other: "CliffordElement | Scalar") -> "CliffordElement":
         o = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in o.terms.items():
-            out[m] = out.get(m, GR_ZERO) + c
-        return CliffordElement(self.n, out)
+        # bring both over lcm(d1, d2)
+        d1, d2 = self.d, o.d
+        g = gcd(d1, d2)
+        f1, f2 = d2 // g, d1 // g
+        terms = self.terms
+        out = dict(terms) if f1 == 1 else {m: (x * f1, y * f1) for m, (x, y) in terms.items()}
+        get = out.get
+        for m, (x, y) in o.terms.items():
+            cur = get(m)
+            out[m] = (x * f2, y * f2) if cur is None else (cur[0] + x * f2, cur[1] + y * f2)
+        return _element(self.n, d1 * f1, out)
 
     __radd__ = __add__
 
@@ -115,7 +146,7 @@ class CliffordElement:
         return self._coerce(other) - self
 
     def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.n, {m: -c for m, c in self.terms.items()})
+        return _make(self.n, self.d, {m: (-x, -y) for m, (x, y) in self.terms.items()})
 
     def _coerce(self, other: "CliffordElement | Scalar") -> "CliffordElement":
         if isinstance(other, CliffordElement):
@@ -127,18 +158,27 @@ class CliffordElement:
     def __mul__(self, other: "CliffordElement | Scalar") -> "CliffordElement":
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational.coerce(other)
-            return CliffordElement(self.n, {m: v * c for m, v in self.terms.items()})
+            u, v = c.x, c.y
+            return _element(
+                self.n,
+                self.d * c.d,
+                {m: (x * u - y * v, x * v + y * u) for m, (x, y) in self.terms.items()},
+            )
         o = self._coerce(other)
-        out: dict[int, GaussianRational] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
+        out: dict[int, tuple[int, int]] = {}
+        get = out.get
+        for ma, (xa, ya) in self.terms.items():
+            for mb, (xb, yb) in o.terms.items():
                 sign, mu = blade_mul_mask(ma, mb)
-                c = ca * cb
+                if ya or yb:
+                    x, y = xa * xb - ya * yb, xa * yb + ya * xb
+                else:
+                    x, y = xa * xb, 0
                 if sign < 0:
-                    c = -c
-                cur = out.get(mu)
-                out[mu] = c if cur is None else cur + c
-        return CliffordElement(self.n, out)
+                    x, y = -x, -y
+                cur = get(mu)
+                out[mu] = (x, y) if cur is None else (cur[0] + x, cur[1] + y)
+        return _element(self.n, self.d * o.d, out)
 
     __rmul__ = __mul__  # Gaussian-rational products commute
 
@@ -160,9 +200,13 @@ class CliffordElement:
 
     def _negate_grades(self, negated: tuple[int, ...]) -> "CliffordElement":
         # each involution's sign on a blade of grade g depends on g mod 4 only
-        return CliffordElement(
+        return _make(
             self.n,
-            {m: (-c if m.bit_count() % 4 in negated else c) for m, c in self.terms.items()},
+            self.d,
+            {
+                m: ((-x, -y) if m.bit_count() % 4 in negated else (x, y))
+                for m, (x, y) in self.terms.items()
+            },
         )
 
     def eps(self) -> "CliffordElement":
@@ -182,9 +226,8 @@ class CliffordElement:
             return "0"
         parts = []
         for m in sorted(self.terms, key=lambda m: (m.bit_count(), m)):
-            c = self.terms[m]
             name = "".join(f"e{i}" for i in indices_of(m)) or ""
-            cs = str(c)
+            cs = str(self.coeff(m))
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             parts.append(cs if not name else f"{cs}*{name}")
@@ -192,6 +235,33 @@ class CliffordElement:
 
     def __repr__(self) -> str:
         return f"<C{self.n}: {self}>"
+
+
+_new = object.__new__
+_set_n = CliffordElement.n.__set__
+_set_d = CliffordElement.d.__set__
+_set_terms = CliffordElement.terms.__set__
+
+
+def _make(n: int, d: int, terms: dict[int, tuple[int, int]]) -> CliffordElement:
+    """The element with numerators `terms` over d, already in canonical form."""
+    a = _new(CliffordElement)
+    _set_n(a, n)
+    _set_d(a, d)
+    _set_terms(a, terms)
+    return a
+
+
+def _element(n: int, d: int, terms: dict[int, tuple[int, int]]) -> CliffordElement:
+    """The element with numerators `terms` over any d > 0, reduced: zero
+    numerators dropped, then one gcd over d and every remaining part."""
+    terms = {m: t for m, t in terms.items() if t[0] or t[1]}
+    if d != 1:
+        g = gcd(d, *chain.from_iterable(terms.values()))
+        if g != 1:
+            d //= g
+            terms = {m: (x // g, y // g) for m, (x, y) in terms.items()}
+    return _make(n, d, terms)
 
 
 def basis_vector(n: int, i: int) -> CliffordElement:
@@ -208,15 +278,12 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum((a[i][t] * b[t][j] for t in range(k)), GR_ZERO) for j in range(m))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in cols) for row in a)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), GR_ZERO) for row in a)
+    return tuple(dot(row, v) for row in a)
 
 
 def mat_det(a: Matrix) -> GaussianRational:
@@ -261,10 +328,11 @@ class QuadSpace:
     def h(self, v: Vector, w: Vector) -> GaussianRational:
         # closed polarization of each form
         if self.form == NEG_SUM:
-            return -sum((a * b for a, b in zip(v, w)), GR_ZERO)
-        tot = GR_ZERO
-        for k in range(0, self.n - 1, 2):
-            tot = tot + GR_HALF * (v[k] * w[k + 1] + v[k + 1] * w[k])
+            return -dot(v, w)
+        # the pair (k, k + 1) carries (v_k w_(k+1) + v_(k+1) w_k) / 2, so
+        # pair v with w's coordinates swapped within each pair
+        m = self.n & ~1
+        tot = GR_HALF * dot(v[:m], [w[k ^ 1] for k in range(m)])
         if self.n & 1:
             tot = tot + v[-1] * w[-1]
         return tot
@@ -345,17 +413,13 @@ def rho(a: CliffordElement) -> Matrix:
 # ---------------------------------------------------------------------------
 # sampling exact points of the unit sphere
 
-def _dot(u: Vector, v: Vector) -> GaussianRational:
-    return sum((a * b for a, b in zip(u, v)), GR_ZERO)
-
-
 def reflect_point(base: Vector, u: Vector) -> Vector:
     """Reflect `base` in the hyperplane dot-orthogonal to `u`; on the sphere
     sum x^2 = 1 this is the second intersection of the line base + t*u."""
-    d = _dot(u, u)
+    d = dot(u, u)
     if not d:
         raise DegenerateDirection(f"direction {u} has isotropic dot square")
-    t = (2 * _dot(u, base)) / d
+    t = (2 * dot(u, base)) / d
     return tuple(b - t * x for b, x in zip(base, u))
 
 
@@ -392,7 +456,7 @@ def unit_vector_sample(
         except DegenerateDirection as exc:
             last = exc
             continue
-        if _dot(v, v) != 1:
+        if dot(v, v) != 1:
             raise InvariantBroken(f"reflected point {v} is off the unit sphere")
         return v
     raise DegenerateDirection(f"no usable direction after {_DIRECTION_TRIES} tries") from last
@@ -635,7 +699,7 @@ def _random_isotropic_tail(n: int, rng: random.Random) -> Vector:
     v = tuple(c * x for x in v)
     for _ in range(rng.randint(0, 2)):
         u = _random_direction(n, rng, tuple(range(3, n + 1)))
-        if _dot(u, u):
+        if dot(u, u):
             v = reflect_point(v, u)
     return v
 
@@ -671,7 +735,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         a = GaussianRational(Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.choice((1, 2))))
         w = tuple(a * x for x in v)
         lhs = f_map(n, w)
-        nrm = _dot(w, w)
+        nrm = dot(w, w)
         if nrm != a * a:
             # a scaled unit vector must have square norm a^2
             anis_bad += 1
@@ -695,7 +759,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
                 w = tuple(w)
             else:
                 w = _random_isotropic_tail(n, rng)
-            if _dot(w, w):
+            if dot(w, w):
                 # reflections keep the seed isotropic
                 iso_bad += 1
                 continue

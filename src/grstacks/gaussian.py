@@ -9,10 +9,14 @@ d > 0 and gcd(x, y, d) == 1, so zero is (0, 0, 1).  The form is unique, so
 equality compares three ints, and a sum or product is one integer cross-sum
 or product followed by one gcd; no Fraction is built on the way.  The real
 and imaginary parts are read as Fractions through `re` and `im`.
+
+`dot(u, v)` is the one inner-product kernel of the Clifford layer's vectors
+and matrices: it sums the products on plain ints and builds one value.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd
 
@@ -59,12 +63,12 @@ class GaussianRational:
         p = _parts(other)
         if p is None:
             return NotImplemented
-        # _sum inlined: every term of a Clifford product accumulates through here
+        # _sum inlined: the matrix and sampling code adds through here
         x2, y2, d2 = p
         d1 = self.d
         if d1 == d2:
-            return _reduced(self.x + x2, self.y + y2, d1)
-        return _reduced(self.x * d2 + x2 * d1, self.y * d2 + y2 * d1, d1 * d2)
+            return reduced(self.x + x2, self.y + y2, d1)
+        return reduced(self.x * d2 + x2 * d1, self.y * d2 + y2 * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -90,8 +94,8 @@ class GaussianRational:
         x1, y1 = self.x, self.y
         x2, y2, d2 = p
         if y1 or y2:
-            return _reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * d2)
-        return _reduced(x1 * x2, 0, self.d * d2)
+            return reduced(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * d2)
+        return reduced(x1 * x2, 0, self.d * d2)
 
     __rmul__ = __mul__
 
@@ -155,8 +159,8 @@ def _make(x: int, y: int, d: int) -> GaussianRational:
     return z
 
 
-def _reduced(x: int, y: int, d: int) -> GaussianRational:
-    """The value (x + y*i)/d for any d > 0: divide out gcd(x, y, d)."""
+def reduced(x: int, y: int, d: int) -> GaussianRational:
+    """The value (x + y*i)/d for any ints x, y and d > 0: divide out gcd(x, y, d)."""
     if d != 1:
         g = gcd(x, y, d)
         if g != 1:
@@ -168,8 +172,8 @@ def _sum(p: Parts, q: Parts) -> GaussianRational:
     x1, y1, d1 = p
     x2, y2, d2 = q
     if d1 == d2:
-        return _reduced(x1 + x2, y1 + y2, d1)
-    return _reduced(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
+        return reduced(x1 + x2, y1 + y2, d1)
+    return reduced(x1 * d2 + x2 * d1, y1 * d2 + y2 * d1, d1 * d2)
 
 
 def _divide(p: Parts, q: Parts) -> GaussianRational:
@@ -179,7 +183,35 @@ def _divide(p: Parts, q: Parts) -> GaussianRational:
     n = x2 * x2 + y2 * y2
     if not n:
         raise ZeroDivisionError("division by zero GaussianRational")
-    return _reduced((x1 * x2 + y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2, d1 * n)
+    return reduced((x1 * x2 + y1 * y2) * d2, (y1 * x2 - x1 * y2) * d2, d1 * n)
+
+
+def dot(u: Iterable[GaussianRational], v: Iterable[GaussianRational]) -> GaussianRational:
+    """The sum of a*b over the pairs of entries of `u` and `v`.
+
+    Zero entries are skipped.  A product whose denominator differs from the
+    running one is merged by one gcd of the two; the sum is reduced once, at
+    the end, so no value is built per product or per partial sum.
+    """
+    x = y = 0
+    d = 1
+    for a, b in zip(u, v):
+        x1, y1, x2, y2 = a.x, a.y, b.x, b.y
+        if not (x1 or y1) or not (x2 or y2):
+            continue
+        e = a.d * b.d
+        if y1 or y2:
+            px, py = x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
+        else:
+            px, py = x1 * x2, 0
+        if e == d:
+            x += px
+            y += py
+        else:
+            g = gcd(d, e)
+            fs, fp = e // g, d // g
+            x, y, d = x * fs + px * fp, y * fs + py * fp, d * fs
+    return reduced(x, y, d)
 
 
 def _num_den(v: int | Fraction) -> tuple[int, int]:

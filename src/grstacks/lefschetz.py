@@ -27,7 +27,9 @@ Both build polynomials whose size the operands fix in advance, so each
 predicts the degree of the core it would build and refuses one above
 MAX_CORE_DEGREE (CoreTooLarge) before any polynomial work, and predicts
 the coefficient bits of its core-sized product and refuses one above
-MAX_COEFF_BITS (CoeffTooLarge) before multiplying.
+MAX_COEFF_BITS (CoeffTooLarge) before multiplying.  A power also checks,
+before its first squaring, the degree and the least coefficient bits of the
+whole power, so it refuses a power it could not finish at once.
 
 Normalization trial-divides by the complete candidate set of Phi_d.  A
 candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
@@ -269,9 +271,38 @@ def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     return lc_normalize(intpoly.add(pa, pb), l0, common)
 
 
+def _power_bits(c: int, k: int) -> int:
+    """The bit length of |c|^k, or a lower bound above MAX_COEFF_BITS."""
+    b = abs(c).bit_length()
+    # |c|^k has at least k*(b - 1) + 1 bits.  Short of the bound, k is below
+    # it too unless |c| = 1, so the power is cheap to compute exactly
+    if k * (b - 1) >= MAX_COEFF_BITS:
+        return k * (b - 1) + 1
+    return (abs(c) ** k).bit_length()
+
+
+def _check_power(a: LefschetzClass, k: int) -> None:
+    """Refuse a^k up front when the products of lc_pow would refuse it.
+
+    The loop's first product is a*a, checked here as lc_mul checks it.  Its
+    last product multiplies a^i by a^(k-i): its core has degree k*deg(a),
+    and its predicted bits are at least those of the lead and of the
+    constant coefficient of a^k, which are the k-th powers of a's.
+    """
+    core = a.core
+    _check_core_degree(2 * (len(core) - 1))
+    _check_product_bits(core, core)
+    _check_core_degree(k * (len(core) - 1))
+    bits = max(_power_bits(core[0], k), _power_bits(core[-1], k))
+    if bits > MAX_COEFF_BITS:
+        raise CoeffTooLarge(f"power coefficients of at least {bits} bits exceed {MAX_COEFF_BITS}")
+
+
 def lc_pow(a: LefschetzClass, k: int) -> LefschetzClass:
     if k < 0:
         raise ValueError(f"lc_pow needs k >= 0, got {k}; invert first")
+    if k >= 2 and a.core and not a.is_unit():
+        _check_power(a, k)
     out = LC_ONE
     base = a
     while k:

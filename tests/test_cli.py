@@ -1,5 +1,6 @@
 """Command line entry points: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -115,12 +116,20 @@ def test_verify_unwritable_json_path_is_usage_error(tmp_path):
     _assert_one_error_line(_run_cli("verify", "g2", "--json", str(tmp_path / "no" / "x.json")))
 
 
-def test_checks_hold_without_asserts():
+# sha256 of `verify all --json` at seed 0: exact arithmetic fixes every byte
+# of the report, so a change that only makes the suites faster keeps it
+VERIFY_ALL_SHA256 = "9d31bf5d5df012b8f9aa7d0fdb44f668a1962f89a4179732a118e60d790964e4"
+
+
+def test_checks_hold_without_asserts(tmp_path):
     # python -O strips assert statements; the invariants must still be checked
-    # in every suite, so the whole of `verify all` runs with asserts off
-    proc = _run_cli("verify", "all", flags=("-O",))
+    # in every suite, so the whole of `verify all` runs with asserts off, and
+    # its report is the pinned one
+    report = tmp_path / "all.json"
+    proc = _run_cli("verify", "all", "--json", str(report), flags=("-O",))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "0 failures" in proc.stdout
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_ledgers_hold_without_asserts():
@@ -270,6 +279,17 @@ def test_products_past_the_coefficient_bound_fail_fast(power):
     assert time.perf_counter() - start < 15
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: product coefficients of 26578 bits exceed {lefschetz.MAX_COEFF_BITS}\n"
+
+
+def test_a_power_past_the_coefficient_bound_fails_before_squaring(capsys):
+    # the constant coefficient of (L+99)^2000 has 13,259 bits; the power used
+    # to build (L+99)^1024 and (L+99)^976 before the last product was refused
+    start = time.perf_counter()
+    assert cli.main(["eval", "(L+99)^2000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    bound = lefschetz.MAX_COEFF_BITS
+    assert (out, err) == ("", f"error: power coefficients of at least 12001 bits exceed {bound}\n")
 
 
 # -- delta ------------------------------------------------------------

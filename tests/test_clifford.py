@@ -42,7 +42,8 @@ from grstacks.clifford import (
     verify_phi_pin_embedding,
     verify_phi_w,
 )
-from grstacks.gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational
+from grstacks.blades import blade_mul_mask
+from grstacks.gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational, dot
 
 gaussians = strat.builds(
     GaussianRational,
@@ -232,6 +233,147 @@ def test_involutions_on_products(ma, mb):
 def test_bar_composes_eps_and_transpose():
     a = CliffordElement(4, {0b0110: GR_I, 0b0001: GR_ONE, 0: GR_HALF})
     assert a.bar() == a.eps().transpose() == a.transpose().eps()
+
+
+# -- shared-denominator elements against a per-blade oracle -----------
+
+# The oracle is the element as a dict blade mask -> nonzero GaussianRational,
+# with the schoolbook product: one Gaussian product and sum, each reduced by
+# its own gcd, per pair of terms.
+
+
+def _nonzero(p):
+    return {m: c for m, c in p.items() if c}
+
+
+def _oracle_mul(p, q):
+    out = {}
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            sign, mu = blade_mul_mask(ma, mb)
+            c = ca * cb
+            if sign < 0:
+                c = -c
+            cur = out.get(mu)
+            out[mu] = c if cur is None else cur + c
+    return _nonzero(out)
+
+
+def _oracle_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out.get(m, GR_ZERO) + c
+    return _nonzero(out)
+
+
+def _oracle_scale(p, c):
+    return _nonzero({m: v * c for m, v in p.items()})
+
+
+def _oracle_signed(p, sign_of_grade):
+    return {m: sign_of_grade(m.bit_count()) * c for m, c in p.items()}
+
+
+def _assert_canonical(e):
+    # d > 0, no zero numerator, gcd(d, every part) == 1, zero over d = 1
+    assert e.d > 0
+    assert all(0 <= m < 1 << e.n and (x or y) for m, (x, y) in e.terms.items())
+    assert gcd(e.d, *(part for t in e.terms.values() for part in t)) == 1
+
+
+coefficients = strat.one_of(
+    strat.just(GR_ZERO),
+    strat.builds(
+        GaussianRational,
+        strat.fractions(min_value=-9, max_value=9, max_denominator=12),
+        strat.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ),
+)
+scalars = strat.one_of(
+    coefficients,
+    strat.integers(-5, 5),
+    strat.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@strat.composite
+def element_terms(draw):
+    n = draw(strat.integers(1, 6))
+    terms = strat.dictionaries(strat.integers(0, (1 << n) - 1), coefficients, max_size=6)
+    return n, draw(terms), draw(terms), draw(scalars)
+
+
+@hypothesis.given(element_terms())
+def test_elements_match_the_per_blade_oracle(case):
+    n, s, t, c = case
+    a, b = CliffordElement(n, s), CliffordElement(n, t)
+    p, q = _nonzero(s), _nonzero(t)
+    c_gr = GaussianRational.coerce(c)
+    scalar = _nonzero({0: c_gr})
+    cases = [
+        (a, p),
+        (b, q),
+        (a * b, _oracle_mul(p, q)),
+        (a + b, _oracle_add(p, q)),
+        (a - b, _oracle_add(p, _oracle_scale(q, -GR_ONE))),
+        (c - a, _oracle_add(scalar, _oracle_scale(p, -GR_ONE))),
+        (-a, _oracle_scale(p, -GR_ONE)),
+        (a * c, _oracle_scale(p, c_gr)),
+        (c * a, _oracle_scale(p, c_gr)),
+        (a.eps(), _oracle_signed(p, lambda g: (-1) ** g)),
+        (a.transpose(), _oracle_signed(p, lambda g: (-1) ** (g * (g - 1) // 2))),
+        (a.bar(), _oracle_signed(p, lambda g: (-1) ** (g * (g + 1) // 2))),
+    ]
+    for e, want in cases:
+        _assert_canonical(e)
+        assert all(e.coeff(m) == want.get(m, GR_ZERO) for m in range(1 << n))
+        assert set(e.terms) == set(want)
+        # the unique form makes equality and hashing structural
+        built = CliffordElement(n, want)
+        assert e == built and hash(e) == hash(built)
+        assert bool(e) == bool(want)
+    assert (a == b) is (p == q)
+    assert CliffordElement.scalar(n, c) == c and (a == c) is (p == scalar)
+
+
+def test_zero_element_is_canonical():
+    zero = CliffordElement(3, {0b101: GaussianRational(Fraction(1, 6)), 0b011: GR_ZERO})
+    zero = zero - zero
+    assert (zero.d, zero.terms, str(zero)) == (1, {}, "0")
+    assert zero == CliffordElement(3) == 0 and not zero
+    assert CliffordElement(3, {1: GaussianRational(Fraction(2, 3))}) * 0 == zero
+
+
+def test_element_keeps_one_reduced_denominator():
+    a = CliffordElement(3, {0: Fraction(1, 2), 0b011: GaussianRational(1, -1), 0b100: GR_I})
+    assert (a.d, a.terms) == (2, {0: (1, 0), 0b011: (2, -2), 0b100: (0, 2)})
+    assert str(a) == "1/2 + i*e3 + (1-i)*e1e2"
+    assert a.coeff(0b011) == GaussianRational(1, -1) and a.coeff(0b111) == GR_ZERO
+    # 1/2 + 1/2 = 1 leaves the other numerators over d = 1
+    b = a + CliffordElement.scalar(3, Fraction(1, 2))
+    assert (b.d, b.terms) == (1, {0: (1, 0), 0b011: (1, -1), 0b100: (0, 1)})
+    with pytest.raises(AttributeError):
+        a.d = 1
+
+
+# -- the dot-product kernel -------------------------------------------
+
+entries = strat.one_of(strat.just(GR_ZERO), gaussians, coefficients)
+
+
+@hypothesis.given(strat.lists(strat.tuples(entries, entries), max_size=8))
+def test_dot_matches_the_sum_of_products(pairs):
+    u, v = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    want = sum((a * b for a, b in pairs), GR_ZERO)
+    _assert_matches(dot(u, v), (want.re, want.im))
+
+
+def test_dot_of_empty_and_zero_vectors_is_canonical_zero():
+    for u in ((), (GR_ZERO,) * 4):
+        z = dot(u, u)
+        assert (z.x, z.y, z.d) == (0, 0, 1)
+    half = GaussianRational(Fraction(1, 2), Fraction(-1, 3))
+    assert dot((GR_ZERO, half, GR_I), (half, half, GR_I)) == half * half - 1
 
 
 # -- quadratic spaces -------------------------------------------------

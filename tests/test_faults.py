@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from grstacks import blades, finite, gaussian, intpoly, ledgers, motive
+from grstacks import blades, clifford, finite, gaussian, intpoly, ledgers, motive
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
 from grstacks.lefschetz import l_power, lc_mul, lc_normalize
@@ -104,6 +104,17 @@ def test_unreduced_gaussians_fail_the_clifford_suite_without_raising(monkeypatch
     assert {"n3.phi.hom", "n3.phi.spin", "n3.f.factor.anis", "eta.central", "eta.embed"} <= {
         c.id for c in rep.failures
     }
+
+
+def test_unreduced_clifford_elements_fail_the_clifford_suite_without_raising(monkeypatch):
+    # the element's own gcd pass is skipped and the scalar layer is left
+    # whole: a*bar(a) = 1 then comes out as d/d with d > 1, so rho refuses
+    # every pin element, and elements equal in value compare unequal
+    monkeypatch.setattr(clifford, "gcd", lambda *args: 1)
+    rep = suite_clifford(seed=0, samples=10)
+    assert not rep.ok
+    failed = {c.id for c in rep.failures}
+    assert {"n3.rho.hom", "n3.rho.det", "n3.phi.stab", "n4.f.hom", "n8.phi.spin"} <= failed
 
 
 # -- the ledgers --------------------------------------------------------

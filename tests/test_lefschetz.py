@@ -7,7 +7,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from grstacks import intpoly
+from grstacks import intpoly, lefschetz
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -546,6 +546,36 @@ def test_coefficient_bits_bound():
     lc_add(lc_mul(wide(top - 3), phi7), wide(1))
     with pytest.raises(CoeffTooLarge, match=f"coefficients of {top + 1} bits exceed {top}"):
         lc_add(lc_mul(wide(top - 2), phi7), wide(1))
+
+
+_WIDE = 2**999 + 1  # a 1000-bit coefficient
+
+
+@pytest.mark.parametrize(
+    "core, k, error",
+    [
+        # the 9th power's constant or lead coefficient has at least 8,992 bits;
+        # the loop computes up to the 8th power and refuses the last product
+        ((_WIDE, 1), 9, CoeffTooLarge),
+        ((1, _WIDE), 9, CoeffTooLarge),
+        # L^2 + 2 to the 1001st power has degree 2002
+        ((2, 0, 1), 1001, CoreTooLarge),
+    ],
+)
+def test_powers_are_refused_before_the_first_squaring(monkeypatch, core, k, error):
+    a = LefschetzClass(core, 0, ())
+
+    def no_product(p, q):
+        raise AssertionError("multiplied before refusing")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(intpoly, "mul", no_product)
+        with pytest.raises(error):
+            lc_pow(a, k)
+    # the up-front check refuses only powers that the loop itself refuses
+    monkeypatch.setattr(lefschetz, "_check_power", lambda a, k: None)
+    with pytest.raises(error):
+        lc_pow(a, k)
 
 
 # -- specialization ---------------------------------------------------
