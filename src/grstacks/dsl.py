@@ -21,10 +21,11 @@ size of the AST however deep it nests, and produces a MotiveExpr; division
 and negative powers demand a unit scalar, and products of two atom-bearing
 values are refused.  REGISTRY, the one per-family table, gives each family
 its arity, the bound on its first argument (MAX_TOWER_INDEX, MAX_GROUP_INDEX,
-MAX_CYCLO_INDEX) and its builder; an exponent is bounded by MAX_EXPONENT,
-and a product or sum whose core would pass lefschetz.MAX_CORE_DEGREE, or
-whose product coefficients would pass lefschetz.MAX_COEFF_BITS, is refused
-before it is built.
+MAX_CYCLO_INDEX) and its builder; an exponent is bounded by MAX_EXPONENT.
+The combine steps share one lefschetz.work_budget of WORK_BUDGET units, so a
+product, sum or power past it raises OverBudget before it is built; builders
+run outside it, since the tower they read is memoized and charging it would
+make a verdict depend on what the process computed before.
 """
 
 import re
@@ -32,7 +33,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import intpoly
+from . import intpoly, lefschetz
 from .lefschetz import (
     LC_ONE,
     NotAUnit,
@@ -78,12 +79,17 @@ MAX_TOWER_INDEX = 60
 # same host.  GL, SL and Spin index: SL(3000) 2.6 s, GL(3000) 2.2 s, GL(4000)
 # 4.1 s.  cyclo index, where a sum must factor a core of degree
 # totient(d): cyclo(4999) + 1 1.8 s, cyclo(7993) + 1 4.0 s, cyclo(9973) + 1
-# 8.0 s; in a sum, a cyclo(d) with totient(d) above lefschetz.MAX_CORE_DEGREE
-# meets that bound first.  Absolute exponent: (2*L+3)^2000 2.3 s,
+# 8.0 s; in a sum, a cyclo(d) whose totient passes 4,464 meets
+# WORK_BUDGET first.  Absolute exponent: (2*L+3)^2000 2.3 s,
 # (L+2)^2500 3.0 s, (L+2)^3000 5.7 s.
 MAX_GROUP_INDEX = 3000
 MAX_CYCLO_INDEX = 5000
 MAX_EXPONENT = 2000
+
+# Work units one evaluation may spend on its products, sums and powers (see
+# lefschetz).  It admits (2*L+3)^2000, 12 M units in 1.6 s cold on the same
+# host, and refuses a 23 M-unit wide square; README has the calibration table.
+WORK_BUDGET = 20_000_000
 
 # name -> (argument count, bound on the first argument or None, builder of
 # the value from the integer arguments)
@@ -381,7 +387,8 @@ def _leaf(node: ExprAst) -> MotiveExpr:
             raise ArityError(node.name, len(node.args), want, 0)
         if bound is not None and node.args[0] > bound:
             raise DomainError(f"{node.name} index {node.args[0]} exceeds {bound}")
-        return build(*node.args)
+        with lefschetz.work_budget(None):
+            return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -391,32 +398,34 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
     Division and negative powers require a unit scalar on the right (NotAUnit
     otherwise); a product of two atom-bearing values has no representation
     here and raises DomainError, as does an index or exponent above its bound.
+    A combine step past the evaluation's work budget raises OverBudget.
     """
     # post-order on an explicit stack, so no AST can exhaust the interpreter's:
     # an inner node is popped once to push its children and once, marked
     # ready, to combine their values, which wait on `values` in order
     values: list[MotiveExpr] = []
     todo: list[tuple[ExprAst, bool]] = [(node, False)]
-    while todo:
-        node, ready = todo.pop()
-        if ready:
-            if isinstance(node, Neg):
-                values[-1] = m_scale(values[-1], lc_neg(LC_ONE))
+    with lefschetz.work_budget(WORK_BUDGET):
+        while todo:
+            node, ready = todo.pop()
+            if ready:
+                if isinstance(node, Neg):
+                    values[-1] = m_scale(values[-1], lc_neg(LC_ONE))
+                elif isinstance(node, Pow):
+                    values[-1] = _power(values[-1], node.exponent)
+                else:
+                    b = values.pop()
+                    values[-1] = _binary(node, values[-1], b)
+            elif isinstance(node, _BINARY):
+                todo += ((node, True), (node.right, False), (node.left, False))
+            elif isinstance(node, Neg):
+                todo += ((node, True), (node.child, False))
             elif isinstance(node, Pow):
-                values[-1] = _power(values[-1], node.exponent)
+                if abs(node.exponent) > MAX_EXPONENT:
+                    raise DomainError(f"exponent {node.exponent} exceeds {MAX_EXPONENT} in size")
+                todo += ((node, True), (node.base, False))
             else:
-                b = values.pop()
-                values[-1] = _binary(node, values[-1], b)
-        elif isinstance(node, _BINARY):
-            todo += ((node, True), (node.right, False), (node.left, False))
-        elif isinstance(node, Neg):
-            todo += ((node, True), (node.child, False))
-        elif isinstance(node, Pow):
-            if abs(node.exponent) > MAX_EXPONENT:
-                raise DomainError(f"exponent {node.exponent} exceeds {MAX_EXPONENT} in size")
-            todo += ((node, True), (node.base, False))
-        else:
-            values.append(_leaf(node))
+                values.append(_leaf(node))
     return values[0]
 
 

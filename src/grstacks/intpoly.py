@@ -26,6 +26,7 @@ budget, and phi_bounded(m) filters the walk for the least one >= m.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from itertools import accumulate
 from operator import neg as _negate, sub as _subtract
@@ -308,9 +309,14 @@ def cyclotomic_at(d: int, t: int) -> int:
 
 
 def to_text(p: tuple[int, ...], var: str = "L") -> str:
-    """Render as a sum of monomials, highest degree first."""
+    """Render as a sum of monomials, highest degree first (ValueError past the digit limit)."""
     if not p:
         return "0"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    big = max(max(p), -min(p))
+    # 10^limit has more than 3 * limit bits, so a shorter coefficient is short
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise ValueError(f"a coefficient has more digits than the {limit} the interpreter prints")
     parts: list[str] = []
     for i in range(len(p) - 1, -1, -1):
         c = p[i]

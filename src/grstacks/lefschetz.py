@@ -23,13 +23,15 @@ cofactors and renormalizes the sum from scratch.  Each cofactor's Phi-part
 is multiplied out first, from memoized powers Phi_d^m, and then multiplied
 into the shifted core once.
 
-Both build polynomials whose size the operands fix in advance, so each
-predicts the degree of the core it would build and refuses one above
-MAX_CORE_DEGREE (CoreTooLarge) before any polynomial work, and predicts
-the coefficient bits of its core-sized product and refuses one above
-MAX_COEFF_BITS (CoeffTooLarge) before multiplying.  A power also checks,
-before its first squaring, the degree and the least coefficient bits of the
-whole power, so it refuses a power it could not finish at once.
+Both build polynomials whose size the operands fix in advance.  Inside a
+work budget (work_budget, which dsl.eval opens for untrusted input), each of
+the three sites that builds them predicts its work from the operand sizes
+alone and charges it before any polynomial work: a non-unit product its
+length times its predicted coefficient bits, a sum (D + 1)^2 for the larger
+cofactor degree D plus the size of each cofactor product, and a power, once,
+an upper bound on its whole square-and-multiply loop.  A charge that passes
+the budget raises OverBudget.  Outside a budget, the default, nothing is
+predicted and no size is bounded.
 
 Normalization trial-divides by the complete candidate set of Phi_d.  A
 candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
@@ -40,6 +42,8 @@ of the full core, so every such division succeeds.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -55,50 +59,42 @@ class ZeroInverse(ZeroDivisionError):
     pass
 
 
-# Bound on the degree of the core a product or a sum's cofactor would build.
-# Normalizing a sum factors its whole core, and a product's cost grows with
-# degree times coefficient size.  Cold `grstacks eval` on a shared 2-vCPU
-# host, by core degree: (L+2)^1000*(L+3)^1000 1.4 s, (2*L+3)^2000 1.7 s and
-# cyclo(7)^333 + 1 0.2 s at 2000; (L+2)^1250*(L+3)^1250 3.7 s at 2500;
-# (L+2)^1500*(L+3)^1500 6.6 s and cyclo(7)^500 + 1 0.9 s at 3000;
-# (L+2)^2000*(L+3)^2000 11 s at 4000, GL(100) + 1 6.4 s at 10,000.  The
-# largest core the suites build is of degree 200, in the tower suite, and
-# the largest in a cold BSpin(60) or BPin(60) is of degree 838.
-MAX_CORE_DEGREE = 2000
+class OverBudget(ValueError):
+    """A budgeted evaluation would spend more than its work units."""
 
 
-class CoreTooLarge(ValueError):
-    """A product or sum would build a core above MAX_CORE_DEGREE."""
+# [units spent, units allowed] inside work_budget, None (no bound) outside
+_budget: ContextVar[list[int] | None] = ContextVar("work_budget", default=None)
 
 
-def _check_core_degree(deg: int) -> None:
-    if deg > MAX_CORE_DEGREE:
-        raise CoreTooLarge(f"core of degree {deg} exceeds {MAX_CORE_DEGREE}")
+@contextmanager
+def work_budget(units: int | None):
+    """Charge the products, sums and powers of this block to one budget of
+    `units` work units, or to none when `units` is None."""
+    token = _budget.set(None if units is None else [0, units])
+    try:
+        yield
+    finally:
+        _budget.reset(token)
 
 
-# Bound on the coefficient bits of a polynomial product, predicted as the two
-# factors' largest bit lengths plus the bit length of the shorter length.
-# With MAX_CORE_DEGREE it caps the size of the Kronecker product.  The
-# product of two degree-1000 cores on a shared 2-vCPU host, by predicted
-# bits: 3,834 1.0 s, 6,492 2.2 s, 8,154 3.3 s, 9,814 4.6 s, 13,136 5.4 s;
-# cold `grstacks eval` of such a square plus 1 took 4.6 s at 8,154 bits.
-# The largest prediction in a cold BSpin(60) or BPin(60) is 128 bits, and
-# in `grstacks verify all` 34 bits.
-MAX_COEFF_BITS = 8192
+def _charge(units_of) -> None:
+    """Charge units_of() to the budget, calling it only inside one."""
+    cell = _budget.get()
+    if cell is not None:
+        cell[0] += units_of()
+        if cell[0] > cell[1]:
+            raise OverBudget(f"the evaluation needs more than {cell[1]} work units")
 
 
-class CoeffTooLarge(ValueError):
-    """A product would build coefficients above MAX_COEFF_BITS bits."""
+def _bits(p: tuple[int, ...]) -> int:
+    return max(max(p), -min(p)).bit_length()
 
 
-def _check_product_bits(p: tuple[int, ...], q: tuple[int, ...]) -> None:
-    bits = (
-        max(max(p), -min(p)).bit_length()
-        + max(max(q), -min(q)).bit_length()
-        + min(len(p), len(q)).bit_length()
-    )
-    if bits > MAX_COEFF_BITS:
-        raise CoeffTooLarge(f"product coefficients of {bits} bits exceed {MAX_COEFF_BITS}")
+def _units(lp: int, bp: int, lq: int, bq: int) -> int:
+    # the product's length times a bound on its coefficient bits, for factors
+    # of lengths lp, lq with coefficients of at most bp, bq bits
+    return (lp + lq - 1) * (bp + bq + min(lp, lq).bit_length())
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +213,7 @@ def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     else:
         # cores are Phi-free so their product is; only x | core is impossible
         # too (both constant terms nonzero), hence no re-extraction at all.
-        _check_core_degree(len(a.core) + len(b.core) - 2)
-        _check_product_bits(a.core, b.core)
+        _charge(lambda: _units(len(a.core), _bits(a.core), len(b.core), _bits(b.core)))
         core = intpoly.mul(a.core, b.core)
     exps: dict[int, int] = dict(a.cyc)
     for d, m in b.cyc:
@@ -238,28 +233,33 @@ def _common_cofactors(a: LefschetzClass, b: LefschetzClass):
         m = min(am.get(d, 0), bm.get(d, 0))
         if m:
             common[d] = m
+    # each cofactor's Phi-part: the exponent differences are >= 0 by
+    # construction of the min, but must cover factors only in the common part
+    extras = []
+    for xm in (am, bm):
+        diffs = ((d, xm.get(d, 0) - common.get(d, 0)) for d in set(xm) | set(common))
+        extras.append([(d, m) for d, m in diffs if m])
 
-    def cofactor(x: LefschetzClass, xm: dict[int, int]) -> tuple[int, ...]:
-        # exponent difference is >= 0 by construction of the min, but the
-        # loop must cover factors present only in the common part.  The
-        # small Phi-part is multiplied out first, then into the core once.
-        shift = x.l_exp - l0
-        deg = len(x.core) - 1 + shift
-        extra = []
-        for d in set(xm) | set(common):
-            m = xm.get(d, 0) - common.get(d, 0)
-            if m:
-                extra.append((d, m))
-                deg += intpoly.totient(d) * m
-        _check_core_degree(deg)
-        p = intpoly.shift(x.core, shift)
-        if not extra:
-            return p
-        phis = reduce(intpoly.mul, (intpoly.cyclotomic_power(d, m) for d, m in extra))
-        _check_product_bits(p, phis)
-        return intpoly.mul(p, phis)
+    def units() -> int:
+        # (D + 1)^2 for the larger degree D of the two expanded cofactors
+        return max(
+            len(x.core) + x.l_exp - l0 + sum(intpoly.totient(d) * m for d, m in extra)
+            for x, extra in zip((a, b), extras)
+        ) ** 2
 
-    return cofactor(a, am), cofactor(b, bm), l0, common
+    _charge(units)
+    pa, pb = (_cofactor(x, x.l_exp - l0, extra) for x, extra in zip((a, b), extras))
+    return pa, pb, l0, common
+
+
+def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tuple[int, ...]:
+    # the small Phi-part is multiplied out first, then into the core once
+    p = intpoly.shift(x.core, shift)
+    if not extra:
+        return p
+    phis = reduce(intpoly.mul, (intpoly.cyclotomic_power(d, m) for d, m in extra))
+    _charge(lambda: _units(len(p), _bits(p), len(phis), _bits(phis)))
+    return intpoly.mul(p, phis)
 
 
 def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
@@ -271,48 +271,50 @@ def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     return lc_normalize(intpoly.add(pa, pb), l0, common)
 
 
-def _power_bits(c: int, k: int) -> int:
-    """The bit length of |c|^k, or a lower bound above MAX_COEFF_BITS."""
-    b = abs(c).bit_length()
-    # |c|^k has at least k*(b - 1) + 1 bits.  Short of the bound, k is below
-    # it too unless |c| = 1, so the power is cheap to compute exactly
-    if k * (b - 1) >= MAX_COEFF_BITS:
-        return k * (b - 1) + 1
-    return (abs(c) ** k).bit_length()
+def _power_units(p: tuple[int, ...], k: int) -> int:
+    """An upper bound on the work units of lc_pow's loop for p^k: each
+    product priced as lc_mul prices it, with the coefficients of p^j bounded
+    by |p|_1^j, the j-th power of the sum of p's absolute coefficients."""
+    log_norm = math.log2(sum(map(abs, p)))
 
+    def size(j: int) -> tuple[int, int]:
+        # length and coefficient bits of p^j, with one bit spare for rounding
+        return j * (len(p) - 1) + 1, int(j * log_norm) + 2
 
-def _check_power(a: LefschetzClass, k: int) -> None:
-    """Refuse a^k up front when the products of lc_pow would refuse it.
-
-    The loop's first product is a*a, checked here as lc_mul checks it.  Its
-    last product multiplies a^i by a^(k-i): its core has degree k*deg(a),
-    and its predicted bits are at least those of the lead and of the
-    constant coefficient of a^k, which are the k-th powers of a's.
-    """
-    core = a.core
-    _check_core_degree(2 * (len(core) - 1))
-    _check_product_bits(core, core)
-    _check_core_degree(k * (len(core) - 1))
-    bits = max(_power_bits(core[0], k), _power_bits(core[-1], k))
-    if bits > MAX_COEFF_BITS:
-        raise CoeffTooLarge(f"power coefficients of at least {bits} bits exceed {MAX_COEFF_BITS}")
+    units, j = 0, 1
+    for bit in bin(k)[3:]:
+        units += _units(*size(j), *size(j))
+        j *= 2
+        if bit == "1":
+            units += _units(*size(j), *size(1))
+            j += 1
+    return units
 
 
 def lc_pow(a: LefschetzClass, k: int) -> LefschetzClass:
+    """a^k = core^k * L^(k * l_exp) * prod Phi_d^(k * m_d).
+
+    A power of a Phi-free core with a nonzero constant term is again one,
+    so the core is raised alone, square-and-multiply from the top bit of k,
+    with no normalization.  Inside a work budget the whole loop is charged
+    once, before its first product.
+    """
     if k < 0:
         raise ValueError(f"lc_pow needs k >= 0, got {k}; invert first")
-    if k >= 2 and a.core and not a.is_unit():
-        _check_power(a, k)
-    out = LC_ONE
-    base = a
-    while k:
-        if k & 1:
-            out = lc_mul(out, base)
-        base_needed = k >> 1
-        if base_needed:
-            base = lc_mul(base, base)
-        k = base_needed
-    return out
+    if not k:
+        return LC_ONE
+    if not a.core:
+        return LC_ZERO
+    if a.is_unit():
+        core = a.core if k & 1 else intpoly.ONE
+    else:
+        _charge(lambda: _power_units(a.core, k))
+        core = a.core
+        for bit in bin(k)[3:]:
+            core = intpoly.mul(core, core)
+            if bit == "1":
+                core = intpoly.mul(core, a.core)
+    return LefschetzClass(core, a.l_exp * k, tuple((d, m * k) for d, m in a.cyc))
 
 
 def lc_inv(a: LefschetzClass) -> LefschetzClass:
@@ -350,13 +352,16 @@ def _check_point(q: int) -> None:
 
 
 def lc_eval_digits(a: LefschetzClass, q: int) -> int:
-    """Leading-order count of decimal digits in lc_eval_at(a, q).
+    """Estimated count of decimal digits in lc_eval_at(a, q).
 
-    The larger of the numerator's and the denominator's degree in L, times
-    log10(q): Phi_d(q) is q^totient(d) up to a bounded factor, and the
-    core's coefficients are not counted.  It costs no big-integer work.
+    The larger of the numerator's and the denominator's: each is its degree
+    in L times log10(q), since Phi_d(q) is q^totient(d) up to a bounded
+    factor, and the numerator adds the digits of len(core) * max|c|, which
+    bounds |core(q)| / q^deg(core).  It costs no big-integer work.
     """
     _check_point(q)
+    if not a.core:
+        return 1
     top = intpoly.degree(a.core) + max(a.l_exp, 0)
     bottom = max(-a.l_exp, 0)
     for d, m in a.cyc:
@@ -364,7 +369,9 @@ def lc_eval_digits(a: LefschetzClass, q: int) -> int:
             top += intpoly.totient(d) * m
         else:
             bottom -= intpoly.totient(d) * m
-    return math.ceil(max(top, bottom) * math.log10(q))
+    log_q = math.log10(q)
+    coeff = _bits(a.core) * math.log10(2) + math.log10(len(a.core))
+    return math.ceil(max(top * log_q + coeff, bottom * log_q))
 
 
 def lc_eval_at(a: LefschetzClass, q: int) -> Fraction:

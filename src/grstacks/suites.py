@@ -75,30 +75,39 @@ def _random_class(rng: random.Random) -> LefschetzClass:
 def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     rep = CheckReport("ring", seed)
     rng = random.Random(seed)
+    # each sampled check's first failing sample, as (lhs, rhs): where it was
+    # drawn and its rendered inputs, then what the check computed from them
+    witness: dict[str, tuple[str, str]] = {}
 
-    eq_bad = neq_bad = agree_bad = 0
-    for _ in range(samples):
+    def fail(check: str, i: int, inputs: dict, got: dict) -> None:
+        if check not in witness:
+            drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+            computed = "; ".join(f"{k} = {v}" for k, v in got.items())
+            witness[check] = (f"seed {seed} sample {i}: {drawn}", computed)
+
+    def add(check: str, detail: str) -> None:
+        rep.add(check, check not in witness, detail, *witness.get(check, ()))
+
+    for i in range(samples):
         a = _random_class(rng)
         u = _random_unit(rng)
         b = lc_mul(lc_mul(a, u), lc_inv(u))
         if not (lc_eq(a, b) and _cross_multiply_eq(a, b)):
-            eq_bad += 1
+            fail("canonical.unique", i, {"a": a, "u": u}, {"a * u / u": b})
         c = _random_class(rng)
         if lc_eq(a, c) != _cross_multiply_eq(a, c):
-            agree_bad += 1
+            fail("canonical.oracle", i, {"a": a, "c": c}, {"a == c": lc_eq(a, c)})
         if lc_eq(a, a + LC_ONE):
-            neq_bad += 1
-    rep.add(
+            fail("canonical.separates", i, {"a": a}, {"a + 1": a + LC_ONE})
+    add(
         "canonical.unique",
-        eq_bad == 0,
         f"a * u / u is structurally a again on {samples} random (class, unit) pairs",
     )
-    rep.add(
+    add(
         "canonical.oracle",
-        agree_bad == 0,
         f"structural equality agrees with the cross-multiplication oracle on {samples} pairs",
     )
-    rep.add("canonical.separates", neq_bad == 0, "a + 1 never collides with a")
+    add("canonical.separates", "a + 1 never collides with a")
 
     poly_bad = class_bad = 0
     for n in range(1, 65):
@@ -124,12 +133,12 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
         "the same product holds structurally in the localized ring",
     )
 
-    unit_bad = 0
-    for _ in range(samples):
+    for i in range(samples):
         u = _random_unit(rng)
-        if not lc_eq(lc_mul(u, lc_inv(u)), LC_ONE) or not lc_eq(lc_inv(lc_inv(u)), u):
-            unit_bad += 1
-    rep.add("units.roundtrip", unit_bad == 0, f"u * u^-1 = 1 and (u^-1)^-1 = u on {samples} units")
+        one, back = lc_mul(u, lc_inv(u)), lc_inv(lc_inv(u))
+        if not (lc_eq(one, LC_ONE) and lc_eq(back, u)):
+            fail("units.roundtrip", i, {"u": u}, {"u * u^-1": one, "(u^-1)^-1": back})
+    add("units.roundtrip", f"u * u^-1 = 1 and (u^-1)^-1 = u on {samples} units")
 
     try:
         lc_inv(lc_normalize((2, 1)))
@@ -141,14 +150,14 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
         except ZeroInverse:
             rep.add("units.reject", True, "non-units and zero are refused")
 
-    eval_bad = 0
-    for _ in range(min(samples, 50)):
+    for i in range(min(samples, 50)):
         a, b = _random_class(rng), _random_class(rng)
-        if lc_eval_at(lc_mul(a, b), 7) != lc_eval_at(a, 7) * lc_eval_at(b, 7):
-            eval_bad += 1
-        if lc_eval_at(a + b, 7) != lc_eval_at(a, 7) + lc_eval_at(b, 7):
-            eval_bad += 1
-    rep.add("eval.hom", eval_bad == 0, "specialization at 7 is a ring homomorphism")
+        at_a, at_b = lc_eval_at(a, 7), lc_eval_at(b, 7)
+        at_ab, at_sum = lc_eval_at(lc_mul(a, b), 7), lc_eval_at(a + b, 7)
+        if at_ab != at_a * at_b or at_sum != at_a + at_b:
+            got = {"(a * b)(7)": at_ab, "(a + b)(7)": at_sum, "a(7)": at_a, "b(7)": at_b}
+            fail("eval.hom", i, {"a": a, "b": b}, got)
+    add("eval.hom", "specialization at 7 is a ring homomorphism")
     return rep
 
 

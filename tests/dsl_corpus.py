@@ -1,5 +1,6 @@
 """Round-trip corpus for the expression grammar: 50 expressions that parse,
-evaluate, and survive parse -> eval -> render -> parse unchanged."""
+evaluate, and survive parse -> eval -> render -> parse unchanged.  Also the
+inputs the command line must refuse fast, shared with the budget tests."""
 
 CORPUS = [
     "0",
@@ -53,3 +54,21 @@ CORPUS = [
     "  Spin( 7 )  ",
     "-(BSpin(4) + BPin(4))*L^3",
 ]
+
+# past an index or exponent bound
+HUGE_SCALAR_INPUTS = ["GL(20000)", "(L+2)^20000", "cyclo(300000) + 1"]
+
+# every leaf and exponent within its bound, the whole past the work budget
+PAST_THE_BUDGET = [
+    "((L+2)^2000)^2000",
+    "(L+2)^2000*(L+3)^2000*(L+5)^2000",
+    "cyclo(7)^2000+1",
+    "GL(100)+1",
+]
+
+# powers of a degree-1 core with a 4000-digit coefficient
+WIDE_POWERS = [2, 100]
+
+
+def wide_power(power: int) -> str:
+    return f"({'9' * 4000}*L+1)^{power}"

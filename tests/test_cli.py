@@ -10,7 +10,8 @@ import time
 import pytest
 
 import grstacks
-from grstacks import cli, dsl, lefschetz, motive
+from dsl_corpus import HUGE_SCALAR_INPUTS, PAST_THE_BUDGET, WIDE_POWERS, wide_power
+from grstacks import cli, dsl, intpoly, lefschetz, motive
 from grstacks.report import CheckReport
 from grstacks.suites import SUITES
 
@@ -179,6 +180,12 @@ def test_eval_at_refuses_a_value_too_long_to_print(capsys, monkeypatch):
     assert cli.main(["eval", "GL(1000)", "--at", "13"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
+    # 1,115 digits from the degree and 4,000 from the coefficient: the class
+    # prints, and its value is refused before it is computed
+    assert cli.main(["eval", f"{'9' * 4000}*L^1000+1", "--at", "13"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith(f"({'9' * 4000}*L^1000 + 1)")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
 
 
 def test_eval_at_with_atoms_left_is_an_error(capsys):
@@ -242,7 +249,7 @@ def test_huge_tower_index_fails_fast(args):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("text", ["GL(20000)", "(L+2)^20000", "cyclo(300000) + 1"])
+@pytest.mark.parametrize("text", HUGE_SCALAR_INPUTS)
 def test_huge_scalar_inputs_fail_fast(text):
     # past the group, cyclo and exponent bounds; each would run for minutes
     proc = _run_cli("eval", text)
@@ -250,46 +257,63 @@ def test_huge_scalar_inputs_fail_fast(text):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "((L+2)^2000)^2000",
-        "(L+2)^2000*(L+3)^2000*(L+5)^2000",
-        "cyclo(7)^2000+1",
-        "GL(100)+1",
-    ],
-)
+OVER_BUDGET = f"error: the evaluation needs more than {dsl.WORK_BUDGET} work units\n"
+
+
+@pytest.mark.parametrize("text", PAST_THE_BUDGET)
 def test_combinations_past_the_core_bound_fail_fast(text):
-    # every leaf and exponent is within its bound, but the product or sum
-    # would build a core of degree 4,000 to 10,000
+    # every leaf and exponent is within its bound, but the products and sums
+    # would build cores of degree 4,000 to 10,000, past the work budget
     start = time.perf_counter()
     proc = _run_cli("eval", text)
     assert time.perf_counter() - start < 15
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("error: core of degree ") and proc.stderr.count("\n") == 1
-    assert f"exceeds {lefschetz.MAX_CORE_DEGREE}" in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", OVER_BUDGET)
 
 
-@pytest.mark.parametrize("power", [2, 100])
+@pytest.mark.parametrize("power", WIDE_POWERS)
 def test_products_past_the_coefficient_bound_fail_fast(power):
-    # a degree-1 core with a 4000-digit coefficient: its square already
-    # predicts 26,578 bits, and the 100th power ran past 40 s unbounded
+    # a degree-1 core with a 4000-digit coefficient: its square is cheap but
+    # too long to print, and the 100th power is past the work budget (it ran
+    # past 40 s unbounded)
     start = time.perf_counter()
-    proc = _run_cli("eval", f"({'9' * 4000}*L+1)^{power}")
+    proc = _run_cli("eval", wide_power(power), flags=("-X", "int_max_str_digits=4300"))
     assert time.perf_counter() - start < 15
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: product coefficients of 26578 bits exceed {lefschetz.MAX_COEFF_BITS}\n"
+    if power == 2:
+        assert proc.stderr == "error: a coefficient has more digits than the 4300 the interpreter prints\n"
+    else:
+        assert proc.stderr == OVER_BUDGET
 
 
-def test_a_power_past_the_coefficient_bound_fails_before_squaring(capsys):
-    # the constant coefficient of (L+99)^2000 has 13,259 bits; the power used
-    # to build (L+99)^1024 and (L+99)^976 before the last product was refused
+def test_a_power_past_the_coefficient_bound_fails_before_squaring(capsys, monkeypatch):
+    # (L+99)^2000 is charged 36 million units before its first product
+    monkeypatch.setattr(intpoly, "mul", lambda p, q: pytest.fail("multiplied before refusing"))
     start = time.perf_counter()
     assert cli.main(["eval", "(L+99)^2000"]) == 2
     assert time.perf_counter() - start < 0.5
-    out, err = capsys.readouterr()
-    bound = lefschetz.MAX_COEFF_BITS
-    assert (out, err) == ("", f"error: power coefficients of at least 12001 bits exceed {bound}\n")
+    assert capsys.readouterr() == ("", OVER_BUDGET)
+
+
+def test_wide_squares_are_refused_by_one_budget_per_evaluation():
+    # each (<750 nines>*(L+2)^1000)^2 would cost 23 M units and 4-5 s, so
+    # the sum of four is refused before the first square is built
+    square = f"({'9' * 750}*(L+2)^1000)^2"
+    text = " + ".join(f"L^{i}*{square}" for i in range(4))
+    start = time.perf_counter()
+    proc = _run_cli("eval", text)
+    assert time.perf_counter() - start < 5
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", OVER_BUDGET)
+
+
+def test_a_coefficient_too_long_to_print_is_refused_before_printing(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    for args in (["999^1500"], ["999^1500*BDelta(2)", "--deltas-one"]):
+        assert cli.main(["eval", *args]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: a coefficient has more digits than the 4300 the interpreter prints\n")
+    # a coefficient of exactly 4300 digits still prints
+    assert cli.main(["eval", "9" * 4300]) == 0
+    assert capsys.readouterr().out == "9" * 4300 + "\n"
 
 
 # -- delta ------------------------------------------------------------

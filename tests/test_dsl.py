@@ -11,8 +11,8 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from dsl_corpus import CORPUS
-from grstacks import dsl
+from dsl_corpus import CORPUS, HUGE_SCALAR_INPUTS, PAST_THE_BUDGET, WIDE_POWERS, wide_power
+from grstacks import dsl, intpoly, lefschetz
 from grstacks.dsl import ArityError, ParseError, UnknownIdent, eval as dsl_eval, parse, render
 from grstacks.lefschetz import (
     LC_ONE,
@@ -425,3 +425,118 @@ def test_generated_expressions_roundtrip(text):
     value = ev(text)
     out = render(value)
     assert ev(out) == value
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(safe_exprs)
+def test_charges_cover_the_work_on_generated_expressions(text):
+    assert _assert_charges_cover_the_work(text)[0]
+
+
+# -- work budget ------------------------------------------------------
+
+
+def _charges_and_work(text):
+    """Evaluate text; return whether it was accepted and each work-budget
+    charge paired with the work it pays for: a product's charge with the next
+    product's length times its largest coefficient bits, a sum's (D + 1)^2
+    with the degree of the core it normalizes, and a power's with the sizes
+    of all its loop's products, as (charging function, units, work)."""
+    events = []
+    charge, mul, normalize = lefschetz._charge, intpoly.mul, lefschetz.lc_normalize
+
+    def spy_charge(units_of):
+        if lefschetz._budget.get() is not None:
+            units = units_of()
+            events.append((sys._getframe(1).f_code.co_name, units))
+            charge(lambda: units)
+
+    def spy_mul(p, q):
+        out = mul(p, q)
+        if lefschetz._budget.get() is not None:
+            events.append(("mul", len(out) * max(max(out), -min(out)).bit_length()))
+        return out
+
+    def spy_normalize(core, *rest):
+        if lefschetz._budget.get() is not None:
+            events.append(("normalize", intpoly.degree(intpoly.normalize(core))))
+        return normalize(core, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lefschetz, "_charge", spy_charge)
+        patch.setattr(intpoly, "mul", spy_mul)
+        patch.setattr(lefschetz, "lc_normalize", spy_normalize)
+        try:
+            ev(text)
+            accepted = True
+        except (lefschetz.OverBudget, DomainError):
+            accepted = False
+    pairs, sums, site, units, work = [], [], None, 0, 0
+    for name, size in events + [("end", 0)]:
+        if name == "mul":
+            if site in ("lc_mul", "_cofactor"):
+                pairs.append((site, units, size))
+                site = None
+            elif site == "lc_pow":
+                work += size
+        elif name == "normalize":
+            if sums:
+                pairs.append(("_common_cofactors", sums.pop(), size))
+        else:
+            if site == "lc_pow":
+                pairs.append((site, units, work))
+            site, units, work = name, size, 0
+            if name == "_common_cofactors":
+                sums.append(size)
+                site = None
+    return accepted, pairs
+
+
+def _assert_charges_cover_the_work(text):
+    accepted, pairs = _charges_and_work(text)
+    assert all(units >= work for _, units, work in pairs), (text, pairs)
+    return accepted, pairs
+
+
+# inputs the budget was calibrated to admit, and one it refuses
+CALIBRATED = {
+    "cyclo(7)^333 + 1": True,
+    "(L+2)^1000*(L+3)^1000": True,
+    "BSpin(60)*(L^2+3) + BPin(60)*(L-5)": True,
+    "(L+99)^2000": False,
+}
+
+
+def test_charges_cover_the_work_on_the_corpus_and_the_fail_fast_tables():
+    texts = CORPUS + HUGE_SCALAR_INPUTS + PAST_THE_BUDGET + [wide_power(p) for p in WIDE_POWERS]
+    outcomes = {text: _assert_charges_cover_the_work(text) for text in texts + list(CALIBRATED)}
+    assert {text: outcomes[text][0] for text in CALIBRATED} == CALIBRATED
+    assert not any(outcomes[text][0] for text in HUGE_SCALAR_INPUTS + PAST_THE_BUDGET)
+    pairs = [pair for _, text_pairs in outcomes.values() for pair in text_pairs]
+    # a product, a sum, a sum's cofactor product and a power, some of them large
+    assert {site for site, _, _ in pairs} == {"lc_mul", "_common_cofactors", "_cofactor", "lc_pow"}
+    assert max(work for _, _, work in pairs) > 10**6
+
+
+def _clear_caches():
+    motive.clear_tower_cache()
+    for memo in (intpoly.cyclotomic, intpoly.totient, intpoly.cyclotomic_power, intpoly.cyclotomic_at):
+        memo.cache_clear()
+
+
+def test_a_verdict_near_the_budget_does_not_depend_on_the_caches(monkeypatch):
+    # the tower leaves are memoized and run outside the budget, so a cold
+    # and a warm cache spend the same units
+    text = "BSpin(30)*(L^2+3) - BPin(30)*(L-5) + BG(30, 3)"
+    spent = sum(units for _, units, _ in _charges_and_work(text)[1])
+    for budget, accepted in ((spent, True), (spent - 1, False)):
+        monkeypatch.setattr(dsl, "WORK_BUDGET", budget)
+        for cold in (True, False):
+            if cold:
+                _clear_caches()
+            try:
+                ev(text)
+                verdict = True
+            except lefschetz.OverBudget:
+                verdict = False
+            assert verdict == accepted, (budget, cold)

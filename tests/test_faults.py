@@ -2,15 +2,24 @@
 built on it report FAIL rather than pass or crash."""
 
 import itertools
+import random
+import re
 
 import pytest
 
-from grstacks import blades, clifford, finite, gaussian, intpoly, ledgers, motive
+from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, ledgers, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import l_power, lc_mul, lc_normalize
+from grstacks.lefschetz import l_power, lc_mul, lc_neg, lc_normalize
 from grstacks.motive import Inconsistent
-from grstacks.suites import suite_clifford, suite_finite, suite_g2, suite_spin78, suite_tower
+from grstacks.suites import (
+    suite_clifford,
+    suite_finite,
+    suite_g2,
+    suite_ring,
+    suite_spin78,
+    suite_tower,
+)
 
 # e_1 e_2: a pair every check from rank 2 up multiplies
 FLIPPED_PAIR = (0b01, 0b10)
@@ -255,3 +264,34 @@ def test_generator_that_is_not_blockwise_raises(make, breach):
     model.apply = breach(model.apply, model.q)
     with pytest.raises(Inconsistent):
         finite.orbit_bfs(model, (1,) + (0,) * (model.dim - 1))
+
+
+def test_a_failed_ring_sample_records_its_first_witness(monkeypatch):
+    # an inverse that negates the inverse of a unit carrying Phi_7 breaks
+    # a * u / u = a and u * u^-1 = 1, but only on the samples that draw one
+    inverse = suites.lc_inv
+
+    def broken(u):
+        v = inverse(u)
+        return lc_neg(v) if 7 in dict(u.cyc) else v
+
+    monkeypatch.setattr(suites, "lc_inv", broken)
+    rep = suite_ring(seed=0, samples=40)
+    failed = {c.id: c for c in rep.failures}
+    assert set(failed) == {"canonical.unique", "units.roundtrip"}
+    witness = failed["canonical.unique"]
+    m = re.fullmatch(r"seed 0 sample (\d+): a = (.+), u = (.+)", witness.lhs)
+    i = int(m[1])
+    a, u = (dsl.eval(dsl.parse(text)).scalar for text in (m[2], m[3]))
+    assert 7 in dict(u.cyc) and witness.rhs == f"a * u / u = {lc_neg(a)}"
+    # the index and seed draw the same sample again, and it is the first bad one
+    rng = random.Random(0)
+    for j in range(i + 1):
+        drawn = suites._random_class(rng), suites._random_unit(rng)
+        suites._random_class(rng)
+        assert (7 in dict(drawn[1].cyc)) == (j == i)
+    assert drawn == (a, u)
+    assert failed["units.roundtrip"].lhs.startswith("seed 0 sample ")
+    # a passing report keeps its sides empty
+    monkeypatch.setattr(suites, "lc_inv", inverse)
+    assert all(c.lhs == c.rhs == "" for c in suite_ring(seed=0, samples=40).checks)

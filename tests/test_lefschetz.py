@@ -11,12 +11,9 @@ from grstacks import intpoly, lefschetz
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
-    MAX_COEFF_BITS,
-    MAX_CORE_DEGREE,
-    CoeffTooLarge,
-    CoreTooLarge,
     LefschetzClass,
     NotAUnit,
+    OverBudget,
     ZeroInverse,
     l_pow_minus_one,
     l_power,
@@ -31,6 +28,7 @@ from grstacks.lefschetz import (
     lc_pow,
     regroup_cyclotomics,
     render_factors,
+    work_budget,
     _cross_multiply_eq,
 )
 
@@ -507,11 +505,16 @@ def test_non_factor_closed_quotient_reduces():
     assert x.cyc == ((3, -1), (6, -1))
 
 
-# -- work bound -------------------------------------------------------
+# -- work budget ------------------------------------------------------
 
 
-def test_core_degree_bound():
-    top = MAX_CORE_DEGREE
+def _no_product(p, q):
+    raise AssertionError("multiplied before refusing")
+
+
+def test_core_degree_bound(monkeypatch):
+    # the library bounds no core degree: products and sums past 2000 return,
+    # and only a work budget refuses them, before any polynomial work
 
     def sparse(k):
         # L^k + 2: no root of unity has k-th power -2, so no Phi_d divides it
@@ -521,60 +524,69 @@ def test_core_degree_bound():
         # Phi_7^m L^s, whose cofactor against 1 expands to degree 6m + s
         return LefschetzClass(intpoly.ONE, s, ((7, m),) if m else ())
 
-    assert intpoly.degree(lc_mul(sparse(top // 2), sparse(top - top // 2)).core) == top
-    with pytest.raises(CoreTooLarge, match=f"core of degree {top + 1} exceeds {top}"):
-        lc_mul(sparse(top // 2), sparse(top - top // 2 + 1))
-    for m in (0, top // 6):
-        lc_add(phi7_times_l(m, top - 6 * m), LC_ONE)
-        with pytest.raises(CoreTooLarge, match=f"core of degree {top + 1} exceeds {top}"):
-            lc_add(phi7_times_l(m, top - 6 * m + 1), LC_ONE)
+    assert intpoly.degree(lc_mul(sparse(1000), sparse(1001)).core) == 2001
+    for m in (0, 333):
+        a = phi7_times_l(m, 2001 - 6 * m)
+        got = lc_add(a, LC_ONE)
+        assert lc_eval_at(got, 2) == lc_eval_at(a, 2) + 1
+        assert _cross_multiply_eq(got, lc_add(LC_ONE, a))
+    # a sum is charged (D + 1)^2 for its larger cofactor degree D = 2001
+    top = 2002**2
+    monkeypatch.setattr(intpoly, "mul", _no_product)
+    with work_budget(top - 1), pytest.raises(OverBudget, match=f"more than {top - 1} work units"):
+        lc_add(phi7_times_l(333, 3), LC_ONE)
+    with work_budget(top):
+        lc_add(phi7_times_l(0, 2001), LC_ONE)
 
 
-def test_coefficient_bits_bound():
-    top = MAX_COEFF_BITS
+def test_coefficient_bits_bound(monkeypatch):
+    # nor coefficient bits: two 5000-bit factors pass the former 8192-bit cap
 
     def wide(bits):
         # L + c, with c of the given bit length
         return LefschetzClass((2 ** (bits - 1) + 1, 1), 0, ())
 
-    # a product of two length-2 cores predicts their bits plus 2
-    lc_mul(wide(top // 2), wide(top - top // 2 - 2))
-    with pytest.raises(CoeffTooLarge, match=f"coefficients of {top + 1} bits exceed {top}"):
-        lc_mul(wide(top // 2), wide(top - top // 2 - 1))
-    # a sum whose cofactor expands Phi_7 into the core
-    phi7 = LefschetzClass(intpoly.ONE, 0, ((7, 1),))
-    lc_add(lc_mul(wide(top - 3), phi7), wide(1))
-    with pytest.raises(CoeffTooLarge, match=f"coefficients of {top + 1} bits exceed {top}"):
-        lc_add(lc_mul(wide(top - 2), phi7), wide(1))
+    a, b = wide(5000), wide(5000)
+    got = lc_mul(a, b)
+    c = 2**4999 + 1
+    assert got.core == (c * c, 2 * c, 1)
+    # a product is charged its length times its predicted coefficient bits,
+    # the factors' bits plus the bits of the shorter length
+    top = 3 * (5000 + 5000 + 2)
+    with work_budget(top):
+        assert lc_mul(a, b) == got
+    monkeypatch.setattr(intpoly, "mul", _no_product)
+    with work_budget(top - 1), pytest.raises(OverBudget, match=f"more than {top - 1} work units"):
+        lc_mul(a, b)
 
 
 _WIDE = 2**999 + 1  # a 1000-bit coefficient
 
 
 @pytest.mark.parametrize(
-    "core, k, error",
+    "core, k",
     [
-        # the 9th power's constant or lead coefficient has at least 8,992 bits;
-        # the loop computes up to the 8th power and refuses the last product
-        ((_WIDE, 1), 9, CoeffTooLarge),
-        ((1, _WIDE), 9, CoeffTooLarge),
-        # L^2 + 2 to the 1001st power has degree 2002
-        ((2, 0, 1), 1001, CoreTooLarge),
+        # the former caps refused these: at least 8,992 bits, and degree 2002
+        ((_WIDE, 1), 9),
+        ((1, _WIDE), 9),
+        ((2, 0, 1), 1001),
     ],
 )
-def test_powers_are_refused_before_the_first_squaring(monkeypatch, core, k, error):
+def test_powers_are_refused_before_the_first_squaring(monkeypatch, core, k):
     a = LefschetzClass(core, 0, ())
-
-    def no_product(p, q):
-        raise AssertionError("multiplied before refusing")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(intpoly, "mul", no_product)
-        with pytest.raises(error):
-            lc_pow(a, k)
-    # the up-front check refuses only powers that the loop itself refuses
-    monkeypatch.setattr(lefschetz, "_check_power", lambda a, k: None)
-    with pytest.raises(error):
+    # outside a budget the power returns, canonical without normalization
+    got = lc_pow(a, k)
+    assert got == lc_normalize(got.core) and (got.l_exp, got.cyc) == (0, ())
+    assert lc_eval_at(got, 3) == lc_eval_at(a, 3) ** k
+    # inside one, the whole loop is charged once, before its first product
+    charges = []
+    charge = lefschetz._charge
+    monkeypatch.setattr(lefschetz, "_charge", lambda units_of: charges.append(units_of()) or charge(units_of))
+    with work_budget(10**12):
+        assert lc_pow(a, k) == got
+    assert len(charges) == 1
+    monkeypatch.setattr(intpoly, "mul", _no_product)
+    with work_budget(charges[0] - 1), pytest.raises(OverBudget):
         lc_pow(a, k)
 
 

@@ -6,13 +6,17 @@ import pathlib
 import grstacks
 
 
+# process-wide interpreter state that the package leaves alone
+PROCESS_STATE_SETTERS = {"setrecursionlimit", "set_int_max_str_digits"}
+
+
 def test_no_asserts_and_no_recursion_limit():
     # asserts vanish under python -O, so invariants raise typed errors; the
-    # recursion limit is process-wide state that the package leaves alone
+    # recursion limit and the int-to-text digit limit are process-wide state
     found = []
     for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = getattr(node, "attr", None) or getattr(node, "name", None)
-            if isinstance(node, ast.Assert) or name == "setrecursionlimit":
+            if isinstance(node, ast.Assert) or name in PROCESS_STATE_SETTERS:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
