@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from . import dsl
+from . import dsl, intpoly
 from .delta import DeltaGroup
 from .lefschetz import (
     LC_ONE,
@@ -22,6 +22,7 @@ from .lefschetz import (
     lc_eval_at,
     lc_eval_digits,
     render_factors,
+    work_budget,
 )
 from .motive import DomainError, substitute_deltas
 from .suites import SUITES
@@ -62,7 +63,7 @@ def _positive_int(text: str) -> int:
 
 def _print_at(cls: LefschetzClass, q: int) -> None:
     # refuse a value the interpreter would not print before computing it
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = intpoly.digit_limit()
     digits = lc_eval_digits(cls, q)
     if limit and digits > limit:
         raise ValueError(
@@ -75,7 +76,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         value = dsl.eval(dsl.parse(args.expr))
         if args.deltas_one:
-            cls = substitute_deltas(value, {m: LC_ONE for m in value.support()})
+            # adding the atoms' coefficients to the scalar is work like eval's
+            with work_budget(dsl.WORK_BUDGET):
+                cls = substitute_deltas(value, {m: LC_ONE for m in value.support()})
             print(render_factors(cls))
             if args.at is not None:
                 _print_at(cls, args.at)

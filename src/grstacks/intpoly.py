@@ -308,11 +308,16 @@ def cyclotomic_at(d: int, t: int) -> int:
     return val
 
 
+def digit_limit() -> int:
+    """The interpreter's int_max_str_digits, 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def to_text(p: tuple[int, ...], var: str = "L") -> str:
     """Render as a sum of monomials, highest degree first (ValueError past the digit limit)."""
     if not p:
         return "0"
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = digit_limit()
     big = max(max(p), -min(p))
     # 10^limit has more than 3 * limit bits, so a shorter coefficient is short
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:

@@ -272,23 +272,21 @@ def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
 
 
 def _power_units(p: tuple[int, ...], k: int) -> int:
-    """An upper bound on the work units of lc_pow's loop for p^k: each
-    product priced as lc_mul prices it, with the coefficients of p^j bounded
-    by |p|_1^j, the j-th power of the sum of p's absolute coefficients."""
-    log_norm = math.log2(sum(map(abs, p)))
+    """An upper bound on what lc_mul would charge for lc_pow's loop for p^k.
 
-    def size(j: int) -> tuple[int, int]:
-        # length and coefficient bits of p^j, with one bit spare for rounding
-        return j * (len(p) - 1) + 1, int(j * log_norm) + 2
+    The step that leaves p^(k >> t) squares and, on a set bit, multiplies by
+    p, so each product builds some p^m with m <= k >> t, of length
+    n = m*deg(p) + 1.  Its factors' coefficients have at most j*log2|p|_1 + 1
+    bits for p^j (|p|_1 the sum of p's absolute coefficients), so lc_mul
+    predicts at most m*log2|p|_1 + 2 + bitlen(n) bits; two spare for rounding.
+    """
+    deg, log_norm = len(p) - 1, math.log2(sum(map(abs, p)))
 
-    units, j = 0, 1
-    for bit in bin(k)[3:]:
-        units += _units(*size(j), *size(j))
-        j *= 2
-        if bit == "1":
-            units += _units(*size(j), *size(1))
-            j += 1
-    return units
+    def units(m: int) -> int:
+        n = m * deg + 1
+        return n * (int(m * log_norm) + 4 + n.bit_length())
+
+    return sum((1 + (k >> t & 1)) * units(k >> t) for t in range(k.bit_length() - 1))
 
 
 def lc_pow(a: LefschetzClass, k: int) -> LefschetzClass:

@@ -285,6 +285,16 @@ def test_products_past_the_coefficient_bound_fail_fast(power):
         assert proc.stderr == OVER_BUDGET
 
 
+@pytest.mark.parametrize("n", [100, 3000])
+def test_substituting_the_atoms_is_inside_the_budget(n):
+    # the atom's coefficient meets the scalar only when --deltas-one adds
+    # them: GL(100) + 1 costs 100 M units, GL(3000) + 1 about 10^14
+    start = time.perf_counter()
+    proc = _run_cli("eval", f"GL({n})*BDelta(2) + 1", "--deltas-one")
+    assert time.perf_counter() - start < 15
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", OVER_BUDGET)
+
+
 def test_a_power_past_the_coefficient_bound_fails_before_squaring(capsys, monkeypatch):
     # (L+99)^2000 is charged 36 million units before its first product
     monkeypatch.setattr(intpoly, "mul", lambda p, q: pytest.fail("multiplied before refusing"))

@@ -498,12 +498,14 @@ def _assert_charges_cover_the_work(text):
     return accepted, pairs
 
 
-# inputs the budget was calibrated to admit, and one it refuses
+# inputs the budget was calibrated to admit, and two it refuses
 CALIBRATED = {
     "cyclo(7)^333 + 1": True,
     "(L+2)^1000*(L+3)^1000": True,
     "BSpin(60)*(L^2+3) + BPin(60)*(L-5)": True,
     "(L+99)^2000": False,
+    # 21.5 M units, 5.0-5.3 s cold without the budget
+    "(L+15)^2000": False,
 }
 
 
