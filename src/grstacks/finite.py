@@ -19,15 +19,25 @@ Group elements are explicit tuples, never their images on points: the rank-2
 action is not faithful (the matrix -1 acts like the global sign), so counting
 stabilizers inside the image would silently halve the answers.
 
+Products are fixed-size kernels: ``mat2_mul_q`` and ``mat3_mul_q`` are
+written out entry by entry, and the rank-2 ``apply`` writes out B and
+B^-T = ((w, -z), (-y, x)) on the two halves.  Every random draw goes through
+``_draws``, which returns what ``randrange`` would from the same stream, so
+the samples do not depend on how they are drawn.
+
 Orbit searches do not call ``apply`` per step.  Every generator of every
 model acts linearly and blockwise: it sends (v, w) to (f v, h w), or to
 (f w, h v) when it swaps the halves.  ``half_tables`` reads f and h off
 ``apply`` on the half-points (v, 0) and (0, w), once per model and only when
-an orbit is first searched, and ``orbit_bfs`` walks point numbers through
-those tables before decoding the orbit back to tuples.  The generator
-closure in ``verify_model_laws`` runs on ``mul``.  When an orbit count does
-not add up (a size that does not divide the group order, or an orbit that
-escapes its stratum), the check reading it fails; the report does not raise.
+an orbit is first searched, and ``_orbit_numbers`` walks point numbers
+through those tables.  A check that reads only an orbit's size counts those
+numbers; ``orbit_bfs`` decodes them back to tuples for the checks that look
+at the points.  The generator closure in ``verify_model_laws`` runs on
+``mul``.  When an orbit count does not add up (a size that does not divide
+the group order, or an orbit that escapes its stratum), the check reading it
+fails; the report does not raise.  A sampled check that fails keeps its
+first failing sample in ``lhs``/``rhs``: the seed, the sample index, the
+drawn inputs and what was computed from them.
 """
 
 from __future__ import annotations
@@ -35,13 +45,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import cached_property
-from itertools import product
-from operator import mul
+from itertools import product, repeat
 from typing import Iterable, NamedTuple
 
 from .lefschetz import lc_eval_at
 from .motive import Inconsistent, class_gl, class_sl, class_spin
-from .report import CheckReport
+from .report import CheckReport, Witnesses
 
 Pt = tuple[int, ...]
 
@@ -60,13 +69,37 @@ def sqrt_minus_one(q: int) -> int:
 # ---------------------------------------------------------------------------
 # small exact matrices mod q
 
-def mat_mul_q(a, b, q):
-    cols = tuple(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) % q for col in cols]) for row in a])
+def mat2_mul_q(a, b, q):
+    """The 2 x 2 product a b, each entry reduced mod q."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return (
+        ((a00 * b00 + a01 * b10) % q, (a00 * b01 + a01 * b11) % q),
+        ((a10 * b00 + a11 * b10) % q, (a10 * b01 + a11 * b11) % q),
+    )
 
 
-def mat_vec_q(a, v, q):
-    return tuple([sum(map(mul, row, v)) % q for row in a])
+def mat3_mul_q(a, b, q):
+    """The 3 x 3 product a b, each entry reduced mod q."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (
+            (a00 * b00 + a01 * b10 + a02 * b20) % q,
+            (a00 * b01 + a01 * b11 + a02 * b21) % q,
+            (a00 * b02 + a01 * b12 + a02 * b22) % q,
+        ),
+        (
+            (a10 * b00 + a11 * b10 + a12 * b20) % q,
+            (a10 * b01 + a11 * b11 + a12 * b21) % q,
+            (a10 * b02 + a11 * b12 + a12 * b22) % q,
+        ),
+        (
+            (a20 * b00 + a21 * b10 + a22 * b20) % q,
+            (a20 * b01 + a21 * b11 + a22 * b21) % q,
+            (a20 * b02 + a21 * b12 + a22 * b22) % q,
+        ),
+    )
 
 
 def mat_transpose(a):
@@ -119,11 +152,29 @@ def unitriangular(q: int, a: int, b: int, c: int):
     return ((1, a % q, b % q), (0, 1, c % q), (0, 0, 1))
 
 
+def _draws(rng: random.Random, n: int, k: int) -> list[int]:
+    """The k values ``[rng.randrange(n) for _ in range(k)]`` draws, from the
+    same stream.
+
+    ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until a value is
+    below n.  Each round here makes exactly as many of those draws as values
+    are still missing, so it never draws past the k-th accepted value.
+    """
+    if n <= 0:
+        raise ValueError("empty range for a draw")
+    bits = n.bit_length()
+    out: list[int] = []
+    while len(out) < k:
+        out += [r for r in map(rng.getrandbits, repeat(bits, k - len(out))) if r < n]
+    return out
+
+
 def _sample_det1(rng: random.Random, q: int, n: int, det):
     """Uniform n x n matrix of determinant 1: draw until invertible, then
     scale the first row by det^-1."""
     while True:
-        a = tuple([tuple([rng.randrange(q) for _ in range(n)]) for _ in range(n)])
+        flat = _draws(rng, q, n * n)
+        a = tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
         d = det(a, q)
         if d:
             break
@@ -163,8 +214,8 @@ class _TwistedPairMixin(_BlockwiseModel):
         a2, t2, x2 = h
         q = self.q
         if x1 > 0:
-            return (mat_mul_q(a1, a2, q), mat_mul_q(t1, t2, q), x1 * x2)
-        return (mat_mul_q(a1, t2, q), mat_mul_q(t1, a2, q), x1 * x2)
+            return (mat3_mul_q(a1, a2, q), mat3_mul_q(t1, t2, q), x1 * x2)
+        return (mat3_mul_q(a1, t2, q), mat3_mul_q(t1, a2, q), x1 * x2)
 
     def inv(self, g):
         a, t, x = g
@@ -214,7 +265,8 @@ class ModelSL3Swap(_TwistedPairMixin):
         self.elements = None
 
     def sample(self, rng: random.Random):
-        return self.element(_sample_det1(rng, self.q, 3, det3), rng.choice((1, -1)))
+        a = _sample_det1(rng, self.q, 3, det3)
+        return self.element(a, (1, -1)[_draws(rng, 2, 1)[0]])
 
 
 class ModelRank2(_BlockwiseModel):
@@ -261,7 +313,7 @@ class ModelRank2(_BlockwiseModel):
         b1, s1, t1, z1 = g
         b2, s2, t2, z2 = h
         return (
-            mat_mul_q(b1, self._twist(b2, s1, t1), self.q),
+            mat2_mul_q(b1, self._twist(b2, s1, t1), self.q),
             s1 ^ s2,
             t1 ^ t2,
             z1 ^ z2,
@@ -275,25 +327,30 @@ class ModelRank2(_BlockwiseModel):
         return (identity_mat(2), 0, 0, 0)
 
     def apply(self, g, pt):
-        b, s, t, z = g
+        ((x, y), (z, w)), swap, flip, sign = g
         q = self.q
         p0, p1, p2, p3 = pt
-        if z:
-            p0, p1, p2, p3 = -p0 % q, -p1 % q, -p2 % q, -p3 % q
-        if t:
-            p1, p3 = -p1 % q, -p3 % q
-        if s:
+        if sign:
+            p0, p1, p2, p3 = -p0, -p1, -p2, -p3
+        if flip:
+            p1, p3 = -p1, -p3
+        if swap:
             p0, p1, p2, p3 = p2, p3, p0, p1
-        v = mat_vec_q(b, (p0, p1), q)
-        w = mat_vec_q(mat2_tau_det1(b, q), (p2, p3), q)
-        return v + w
+        # B on the first half, B^-T = ((w, -z), (-y, x)) on the second
+        return (
+            (x * p0 + y * p1) % q,
+            (z * p0 + w * p1) % q,
+            (w * p2 - z * p3) % q,
+            (x * p3 - y * p2) % q,
+        )
 
     def no_sign_subgroup(self) -> list:
         return [g for g in self.elements if g[3] == 0]
 
     def sample(self, rng: random.Random):
         b = _sample_det1(rng, self.q, 2, _det2)
-        return (b, rng.randint(0, 1), rng.randint(0, 1), rng.randint(0, 1))
+        s, t, z = _draws(rng, 2, 3)
+        return (b, s, t, z)
 
 
 # the order-two twist normalizing the unitriangular group: antidiagonal with
@@ -323,7 +380,7 @@ class ModelUnitriangular(_TwistedPairMixin):
         return self._rev
 
     def sample(self, rng: random.Random):
-        return self.elements[rng.randrange(len(self.elements))]
+        return self.elements[_draws(rng, len(self.elements), 1)[0]]
 
 
 PairModel = ModelSL3Swap | ModelRank2 | ModelUnitriangular
@@ -390,8 +447,9 @@ def half_tables(model: PairModel) -> HalfTables:
     return HalfTables(halves, index, maps)
 
 
-def orbit_bfs(model: PairModel, start: Pt) -> set[Pt]:
-    """The orbit of start, searched on point numbers through the half tables."""
+def _orbit_numbers(model: PairModel, start: Pt) -> list[int]:
+    """The orbit of start as point numbers, start first, searched through
+    the half tables."""
     halves, index, maps = model.half_tables
     n = len(halves)
     k = model.dim // 2
@@ -406,7 +464,14 @@ def orbit_bfs(model: PairModel, start: Pt) -> set[Pt]:
             if not seen[y]:
                 seen[y] = 1
                 found.append(y)
-    return {halves[p // n] + halves[p % n] for p in found}
+    return found
+
+
+def orbit_bfs(model: PairModel, start: Pt) -> set[Pt]:
+    """The orbit of start, decoded from its point numbers to tuples."""
+    halves = model.half_tables.halves
+    n = len(halves)
+    return {halves[p // n] + halves[p % n] for p in _orbit_numbers(model, start)}
 
 
 def orbit_decompose(model: PairModel, points: Iterable[Pt]) -> list[set[Pt]]:
@@ -423,7 +488,8 @@ def orbit_decompose(model: PairModel, points: Iterable[Pt]) -> list[set[Pt]]:
 
 
 def stabilizer_count(model: PairModel, point: Pt, elements: Iterable) -> int:
-    return sum(1 for g in elements if model.apply(g, point) == point)
+    # one apply per element: the independent cross-check of orbit division
+    return sum(map(point.__eq__, map(model.apply, elements, repeat(point))))
 
 
 DIRECT_FILTER_LIMIT = 10_000
@@ -435,7 +501,7 @@ def stabilizer_order(
     """Order of the stabilizer by orbit division; cross-checked by direct
     filtering whenever the group is small enough to enumerate."""
     if orbit_size is None:
-        orbit_size = len(orbit_bfs(model, point))
+        orbit_size = len(_orbit_numbers(model, point))
     if model.group_order % orbit_size:
         raise NonDivisible(
             f"orbit size {orbit_size} does not divide group order {model.group_order}"
@@ -470,20 +536,28 @@ def _element_order(model: PairModel, g) -> int:
 
 def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> CheckReport:
     rep = CheckReport(f"finite.laws.{model.name}", seed)
+    witnesses = Witnesses(rep, seed)
     rng = random.Random(seed)
     q = model.q
     ident = model.identity()
 
     comp_bad = inv_bad = 0
-    for _ in range(samples):
+    for i in range(samples):
         g, h = model.sample(rng), model.sample(rng)
-        x = tuple([rng.randrange(q) for _ in range(model.dim)])
-        if model.apply(model.mul(g, h), x) != model.apply(g, model.apply(h, x)):
+        x = tuple(_draws(rng, q, model.dim))
+        gh_x, g_hx = model.apply(model.mul(g, h), x), model.apply(g, model.apply(h, x))
+        if gh_x != g_hx:
             comp_bad += 1
-        if model.mul(g, model.inv(g)) != ident or model.mul(model.inv(g), g) != ident:
+            got = {"(g h) x": gh_x, "g (h x)": g_hx}
+            witnesses.fail("compose", i, {"g": g, "h": h, "x": x}, got)
+        g_inv = model.inv(g)
+        left, right = model.mul(g, g_inv), model.mul(g_inv, g)
+        if left != ident or right != ident:
             inv_bad += 1
-    rep.add("compose", comp_bad == 0, f"{samples - comp_bad}/{samples} triples associate with the action")
-    rep.add("inverse", inv_bad == 0, f"{samples - inv_bad}/{samples} sampled inverses check out")
+            got = {"g g^-1": left, "g^-1 g": right}
+            witnesses.fail("inverse", i, {"g": g, "h": h, "x": x}, got)
+    witnesses.add("compose", f"{samples - comp_bad}/{samples} triples associate with the action")
+    witnesses.add("inverse", f"{samples - inv_bad}/{samples} sampled inverses check out")
 
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
         rep.add(
@@ -551,17 +625,20 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     # the pairing value is invariant, so a full orbit inside the pairing-1
     # locus plus a size match proves transitivity there
     rng = random.Random(q)
-    inv_bad = 0
-    for _ in range(200):
-        pt = tuple(rng.randrange(q) for _ in range(6))
-        y = model.apply(model.sample(rng), pt)
-        if _dot(pt[:3], pt[3:], q) != _dot(y[:3], y[3:], q):
-            inv_bad += 1
-    rep.add("pairing.invariant", inv_bad == 0, "pairing value preserved on 200 samples")
+    witnesses = Witnesses(rep, q)
+    for i in range(200):
+        x = tuple(_draws(rng, q, 6))
+        g = model.sample(rng)
+        y = model.apply(g, x)
+        before, after = _dot(x[:3], x[3:], q), _dot(y[:3], y[3:], q)
+        if before != after:
+            got = {"g x": y, "pairing of x": before, "pairing of g x": after}
+            witnesses.fail("pairing.invariant", i, {"x": x, "g": g}, got)
+    witnesses.add("pairing.invariant", "pairing value preserved on 200 samples")
 
-    # only the sizes are read, so each orbit set is freed before the next search
+    # only the sizes are read, so the orbits are counted and never decoded
     base_unit = (1, 0, 0, 1, 0, 0)
-    unit_size = len(orbit_bfs(model, base_unit))
+    unit_size = len(_orbit_numbers(model, base_unit))
     rep.add(
         "pairing.orbit",
         unit_size == unit_count,
@@ -575,7 +652,7 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     )
 
     base_axis = (1, 0, 0, 0, 0, 0)
-    axis_size = len(orbit_bfs(model, base_axis))
+    axis_size = len(_orbit_numbers(model, base_axis))
     rep.add(
         "axes.orbit",
         axis_size == axes_count,
@@ -589,7 +666,7 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     )
 
     base_orth = (1, 0, 0, 0, 1, 0)
-    orth_size = len(orbit_bfs(model, base_orth))
+    orth_size = len(_orbit_numbers(model, base_orth))
     rep.describe(
         "orth.orbit",
         f"orbit of a base orthogonal pair has size {orth_size} of {orth_count}; "
@@ -903,15 +980,18 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
         total = sum(e["count"] for e in expect.values())
         rep.add("partition", total + 1 == q**6, "predicted stratum counts sum to q^6 - 1")
 
-        rng = random.Random(q)
-        inv_bad = 0
-        for _ in range(2000):
-            pt = tuple(rng.randrange(q) for _ in range(6))
-            s = stratum_of(pt, q)
-            for g in model.generators:
-                if stratum_of(model.apply(g, pt), q) != s:
-                    inv_bad += 1
-        rep.add("invariance", inv_bad == 0, "strata preserved on 2000 sampled points")
+        # the 2000 points are consecutive draws, so they are drawn at once
+        flat = _draws(random.Random(q), q, 6 * 2000)
+        witnesses = Witnesses(rep, q)
+        for i in range(2000):
+            x = tuple(flat[6 * i : 6 * i + 6])
+            s = stratum_of(x, q)
+            for k, g in enumerate(model.generators):
+                y = model.apply(g, x)
+                if stratum_of(y, q) != s:
+                    got = {f"generator {k} image": y, "strata": f"{s} -> {stratum_of(y, q)}"}
+                    witnesses.fail("invariance", i, {"x": x}, got)
+        witnesses.add("invariance", "strata preserved on 2000 sampled points")
 
         size_ok = True
         for s, (pt, size) in bases.items():

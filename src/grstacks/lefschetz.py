@@ -323,7 +323,11 @@ def lc_inv(a: LefschetzClass) -> LefschetzClass:
     elif a.core == (-1,):
         sign = (-1,)
     else:
-        raise NotAUnit(f"not a unit: core {intpoly.to_text(a.core)}")
+        # named by its size: the core itself may be too long to print
+        bits = max(map(abs, a.core)).bit_length()
+        raise NotAUnit(
+            f"not a unit: core of degree {len(a.core) - 1} with coefficients of up to {bits} bits"
+        )
     return LefschetzClass(sign, -a.l_exp, tuple((d, -m) for d, m in a.cyc))
 
 

@@ -81,3 +81,23 @@ class CheckReport:
         n_fail = len(self.failures)
         lines.append(f"  {len(self.checks)} checks, {n_fail} failures")
         return "\n".join(lines)
+
+
+class Witnesses:
+    """The first failing sample of each sampled check, kept as (lhs, rhs):
+    where it was drawn and its rendered inputs, then what the check computed
+    from them.  A check with no failing sample keeps both sides empty."""
+
+    def __init__(self, rep: CheckReport, seed: int):
+        self.rep = rep
+        self.seed = seed
+        self.first: dict[str, tuple[str, str]] = {}
+
+    def fail(self, check: str, i: int, inputs: dict, got: dict) -> None:
+        if check not in self.first:
+            drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+            computed = "; ".join(f"{k} = {v}" for k, v in got.items())
+            self.first[check] = (f"seed {self.seed} sample {i}: {drawn}", computed)
+
+    def add(self, check: str, detail: str) -> None:
+        self.rep.add(check, check not in self.first, detail, *self.first.get(check, ()))

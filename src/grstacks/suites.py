@@ -48,7 +48,7 @@ from .motive import (
     solve_deltas,
     substitute_deltas,
 )
-from .report import CheckReport
+from .report import CheckReport, Witnesses
 
 
 def _random_unit(rng: random.Random) -> LefschetzClass:
@@ -75,18 +75,8 @@ def _random_class(rng: random.Random) -> LefschetzClass:
 def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     rep = CheckReport("ring", seed)
     rng = random.Random(seed)
-    # each sampled check's first failing sample, as (lhs, rhs): where it was
-    # drawn and its rendered inputs, then what the check computed from them
-    witness: dict[str, tuple[str, str]] = {}
-
-    def fail(check: str, i: int, inputs: dict, got: dict) -> None:
-        if check not in witness:
-            drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
-            computed = "; ".join(f"{k} = {v}" for k, v in got.items())
-            witness[check] = (f"seed {seed} sample {i}: {drawn}", computed)
-
-    def add(check: str, detail: str) -> None:
-        rep.add(check, check not in witness, detail, *witness.get(check, ()))
+    witnesses = Witnesses(rep, seed)
+    fail, add = witnesses.fail, witnesses.add
 
     for i in range(samples):
         a = _random_class(rng)

@@ -326,6 +326,16 @@ def test_a_coefficient_too_long_to_print_is_refused_before_printing(capsys, monk
     assert capsys.readouterr().out == "9" * 4300 + "\n"
 
 
+@pytest.mark.parametrize("text", [f"1/({'9' * 4000}*L+1)", f"1/(({'9' * 4000}*L+1)^2)"])
+def test_a_wide_non_unit_divisor_is_named_by_its_size(text):
+    # the core is not rendered: one has 4,000 digits, the other's square is
+    # longer than the interpreter prints
+    proc = _run_cli("eval", text, flags=("-X", "int_max_str_digits=4300"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200
+    assert "not a unit" in proc.stderr
+
+
 # -- delta ------------------------------------------------------------
 
 

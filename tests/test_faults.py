@@ -188,15 +188,17 @@ def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
 
 @pytest.fixture
 def orbit_drops_a_point(monkeypatch):
-    search = finite.orbit_bfs
+    # the number-level search, so both the counted sizes and the decoded
+    # orbits come up one point short
+    search = finite._orbit_numbers
 
     def dropping(model, start):
-        orb = search(model, start)
-        if len(orb) > 1:
-            orb.remove(max(orb - {start}))
-        return orb
+        found = search(model, start)
+        if len(found) > 1:
+            found.remove(max(found[1:]))
+        return found
 
-    monkeypatch.setattr(finite, "orbit_bfs", dropping)
+    monkeypatch.setattr(finite, "_orbit_numbers", dropping)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +266,91 @@ def test_generator_that_is_not_blockwise_raises(make, breach):
     model.apply = breach(model.apply, model.q)
     with pytest.raises(Inconsistent):
         finite.orbit_bfs(model, (1,) + (0,) * (model.dim - 1))
+
+
+def test_a_broken_model_product_records_its_first_witness():
+    # a product that forgets the right factor's global sign breaks the
+    # action law only on the samples whose h carries the sign
+    model = finite.ModelRank2(5)
+    product = model.mul
+
+    def broken(g, h):
+        b, s, t, z = product(g, h)
+        return (b, s, t, g[3])
+
+    model.mul = broken
+    rep = finite.verify_model_laws(model, samples=40, seed=2)
+    failed = {c.id: c for c in rep.failures}
+    assert "compose" in failed
+    witness = failed["compose"]
+    m = re.fullmatch(r"seed (\d+) sample (\d+): g = (.+), h = (.+), x = (.+)", witness.lhs)
+    seed, i = int(m[1]), int(m[2])
+    assert seed == 2
+    # the seed and index draw the same sample again, and it is the first bad one
+    rng = random.Random(seed)
+    for j in range(i + 1):
+        g, h = model.sample(rng), model.sample(rng)
+        x = tuple(finite._draws(rng, model.q, model.dim))
+        bad = model.apply(broken(g, h), x) != model.apply(g, model.apply(h, x))
+        assert bad == (j == i)
+    assert (repr(g), repr(h), repr(x)) == (m[3], m[4], m[5])
+    assert witness.rhs == (
+        f"(g h) x = {model.apply(broken(g, h), x)}; g (h x) = {model.apply(g, model.apply(h, x))}"
+    )
+    # a passing report keeps its sides empty
+    model.mul = product
+    assert all(c.lhs == c.rhs == "" for c in finite.verify_model_laws(model, 40, 2).checks)
+
+
+def _doubled_first_coordinate_of_w(monkeypatch, cls):
+    # still linear and blockwise, but it moves the pairing and the strata
+    apply = cls.apply
+
+    def doubled(self, g, pt):
+        y = apply(self, g, pt)
+        return y[:3] + (2 * y[3] % self.q,) + y[4:]
+
+    monkeypatch.setattr(cls, "apply", doubled)
+
+
+def test_a_broken_action_records_its_first_pairing_witness(monkeypatch):
+    _doubled_first_coordinate_of_w(monkeypatch, finite.ModelSL3Swap)
+    failed = {c.id: c for c in finite.verify_q6_claims(5).failures}
+    m = re.fullmatch(r"seed 5 sample (\d+): x = (.+), g = (.+)", failed["pairing.invariant"].lhs)
+    model = finite.ModelSL3Swap(5)
+    rng = random.Random(5)
+    for j in range(int(m[1]) + 1):
+        x = tuple(finite._draws(rng, 5, 6))
+        g = model.sample(rng)
+        y = model.apply(g, x)
+        moved = finite._dot(x[:3], x[3:], 5) != finite._dot(y[:3], y[3:], 5)
+        assert moved == (j == int(m[1]))
+    assert (repr(x), repr(g)) == (m[2], m[3])
+    assert failed["pairing.invariant"].rhs.startswith(f"g x = {y}; ")
+
+
+def test_a_broken_stratum_map_records_its_first_witness(monkeypatch):
+    # a classification that singles out v = (1, 1, *) is not invariant, and
+    # only a few of the sampled points meet it
+    stratum_of = finite.stratum_of
+
+    def broken(pt, q):
+        return "S0" if pt[:2] == (1, 1) else stratum_of(pt, q)
+
+    monkeypatch.setattr(finite, "stratum_of", broken)
+    failed = {c.id: c for c in finite.verify_strata_partition(13).failures}
+    m = re.fullmatch(r"seed 13 sample (\d+): x = (.+)", failed["invariance"].lhs)
+    i = int(m[1])
+    flat = finite._draws(random.Random(13), 13, 6 * (i + 1))
+    assert repr(tuple(flat[-6:])) == m[2]
+    model = finite.ModelUnitriangular(13)
+    for j in range(i + 1):
+        x = tuple(flat[6 * j : 6 * j + 6])
+        kept = all(broken(model.apply(g, x), 13) == broken(x, 13) for g in model.generators)
+        assert kept == (j != i)
+    assert re.fullmatch(
+        r"generator \d image = \(.+\); strata = S\d+ -> S\d+", failed["invariance"].rhs
+    )
 
 
 def test_a_failed_ring_sample_records_its_first_witness(monkeypatch):

@@ -1,5 +1,6 @@
 """Brute-force orbit and stabilizer checks over small prime fields."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -11,15 +12,17 @@ from grstacks.finite import (
     ModelUnitriangular,
     NonDivisible,
     _closure,
+    _draws,
+    _orbit_numbers,
     _strata_base_points,
     classcount_sanity,
     det3,
     identity_mat,
+    mat2_mul_q,
     mat2_tau_det1,
     mat3_inv_transpose,
-    mat_mul_q,
+    mat3_mul_q,
     mat_transpose,
-    mat_vec_q,
     orbit_bfs,
     sl2_elements,
     sqrt_minus_one,
@@ -58,7 +61,7 @@ def test_mat3_inverse():
         if det3(m, q) == 0:
             continue
         found += 1
-        assert mat_mul_q(mat_transpose(m), mat3_inv_transpose(m, q), q) == identity_mat(3)
+        assert mat3_mul_q(mat_transpose(m), mat3_inv_transpose(m, q), q) == identity_mat(3)
     with pytest.raises(ZeroDivisionError):
         mat3_inv_transpose(((1, 0, 0), (2, 0, 0), (0, 0, 1)), q)
 
@@ -68,7 +71,7 @@ def test_inverse_transpose_on_det_one():
     m = ((2, 3), (5, 8 % q))
     assert (m[0][0] * m[1][1] - m[0][1] * m[1][0]) % q == 1
     tau = mat2_tau_det1(m, q)
-    prodT = mat_mul_q(tuple(tuple(r) for r in zip(*m)), tau, q)
+    prodT = mat2_mul_q(tuple(tuple(r) for r in zip(*m)), tau, q)
     assert prodT == identity_mat(2)
 
 
@@ -78,22 +81,23 @@ def test_sl2_enumeration_matches_class_formula():
 
 
 def test_matrix_helpers_match_index_sums():
-    # the index-sum forms the helpers had, on shapes from 1x1 to 4x3
+    # the fixed-size kernels against the index-sum product, entries in [-20, 20)
     rng = random.Random(1)
     q = 7
-    for rows, inner, cols in product(range(1, 5), range(1, 4), range(1, 4)):
-        a = tuple(tuple(rng.randrange(-20, 20) for _ in range(inner)) for _ in range(rows))
-        b = tuple(tuple(rng.randrange(-20, 20) for _ in range(cols)) for _ in range(inner))
-        v = tuple(rng.randrange(-20, 20) for _ in range(inner))
-        assert mat_mul_q(a, b, q) == tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(inner)) % q for j in range(cols))
-            for i in range(rows)
-        )
-        assert mat_vec_q(a, v, q) == tuple(
-            sum(a[i][k] * v[k] for k in range(inner)) % q for i in range(rows)
-        )
+    for size, kernel in ((2, mat2_mul_q), (3, mat3_mul_q)):
+        for _ in range(50):
+            a, b = (
+                tuple(tuple(rng.randrange(-20, 20) for _ in range(size)) for _ in range(size))
+                for _ in range(2)
+            )
+            assert kernel(a, b, q) == tuple(
+                tuple(sum(a[i][k] * b[k][j] for k in range(size)) % q for j in range(size))
+                for i in range(size)
+            )
+    for rows, cols in product(range(1, 5), range(1, 4)):
+        a = tuple(tuple(rng.randrange(-20, 20) for _ in range(cols)) for _ in range(rows))
         assert mat_transpose(a) == tuple(
-            tuple(a[i][j] for i in range(rows)) for j in range(inner)
+            tuple(a[i][j] for i in range(rows)) for j in range(cols)
         )
 
 
@@ -101,7 +105,7 @@ def test_unitriangular_composition():
     q = 5
     a = unitriangular(q, 1, 2, 3)
     b = unitriangular(q, 4, 0, 1)
-    c = mat_mul_q(a, b, q)
+    c = mat3_mul_q(a, b, q)
     assert c[0][0] == c[1][1] == c[2][2] == 1 and c[1][0] == c[2][0] == c[2][1] == 0
 
 
@@ -122,6 +126,64 @@ def test_model_laws(make):
     assert rep.ok, rep.to_text()
 
 
+def _rank2_apply_oracle(g, pt, q):
+    # sign, flip, swap, then B on the first half and B^-T on the second,
+    # each step written with the index-sum product
+    b, s, t, z = g
+    if z:
+        pt = tuple(-c % q for c in pt)
+    if t:
+        pt = (pt[0], -pt[1] % q, pt[2], -pt[3] % q)
+    if s:
+        pt = pt[2:] + pt[:2]
+    tau = mat2_tau_det1(b, q)
+    return tuple(
+        sum(m[i][k] * half[k] for k in range(2)) % q
+        for m, half in ((b, pt[:2]), (tau, pt[2:]))
+        for i in range(2)
+    )
+
+
+def test_rank2_apply_matches_the_composed_action():
+    model = ModelRank2(5)
+    rng = random.Random(2)
+    points = [tuple(rng.randrange(5) for _ in range(4)) for _ in range(8)]
+    for g in model.elements:
+        for pt in points:
+            assert model.apply(g, pt) == _rank2_apply_oracle(g, pt, 5), (g, pt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13, 4394])
+def test_draws_follow_the_randrange_stream(n):
+    for seed in range(4):
+        for k in (0, 1, 6, 50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _draws(rng, n, k) == [ref.randrange(n) for _ in range(k)]
+            # the stream is left where randrange leaves it
+            assert rng.random() == ref.random()
+
+
+# sha256 of the first 2000 samples per model, one repr per line, drawn from
+# Random(0); recorded while the samplers called randrange, randint and choice
+SAMPLE_STREAM_SHA256 = {
+    (5, "sl3_swap"): "1c8b11ddb5ca13386fc573c00f48fbc070bb69451f875c4ce84b1fa38810cc78",
+    (5, "rank2_twists"): "da83b3d5dd32b49998883875c94bd1ce3b2d08a3b76b4a9a29ff1d565bab8e99",
+    (5, "unitri_twist"): "8853583adefb32e7d6ba04bc1a762da483141277ce6f38ab6496fa2db2b1de61",
+    (13, "sl3_swap"): "c56d9d8f51e6f487f19a3f2eae2d5d041620f43bf1399741a6049b00e87a79c6",
+    (13, "rank2_twists"): "e17f855c07a51bfddfd61e2f1925b8185661262fa24f57460b3621bdbf37d3e0",
+    (13, "unitri_twist"): "630710fc103f4f0f1583d3bfa007367096ff564e529f8b938ad369198134bdf5",
+}
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("make", [ModelSL3Swap, ModelRank2, ModelUnitriangular])
+def test_sample_streams_are_pinned(make, q):
+    model = make(q)
+    rng = random.Random(0)
+    text = "\n".join(repr(model.sample(rng)) for _ in range(2000))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLE_STREAM_SHA256[q, model.name]
+
+
 def test_sl3_swap_order_doubles_sl3():
     for q in (3, 5):
         model = ModelSL3Swap(q)
@@ -139,6 +201,7 @@ def test_orbit_of_fixed_point_is_trivial():
     # the origin is fixed by the whole group
     zero = tuple(0 for _ in range(6))
     assert orbit_bfs(model, zero) == {zero}
+
 
 
 # -- orbit search on half tables against the apply-driven search -------
@@ -187,6 +250,16 @@ BASES_AT_5 = {
 def test_orbit_search_matches_apply_search_at_5(model):
     for pt in BASES_AT_5[model.name]:
         assert orbit_bfs(model, pt) == _apply_bfs(model, pt), pt
+
+
+def test_orbit_numbers_start_at_the_start_and_count_the_orbit():
+    model = ModelSL3Swap(5)
+    for pt in BASES_AT_5["sl3_swap"]:
+        numbers = _orbit_numbers(model, pt)
+        orbit = orbit_bfs(model, pt)
+        assert len(set(numbers)) == len(numbers) == len(orbit)
+        halves = model.half_tables.halves
+        assert halves[numbers[0] // len(halves)] + halves[numbers[0] % len(halves)] == pt
 
 
 def test_orbit_search_matches_apply_search_on_strata_bases_at_13():

@@ -20,3 +20,19 @@ def test_no_asserts_and_no_recursion_limit():
             if isinstance(node, ast.Assert) or name in PROCESS_STATE_SETTERS:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the Random methods whose streams _draws reproduces; finite draws only through it
+FINITE_DRAWS = {"randrange", "randint", "choice"}
+
+
+def test_finite_draws_only_through_one_helper():
+    path = pathlib.Path(grstacks.__file__).parent / "finite.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in FINITE_DRAWS:
+                found.append(f"finite.py:{node.lineno} {name}")
+    assert found == []
