@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 from .blades import blade_mul_mask, indices_of, mask_of
 from .gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational, dot, reduced
-from .report import CheckReport
+from .report import CheckReport, Witnesses
 
 Scalar = GaussianRational | int | Fraction
 Vector = tuple[GaussianRational, ...]
@@ -277,6 +277,10 @@ def mat_identity(n: int) -> Matrix:
     )
 
 
+def _mat_text(a: Matrix) -> str:
+    return "[" + "; ".join(" ".join(map(str, row)) for row in a) + "]"
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
@@ -493,41 +497,47 @@ def _random_element(n: int, rng: random.Random) -> CliffordElement:
 def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> CheckReport:
     """Generator relations, involution product laws, and the vector action."""
     rep = CheckReport(f"clifford.rel.{n}", seed)
+    witnesses = Witnesses(rep, seed)
+    fail = witnesses.fail
     rng = random.Random(seed)
     space = QuadSpace(n, NEG_SUM)
     full = tuple(range(1, n + 1))
 
-    sq_bad = pol_bad = 0
-    for _ in range(samples):
+    for i in range(samples):
         vc = _random_direction(n, rng, full)
         wc = _random_direction(n, rng, full)
         v, w = CliffordElement.vector(n, vc), CliffordElement.vector(n, wc)
-        if v * v != space.q(vc):
-            sq_bad += 1
-        if v * w + w * v != 2 * space.h(vc, wc):
-            pol_bad += 1
-    rep.add("rel.square", sq_bad == 0, f"v*v = q(v) on {samples} samples")
-    rep.add("rel.polar", pol_bad == 0, f"vw + wv = 2h(v, w) on {samples} samples")
+        vv, qv = v * v, space.q(vc)
+        if vv != qv:
+            fail("rel.square", i, {"v": v}, {"v*v": vv, "q(v)": qv})
+        polar, h2 = v * w + w * v, 2 * space.h(vc, wc)
+        if polar != h2:
+            fail("rel.polar", i, {"v": v, "w": w}, {"vw + wv": polar, "2h(v, w)": h2})
+    witnesses.add("rel.square", f"v*v = q(v) on {samples} samples")
+    witnesses.add("rel.polar", f"vw + wv = 2h(v, w) on {samples} samples")
 
     # the involution laws hold on the whole algebra, not just the pin group
-    law_bad = comp_bad = 0
-    for _ in range(samples):
+    for i in range(samples):
         a, b = _random_element(n, rng), _random_element(n, rng)
         ab = a * b
-        if ab.eps() != a.eps() * b.eps():
-            law_bad += 1
-        if ab.transpose() != b.transpose() * a.transpose():
-            law_bad += 1
-        if ab.bar() != b.bar() * a.bar():
-            law_bad += 1
-        if a.bar() != a.eps().transpose() or a.bar() != a.transpose().eps():
-            comp_bad += 1
-    rep.add(
-        "inv.products",
-        law_bad == 0,
-        "eps multiplicative, transpose and bar antimultiplicative",
-    )
-    rep.add("inv.compose", comp_bad == 0, "bar = eps after transpose, both orders")
+        at, bt = a.transpose(), b.transpose()
+        laws = (
+            ("eps(ab)", ab.eps(), "eps(a) eps(b)", a.eps() * b.eps()),
+            ("transpose(ab)", ab.transpose(), "transpose(b) transpose(a)", bt * at),
+            ("bar(ab)", ab.bar(), "bar(b) bar(a)", b.bar() * a.bar()),
+        )
+        got = {}
+        for left, lv, right, rv in laws:
+            if lv != rv:
+                got |= {left: lv, right: rv}
+        if got:
+            fail("inv.products", i, {"a": a, "b": b}, got)
+        bar, eps_t, t_eps = a.bar(), a.eps().transpose(), at.eps()
+        if bar != eps_t or bar != t_eps:
+            got = {"bar(a)": bar, "transpose(eps(a))": eps_t, "eps(transpose(a))": t_eps}
+            fail("inv.compose", i, {"a": a, "b": b}, got)
+    witnesses.add("inv.products", "eps multiplicative, transpose and bar antimultiplicative")
+    witnesses.add("inv.compose", "bar = eps after transpose, both orders")
 
     ident = mat_identity(n)
     try:
@@ -537,25 +547,27 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
         reflect = False
     rep.add("rho.reflect", reflect, "rho(e_1) is the reflection diag(-1, 1, ..., 1)")
 
-    hom_bad = det_bad = 0
     runs = max(10, samples // 4)
-    for _ in range(runs):
+    for i in range(runs):
+        drawn: dict[str, CliffordElement] = {}
         try:
-            a, b = pin_sample(n, rng), pin_sample(n, rng)
+            a = drawn["a"] = pin_sample(n, rng)
+            b = drawn["b"] = pin_sample(n, rng)
             ra = rho(a)
-            hom = rho(a * b) == mat_mul(ra, rho(b))
-            det = mat_det(ra) == GaussianRational(1 - 2 * (a.parity() or 0))
-        except _BROKEN_SAMPLE:
+            rab, ra_rb = rho(a * b), mat_mul(ra, rho(b))
+            det, want = mat_det(ra), GaussianRational(1 - 2 * (a.parity() or 0))
+        except _BROKEN_SAMPLE as exc:
             # a product of unit vectors left the pin group: neither law holds
-            hom = det = False
-        hom_bad += not hom
-        det_bad += not det
-    rep.add("rho.hom", hom_bad == 0, f"rho(ab) = rho(a) rho(b) on {runs} pin pairs")
-    rep.add(
-        "rho.det",
-        det_bad == 0,
-        "determinant of rho is +1 on even elements and -1 on odd ones",
-    )
+            for check in ("rho.hom", "rho.det"):
+                fail(check, i, drawn, {"error": f"{type(exc).__name__}: {exc}"})
+            continue
+        if rab != ra_rb:
+            got = {"rho(ab)": _mat_text(rab), "rho(a) rho(b)": _mat_text(ra_rb)}
+            fail("rho.hom", i, {"a": a, "b": b}, got)
+        if det != want:
+            fail("rho.det", i, {"a": a}, {"det rho(a)": det, "expected": want})
+    witnesses.add("rho.hom", f"rho(ab) = rho(a) rho(b) on {runs} pin pairs")
+    witnesses.add("rho.det", "determinant of rho is +1 on even elements and -1 on odd ones")
     return rep
 
 

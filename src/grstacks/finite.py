@@ -114,20 +114,19 @@ def det3(a, q):
     ) % q
 
 
-def mat3_inv_transpose(a, q):
-    """Inverse transpose mod q: the cofactor matrix times det^-1."""
+def mat3_tau_det1(a, q):
+    """Inverse transpose mod q of a determinant-one matrix: its cofactor
+    matrix.  Raises Inconsistent when the determinant is not 1."""
     (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
-    cof = (
-        (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0),
-        (c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0),
-        (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0),
-    )
+    r0 = ((b1 * c2 - b2 * c1) % q, (b2 * c0 - b0 * c2) % q, (b0 * c1 - b1 * c0) % q)
     # the determinant, expanded along the first row
-    d = (a0 * cof[0][0] + a1 * cof[0][1] + a2 * cof[0][2]) % q
-    if d == 0:
-        raise ZeroDivisionError("singular matrix")
-    di = pow(d, -1, q)
-    return tuple([tuple([x * di % q for x in row]) for row in cof])
+    if (a0 * r0[0] + a1 * r0[1] + a2 * r0[2]) % q != 1:
+        raise Inconsistent(f"determinant of {a} is not 1 mod {q}")
+    return (
+        r0,
+        ((c1 * a2 - c2 * a1) % q, (c2 * a0 - c0 * a2) % q, (c0 * a1 - c1 * a0) % q),
+        ((a1 * b2 - a2 * b1) % q, (a2 * b0 - a0 * b2) % q, (a0 * b1 - a1 * b0) % q),
+    )
 
 
 def mat2_tau_det1(a, q):
@@ -199,15 +198,16 @@ class _BlockwiseModel:
 
 
 class _TwistedPairMixin(_BlockwiseModel):
-    """Semidirect product by the swap: elements (A, T, xi) with T the inverse
-    transpose of A, carried along so that no inverse is ever computed in the
-    hot path (inverting swaps the roles of A and T up to transpose)."""
+    """Semidirect product by the swap: elements (A, T, xi) with A of
+    determinant one and T its inverse transpose, carried along so that no
+    inverse is ever computed in the hot path (inverting swaps the roles of A
+    and T up to transpose)."""
 
     dim = 6
 
     def element(self, a, xi: int = 1):
-        """The element with matrix part a and swap flag xi."""
-        return (a, mat3_inv_transpose(a, self.q), xi)
+        """The element with matrix part a, of determinant one, and swap flag xi."""
+        return (a, mat3_tau_det1(a, self.q), xi)
 
     def mul(self, g, h):
         a1, t1, x1 = g

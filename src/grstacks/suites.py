@@ -152,15 +152,11 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
 
 
 def suite_g2(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
-    rep = ledgers.verify_g2_ledger()
-    rep.seed = seed
-    return rep
+    return ledgers.run_ledger("g2", ledgers.G2_LEDGER, seed)
 
 
 def suite_spin78(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
-    rep = ledgers.verify_spin78_ledger()
-    rep.seed = seed
-    return rep
+    return ledgers.run_ledger("spin78", ledgers.SPIN78_LEDGER, seed)
 
 
 def _unless_inconsistent(fn, *args):

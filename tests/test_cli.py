@@ -11,9 +11,9 @@ import pytest
 
 import grstacks
 from dsl_corpus import HUGE_SCALAR_INPUTS, PAST_THE_BUDGET, WIDE_POWERS, wide_power
-from grstacks import cli, dsl, intpoly, lefschetz, motive
+from grstacks import cli, dsl, intpoly, ledgers, lefschetz, motive
 from grstacks.report import CheckReport
-from grstacks.suites import SUITES
+from grstacks.suites import SUITES, suite_g2, suite_spin78
 
 
 def _run_cli(*args, flags=()):
@@ -200,6 +200,18 @@ def test_eval_long_chain_has_no_traceback(op, want):
     proc = _run_cli("eval", op.join(["1"] * 30_000))
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stdout.strip()) == (0, want)
+
+
+def test_every_ledger_side_reproduces_from_eval(capsys):
+    # a ledger row is DSL text, so pasting either side into `eval` prints
+    # exactly what the report records for it
+    recorded = {c.id: c for c in suite_g2().checks + suite_spin78().checks}
+    rows = ledgers.G2_LEDGER + ledgers.SPIN78_LEDGER
+    assert len(rows) == len(recorded) == 22
+    for id, lhs, rhs, _ in rows:
+        for text, side in ((lhs, recorded[id].lhs), (rhs, recorded[id].rhs)):
+            assert cli.main(["eval", text]) == 0
+            assert capsys.readouterr().out == side + "\n", (id, text)
 
 
 # -- bspin ------------------------------------------------------------

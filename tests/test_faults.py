@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, ledgers, motive, suites
+from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
 from grstacks.lefschetz import l_power, lc_mul, lc_neg, lc_normalize
@@ -78,7 +78,16 @@ def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
 def test_flipped_blade_sign_fails_clifford_relations(flipped_blade_sign, n):
     rep = verify_clifford_relations(n, samples=25, seed=0)
     assert not rep.ok
-    assert "rel.polar" in {c.id for c in rep.failures}
+    failed = {c.id: c for c in rep.failures}
+    # the first failing pair is named by its seed and sample index, and
+    # redrawing that sample gives the same vectors
+    m = re.fullmatch(r"seed 0 sample (\d+): v = (.+), w = (.+)", failed["rel.polar"].lhs)
+    assert m and failed["rel.polar"].rhs.startswith("vw + wv = ")
+    rng, full = random.Random(0), tuple(range(1, n + 1))
+    for _ in range(int(m[1]) + 1):
+        vc = clifford._random_direction(n, rng, full)
+        wc = clifford._random_direction(n, rng, full)
+    assert (m[2], m[3]) == tuple(str(clifford.CliffordElement.vector(n, u)) for u in (vc, wc))
 
 
 @pytest.mark.parametrize(
@@ -129,32 +138,48 @@ def test_unreduced_clifford_elements_fail_the_clifford_suite_without_raising(mon
 # -- the ledgers --------------------------------------------------------
 
 
-def test_dropped_residue_class_fails_the_g2_ledger_without_raising(monkeypatch):
+def _drop_residue_class(monkeypatch):
     # skipping the last residue class of x^d - 1 misses Phi_d factors, so a
-    # unit keeps a non-unit core and inverting it raises NotAUnit; the checks
-    # that read it record FAIL with the error and every other check still runs
-    ids = {c.id for c in suite_g2().checks}
-
+    # unit keeps a non-unit core and inverting it raises NotAUnit
     def dropped(p, d):
         r = intpoly.normalize(sum(p[i::d]) for i in range(d - 1 if d > 2 else d))
         phi = intpoly.cyclotomic(d)
         return not r if len(r) < len(phi) else intpoly.monic_div(r, phi) is not None
 
     monkeypatch.setattr(intpoly, "cyclotomic_divides", dropped)
+
+
+def test_dropped_residue_class_fails_the_g2_ledger_without_raising(monkeypatch):
+    # the checks that read such a unit record FAIL with the error and every
+    # other check still runs
+    ids = {c.id for c in suite_g2().checks}
+    _drop_residue_class(monkeypatch)
     rep = suite_g2()
     assert {c.id for c in rep.checks} == ids
     failed = {c.id: c.lhs for c in rep.failures}
     assert failed["strata.solve"].startswith("NotAUnit: not a unit: core")
 
 
+def test_dropped_residue_class_fails_the_spin78_ledger_without_raising(monkeypatch):
+    # every (L^n - 1) in a row goes through the faulty normalizer, so the
+    # spin classes and their inverses are caught too
+    ids = {c.id for c in suite_spin78().checks}
+    _drop_residue_class(monkeypatch)
+    rep = suite_spin78()
+    assert {c.id for c in rep.checks} == ids
+    failed = {c.id: c.lhs for c in rep.failures}
+    assert {"bspin7.inv", "bspin8.assembly"} <= failed.keys()
+    assert failed["bspin8.assembly"].startswith("NotAUnit: not a unit: core")
+
+
 def test_wrong_ledger_values_fail_the_ledgers_without_raising(monkeypatch):
-    # {G_2} and {Spin_8} off by a factor L: the ledgers bind these names at
-    # import, so they are patched there.  The displayed identities that read
-    # the wrong class fail, the one B(G_2 x mu_2) check in the spin ledger
-    # among them, and every other check still holds
-    monkeypatch.setattr(ledgers, "class_g2", lambda: lc_mul(motive.class_g2(), l_power(1)))
+    # {G_2} and {Spin_8} off by a factor L, patched where the evaluator's
+    # G2() and Spin(n) read them.  The displayed identities that read the
+    # wrong class fail, the one B(G_2 x mu_2) check in the spin ledger among
+    # them, and every other check still holds
+    monkeypatch.setattr(dsl, "class_g2", lambda: lc_mul(motive.class_g2(), l_power(1)))
     monkeypatch.setattr(
-        ledgers,
+        dsl,
         "class_spin",
         lambda n: lc_mul(motive.class_spin(n), l_power(1)) if n == 8 else motive.class_spin(n),
     )

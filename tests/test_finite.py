@@ -20,8 +20,8 @@ from grstacks.finite import (
     identity_mat,
     mat2_mul_q,
     mat2_tau_det1,
-    mat3_inv_transpose,
     mat3_mul_q,
+    mat3_tau_det1,
     mat_transpose,
     orbit_bfs,
     sl2_elements,
@@ -34,7 +34,7 @@ from grstacks.finite import (
     verify_strata_partition,
 )
 from grstacks.lefschetz import lc_eval_at
-from grstacks.motive import class_sl
+from grstacks.motive import Inconsistent, class_sl
 
 
 def _status_map(rep):
@@ -58,12 +58,16 @@ def test_mat3_inverse():
     found = 0
     while found < 25:
         m = tuple(tuple(rng.randrange(q) for _ in range(3)) for _ in range(3))
-        if det3(m, q) == 0:
+        d = det3(m, q)
+        if d == 0:
             continue
         found += 1
-        assert mat3_mul_q(mat_transpose(m), mat3_inv_transpose(m, q), q) == identity_mat(3)
-    with pytest.raises(ZeroDivisionError):
-        mat3_inv_transpose(((1, 0, 0), (2, 0, 0), (0, 0, 1)), q)
+        # scaling the first row by d^-1 leaves a determinant-one matrix
+        m = (tuple(x * pow(d, -1, q) % q for x in m[0]),) + m[1:]
+        assert mat3_mul_q(mat_transpose(m), mat3_tau_det1(m, q), q) == identity_mat(3)
+    for bad in (((1, 0, 0), (2, 0, 0), (0, 0, 1)), ((2, 0, 0), (0, 1, 0), (0, 0, 1))):
+        with pytest.raises(Inconsistent):
+            mat3_tau_det1(bad, q)
 
 
 def test_inverse_transpose_on_det_one():

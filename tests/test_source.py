@@ -36,3 +36,21 @@ def test_finite_draws_only_through_one_helper():
             if name in FINITE_DRAWS:
                 found.append(f"finite.py:{node.lineno} {name}")
     assert found == []
+
+
+# the package modules a ledger row may reach: the evaluator and the report
+LEDGER_IMPORTS = {"dsl", "report"}
+
+
+def test_ledgers_import_only_the_evaluator_and_the_report():
+    # every ledger value then comes from DSL text through dsl.eval
+    path = pathlib.Path(grstacks.__file__).parent / "ledgers.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("grstacks")):
+            module = module.removeprefix("grstacks").lstrip(".")
+            found |= {module} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if a.name.startswith("grstacks")}
+    assert found <= LEDGER_IMPORTS
