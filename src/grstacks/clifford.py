@@ -589,18 +589,23 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
     if not 3 <= n <= 8:
         raise ValueError("n must be in 3..8")
     rep = CheckReport(f"clifford.phi_pin.{n}", seed)
+    witnesses = Witnesses(rep, seed)
+    fail = witnesses.fail
     rng = random.Random(seed)
     sub = tuple(range(2, n + 1))
     e1 = basis_vector(n, 1)
 
     case_counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    tested = hom_bad = stab_bad = spin_bad = 0
+    tested = hom_bad = stab_bad = 0
 
     def check_pair(k1: int | None = None, k2: int | None = None) -> None:
-        nonlocal tested, hom_bad, stab_bad, spin_bad
+        nonlocal tested, hom_bad, stab_bad
+        i = tested
         tested += 1
+        drawn: dict[str, CliffordElement] = {}
         try:
-            b1, b2 = pin_sample(n, rng, k1, sub), pin_sample(n, rng, k2, sub)
+            b1 = drawn["b1"] = pin_sample(n, rng, k1, sub)
+            b2 = drawn["b2"] = pin_sample(n, rng, k2, sub)
             p1, p2 = b1.parity(), b2.parity()
             if p1 is None or p2 is None:
                 raise InvariantBroken("a product of unit vectors has mixed parity")
@@ -608,15 +613,26 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
             g1, x1 = phi_pin(b1)
             g2, x2 = phi_pin(b2)
             gp, xp = phi_pin(b1 * b2)
-            hom = g1 * g2 == gp and x1 * x2 == xp
+            g12 = g1 * g2
             # the image stabilizes e_1 up to the recorded sign
-            stab = g1.eps() * e1 * g1.bar() == (e1 if x1 == 1 else -e1)
-            even = g1.parity() == 0
-        except _BROKEN_SAMPLE:
-            hom = stab = even = False
-        hom_bad += not hom
-        stab_bad += not stab
-        spin_bad += not even
+            moved = g1.eps() * e1 * g1.bar()
+            parity = g1.parity()
+        except _BROKEN_SAMPLE as exc:
+            hom_bad += 1
+            stab_bad += 1
+            for check in ("phi.hom", "phi.stab", "phi.even"):
+                fail(check, i, drawn, {"error": f"{type(exc).__name__}: {exc}"})
+            return
+        if g12 != gp or x1 * x2 != xp:
+            hom_bad += 1
+            got = {"phi(b1) phi(b2)": f"({g12}, {x1 * x2})", "phi(b1 b2)": f"({gp}, {xp})"}
+            fail("phi.hom", i, drawn, got)
+        if moved != (e1 if x1 == 1 else -e1):
+            stab_bad += 1
+            got = {"phi(b1)": f"({g1}, {x1})", "eps(g1) e1 bar(g1)": moved}
+            fail("phi.stab", i, drawn, got)
+        if parity != 0:
+            fail("phi.even", i, drawn, {"phi(b1)": f"({g1}, {x1})", "parity of g1": parity})
 
     for _ in range(samples):
         check_pair()
@@ -631,9 +647,9 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
         all_cases,
         "parity case coverage " + str({f"{k[0]}{k[1]}": v for k, v in sorted(case_counts.items())}),
     )
-    rep.add("phi.hom", hom_bad == 0, f"{tested - hom_bad}/{tested} pairs multiplicative")
-    rep.add("phi.stab", stab_bad == 0, f"{tested - stab_bad}/{tested} stabilize e1 up to sign")
-    rep.add("phi.even", spin_bad == 0, "first component always even")
+    witnesses.add("phi.hom", f"{tested - hom_bad}/{tested} pairs multiplicative")
+    witnesses.add("phi.stab", f"{tested - stab_bad}/{tested} stabilize e1 up to sign")
+    witnesses.add("phi.even", "first component always even")
 
     # spot check full spin membership on a few samples (costlier)
     ok = True

@@ -21,9 +21,16 @@ stabilizers inside the image would silently halve the answers.
 
 Products are fixed-size kernels: ``mat2_mul_q`` and ``mat3_mul_q`` are
 written out entry by entry, and the rank-2 ``apply`` writes out B and
-B^-T = ((w, -z), (-y, x)) on the two halves.  Every random draw goes through
-``_draws``, which returns what ``randrange`` would from the same stream, so
-the samples do not depend on how they are drawn.
+B^-T = ((w, -z), (-y, x)) on the two halves.  The determinant-one samplers
+``_sample_sl2`` and ``_sample_sl3`` are unrolled the same way.  Every random
+draw goes through ``_draws``, a plain loop that makes the draws ``randrange``
+would make from the same stream, so the samples do not depend on how they
+are drawn.
+
+The rank-3 model has three generators: the transvection e_12, the 3-cycle
+permutation matrix and the swap.  The 3-cycle conjugates e_12 to e_23 and
+e_31, and their commutators are the other three transvections, so over a
+prime field the three generate the whole group.
 
 Orbit searches do not call ``apply`` per step.  Every generator of every
 model acts linearly and blockwise: it sends (v, w) to (f v, h w), or to
@@ -156,33 +163,46 @@ def _draws(rng: random.Random, n: int, k: int) -> list[int]:
     same stream.
 
     ``randrange(n)`` draws ``getrandbits(n.bit_length())`` until a value is
-    below n.  Each round here makes exactly as many of those draws as values
-    are still missing, so it never draws past the k-th accepted value.
+    below n.  This loop makes those draws one at a time and stops at the
+    k-th accepted value, so it never draws past it.
     """
     if n <= 0:
         raise ValueError("empty range for a draw")
     bits = n.bit_length()
+    draw = rng.getrandbits
     out: list[int] = []
-    while len(out) < k:
-        out += [r for r in map(rng.getrandbits, repeat(bits, k - len(out))) if r < n]
+    append = out.append
+    while k:
+        r = draw(bits)
+        if r < n:
+            append(r)
+            k -= 1
     return out
 
 
-def _sample_det1(rng: random.Random, q: int, n: int, det):
-    """Uniform n x n matrix of determinant 1: draw until invertible, then
+def _sample_sl2(rng: random.Random, q: int):
+    """Uniform 2 x 2 matrix of determinant 1: draw until invertible, then
     scale the first row by det^-1."""
     while True:
-        flat = _draws(rng, q, n * n)
-        a = tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
-        d = det(a, q)
-        if d:
+        a, b, c, d = _draws(rng, q, 4)
+        det = (a * d - b * c) % q
+        if det:
             break
-    di = pow(d, -1, q)
-    return (tuple(x * di % q for x in a[0]),) + a[1:]
+    di = pow(det, -1, q)
+    return ((a * di % q, b * di % q), (c, d))
 
 
-def _det2(b, q):
-    return (b[0][0] * b[1][1] - b[0][1] * b[1][0]) % q
+def _sample_sl3(rng: random.Random, q: int):
+    """Uniform 3 x 3 matrix of determinant 1, drawn as ``_sample_sl2`` draws."""
+    while True:
+        a0, a1, a2, b0, b1, b2, c0, c1, c2 = _draws(rng, q, 9)
+        det = (
+            a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        ) % q
+        if det:
+            break
+    di = pow(det, -1, q)
+    return ((a0 * di % q, a1 * di % q, a2 * di % q), (b0, b1, b2), (c0, c1, c2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,19 +273,17 @@ class ModelSL3Swap(_TwistedPairMixin):
         self.name = "sl3_swap"
         self.q = q
         self.group_order = 2 * (q**3 - 1) * (q**3 - q) * q * q
-        gens = []
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    m = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-                    m[i][j] = 1
-                    gens.append(self.element(tuple(tuple(r) for r in m)))
-        gens.append(self.element(identity_mat(3), -1))
-        self.generators = gens
+        # e_12, the 3-cycle e_1 -> e_2 -> e_3 -> e_1 and the swap; the module
+        # docstring says why they generate
+        self.generators = [
+            self.element(((1, 1, 0), (0, 1, 0), (0, 0, 1))),
+            self.element(((0, 0, 1), (1, 0, 0), (0, 1, 0))),
+            self.element(identity_mat(3), -1),
+        ]
         self.elements = None
 
     def sample(self, rng: random.Random):
-        a = _sample_det1(rng, self.q, 3, det3)
+        a = _sample_sl3(rng, self.q)
         return self.element(a, (1, -1)[_draws(rng, 2, 1)[0]])
 
 
@@ -348,7 +366,7 @@ class ModelRank2(_BlockwiseModel):
         return [g for g in self.elements if g[3] == 0]
 
     def sample(self, rng: random.Random):
-        b = _sample_det1(rng, self.q, 2, _det2)
+        b = _sample_sl2(rng, self.q)
         s, t, z = _draws(rng, 2, 3)
         return (b, s, t, z)
 

@@ -91,10 +91,11 @@ SPIN78_LEDGER: tuple[Row, ...] = (
     ("bspin7.inv", BSPIN7, "Spin(7)^-1", "{B Spin_7} = {Spin_7}^-1"),
     ("bspin7.unit", f"({BSPIN7}) * Spin(7)", "1", "{B Spin_7}{Spin_7} = 1"),
     # 8-dim story: null cone via the rank-6 spin group semidirect a
-    # 6-dim unipotent, quadric via the 7-dim spin group times mu_2
+    # 6-dim unipotent, quadric via the 7-dim spin group times mu_2, whose
+    # class the 7-dim stratification computes on the left of q8.spin8
     ("c8.spin8", C88, "L^-12 * (L^3-1)^-1 * (L^2-1)^-1 * (L^4-1)^-1",
      "L^-6 {B Spin_6} = L^-12 (L^3-1)^-1 (L^2-1)^-1 (L^4-1)^-1"),
-    ("q8.spin8", BSPIN7, BSPIN7,
+    ("q8.spin8", f"(L^8-1)^-1 * (({C87}) + (L-1) * ({BG2}))", BSPIN7,
      "{B(Spin_7 x mu_2)} = L^-9 (L^2-1)^-1 (L^4-1)^-1 (L^6-1)^-1"),
     ("bspin8.assembly", BSPIN8, "Spin(8)^-1",
      "(L^8-1)^-1 (null + (L-1) quadric) = {Spin_8}^-1"),

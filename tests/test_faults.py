@@ -104,6 +104,27 @@ def test_flipped_blade_sign_fails_the_clifford_suite_without_raising(monkeypatch
     assert failing in {c.id for c in rep.failures}
 
 
+def test_a_sign_dropping_embedding_records_its_first_witness(monkeypatch):
+    # an embedding that records +1 for odd elements still multiplies and
+    # lands in the even part, but it moves e_1 to -e_1 under a recorded +1;
+    # only pairs whose first element is odd show it
+    embed = clifford.phi_pin
+    monkeypatch.setattr(clifford, "phi_pin", lambda beta: (embed(beta)[0], 1))
+    n, seed = 4, 3
+    failed = {c.id: c for c in clifford.verify_phi_pin_embedding(n, samples=20, seed=seed).failures}
+    assert set(failed) == {"phi.stab"}
+    m = re.fullmatch(rf"seed {seed} sample (\d+): b1 = (.+), b2 = (.+)", failed["phi.stab"].lhs)
+    # the seed and index draw the same pair again, and it is the first bad one
+    rng, sub = random.Random(seed), tuple(range(2, n + 1))
+    for j in range(int(m[1]) + 1):
+        b1, b2 = clifford.pin_sample(n, rng, None, sub), clifford.pin_sample(n, rng, None, sub)
+        assert (b1.parity() == 1) == (j == int(m[1]))
+    assert (str(b1), str(b2)) == (m[2], m[3])
+    e1 = clifford.basis_vector(n, 1)
+    g1 = e1 * b1
+    assert failed["phi.stab"].rhs == f"phi(b1) = ({g1}, 1); eps(g1) e1 bar(g1) = {-e1}"
+
+
 def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     # without the gcd step equal values have unequal (x, y, d), so the
     # exact equalities behind the pin-group laws turn false
@@ -185,6 +206,19 @@ def test_wrong_ledger_values_fail_the_ledgers_without_raising(monkeypatch):
     )
     assert {c.id for c in suite_g2().failures} == {"g2.class_formula", "bg2.unit"}
     assert {c.id for c in suite_spin78().failures} == {"q8.spin7", "bspin8.assembly", "bspin8.unit"}
+
+
+def test_wrong_sl3_class_fails_both_routes_to_bspin7(monkeypatch):
+    # {SL_3} off by a factor L reaches {B Spin_7} only through the null-cone
+    # term, so the chain and the quadric row that recomputes it fail, while
+    # the closed form of {B Spin_7} and everything built on it still hold
+    monkeypatch.setattr(
+        dsl,
+        "class_sl",
+        lambda n: lc_mul(motive.class_sl(n), l_power(1)) if n == 3 else motive.class_sl(n),
+    )
+    failed = {c.id for c in suite_spin78().failures}
+    assert failed == {"c8.spin7", "bspin7.chain", "q8.spin8"}
 
 
 # -- the tower ----------------------------------------------------------

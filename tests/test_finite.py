@@ -2,7 +2,7 @@
 
 import hashlib
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -14,6 +14,8 @@ from grstacks.finite import (
     _closure,
     _draws,
     _orbit_numbers,
+    _sample_sl2,
+    _sample_sl3,
     _strata_base_points,
     classcount_sanity,
     det3,
@@ -160,11 +162,45 @@ def test_rank2_apply_matches_the_composed_action():
 @pytest.mark.parametrize("n", [1, 2, 5, 13, 4394])
 def test_draws_follow_the_randrange_stream(n):
     for seed in range(4):
-        for k in (0, 1, 6, 50):
+        for k in (0, 1, 6, 50, 12_000):
             rng, ref = random.Random(seed), random.Random(seed)
             assert _draws(rng, n, k) == [ref.randrange(n) for _ in range(k)]
             # the stream is left where randrange leaves it
             assert rng.random() == ref.random()
+
+
+def _det(a):
+    # cofactor expansion along the first row
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * _det([row[:j] + row[j + 1 :] for row in a[1:]])
+        for j in range(len(a))
+    )
+
+
+def _sample_det1_reference(rng, q, n):
+    # n^2 randrange draws until the determinant is nonzero, then the first
+    # row scaled by the determinant's inverse
+    while True:
+        a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        d = _det(a) % q
+        if d:
+            break
+    a[0] = [x * pow(d, -1, q) % q for x in a[0]]
+    return tuple(map(tuple, a))
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_fixed_size_samplers_match_the_generic_reference(q):
+    for n, sampler in ((2, _sample_sl2), (3, _sample_sl3)):
+        rng, ref = random.Random(q), random.Random(q)
+        for _ in range(2000):
+            want = _sample_det1_reference(ref, q, n)
+            assert _det(want) % q == 1
+            assert sampler(rng, q) == want
+        # the stream is left where the reference leaves it
+        assert rng.random() == ref.random()
 
 
 # sha256 of the first 2000 samples per model, one repr per line, drawn from
@@ -192,6 +228,11 @@ def test_sl3_swap_order_doubles_sl3():
     for q in (3, 5):
         model = ModelSL3Swap(q)
         assert model.group_order == 2 * lc_eval_at(class_sl(3), q)
+
+
+def test_sl3_swap_generators_reach_the_whole_group_at_3():
+    model = ModelSL3Swap(3)
+    assert len(_closure(model.identity(), model.mul, model.generators)) == model.group_order
 
 
 def test_stabilizer_rejects_non_dividing_orbit():
@@ -254,6 +295,24 @@ BASES_AT_5 = {
 def test_orbit_search_matches_apply_search_at_5(model):
     for pt in BASES_AT_5[model.name]:
         assert orbit_bfs(model, pt) == _apply_bfs(model, pt), pt
+
+
+def _transvection_generators(model):
+    # the rank-3 model's earlier generating set: the six transvections
+    # e_ij (i != j) and the swap
+    gens = []
+    for i, j in permutations(range(3), 2):
+        m = [[int(r == c) for c in range(3)] for r in range(3)]
+        m[i][j] = 1
+        gens.append(model.element(tuple(map(tuple, m))))
+    return gens + [model.element(identity_mat(3), -1)]
+
+
+def test_sl3_swap_orbits_match_the_transvection_search_at_5():
+    model = ModelSL3Swap(5)
+    gens = _transvection_generators(model)
+    for pt in BASES_AT_5["sl3_swap"]:
+        assert orbit_bfs(model, pt) == _closure(pt, model.apply, gens), pt
 
 
 def test_orbit_numbers_start_at_the_start_and_count_the_orbit():

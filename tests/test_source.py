@@ -27,14 +27,21 @@ FINITE_DRAWS = {"randrange", "randint", "choice"}
 
 
 def test_finite_draws_only_through_one_helper():
+    # and only that helper reads raw bits, so no sampler leaves its stream
     path = pathlib.Path(grstacks.__file__).parent / "finite.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    helper = next(n for n in tree.body if getattr(n, "name", None) == "_draws")
+    inside = set(map(id, ast.walk(helper)))
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name in FINITE_DRAWS:
                 found.append(f"finite.py:{node.lineno} {name}")
+        name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "value", None)
+        if name == "getrandbits" and id(node) not in inside:
+            found.append(f"finite.py:{node.lineno} getrandbits")
     assert found == []
 
 
