@@ -26,6 +26,14 @@ The combine steps share one lefschetz.work_budget of WORK_BUDGET units, so a
 product, sum or power past it raises OverBudget before it is built; builders
 run outside it, since the tower they read is memoized and charging it would
 make a verdict depend on what the process computed before.
+
+A sum is walked once down its left spine.  The longest run of integer
+monomials from its foot up (c, L, L^k, c*L^k with 0 <= k <= MAX_EXPONENT,
+under any minus signs), such as every polynomial render prints, is folded
+into one coefficient list and built by lefschetz.lc_poly: one (D + 1)^2
+charge and one normalization for the whole run, where adding term by term
+would charge and normalize every partial sum.  The terms above the run
+combine one sum at a time.
 """
 
 import re
@@ -42,6 +50,7 @@ from .lefschetz import (
     lc_inv,
     lc_neg,
     lc_normalize,
+    lc_poly,
 )
 from .motive import (
     M_ONE,
@@ -343,9 +352,6 @@ def parse(text: str | bytes) -> ExprAst:
 # -- evaluation --------------------------------------------------------
 
 
-_BINARY = (Add, Sub, Mul, Div)
-
-
 def _binary(node: ExprAst, a: MotiveExpr, b: MotiveExpr) -> MotiveExpr:
     if isinstance(node, Add):
         return m_add(a, b)
@@ -372,6 +378,26 @@ def _power(base: MotiveExpr, k: int) -> MotiveExpr:
     if k == 1:
         return base
     raise DomainError("higher power of an atom-bearing expression")
+
+
+def _monomial(node: ExprAst, negate: bool) -> tuple[int, int] | None:
+    """(k, c) when node, negated if negate, is c*L^k with 0 <= k <=
+    MAX_EXPONENT, written c, L, L^k or c*L^k under any minus signs."""
+    while isinstance(node, Neg):
+        negate, node = not negate, node.child
+    if isinstance(node, IntLit):
+        k, c = 0, node.value
+    else:
+        c = 1
+        if isinstance(node, Mul) and isinstance(node.left, IntLit):
+            c, node = node.left.value, node.right
+        if isinstance(node, LSymbol):
+            k = 1
+        elif isinstance(node, Pow) and isinstance(node.base, LSymbol) and 0 <= node.exponent <= MAX_EXPONENT:
+            k = node.exponent
+        else:
+            return None
+    return k, -c if negate else c
 
 
 def _leaf(node: ExprAst) -> MotiveExpr:
@@ -416,7 +442,33 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
                 else:
                     b = values.pop()
                     values[-1] = _binary(node, values[-1], b)
-            elif isinstance(node, _BINARY):
+            elif isinstance(node, (Add, Sub)):
+                # the whole sum at once: its left spine, top first, the run
+                # of monomials from its foot up, folded, and the sums above
+                spine, foot = [], node
+                while isinstance(foot, (Add, Sub)):
+                    spine.append(foot)
+                    foot = foot.left
+                run = []
+                term = _monomial(foot, False)
+                while term is not None:
+                    run.append(term)
+                    if len(run) > len(spine):
+                        break
+                    up = spine[-len(run)]
+                    term = _monomial(up.right, isinstance(up, Sub))
+                folded = len(run) > 1
+                if folded:
+                    del spine[len(spine) + 1 - len(run) :]
+                    coeffs = [0] * (max(k for k, _ in run) + 1)
+                    for k, c in run:
+                        coeffs[k] += c
+                    values.append(m_scalar(lc_poly(coeffs)))
+                for up in spine:
+                    todo += ((up, True), (up.right, False))
+                if not folded:
+                    todo.append((foot, False))
+            elif isinstance(node, (Mul, Div)):
                 todo += ((node, True), (node.right, False), (node.left, False))
             elif isinstance(node, Neg):
                 todo += ((node, True), (node.child, False))

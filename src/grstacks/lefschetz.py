@@ -24,12 +24,13 @@ is multiplied out first, from memoized powers Phi_d^m, and then multiplied
 into the shifted core once.
 
 Both build polynomials whose size the operands fix in advance.  Inside a
-work budget (work_budget, which dsl.eval opens for untrusted input), each of
-the three sites that builds them predicts its work from the operand sizes
-alone and charges it before any polynomial work: a non-unit product its
-length times its predicted coefficient bits, a sum (D + 1)^2 for the larger
-cofactor degree D plus the size of each cofactor product, and a power, once,
-an upper bound on its whole square-and-multiply loop.  A charge that passes
+work budget (work_budget, which dsl.eval opens for untrusted input), each
+site that builds them predicts its work from the operand sizes alone and
+charges it before any polynomial work: a non-unit product its length times
+its predicted coefficient bits, a sum (D + 1)^2 for the larger cofactor
+degree D plus the size of each cofactor product, a polynomial given by its
+coefficients (lc_poly) (D + 1)^2 for its degree D, and a power, once, an
+upper bound on its whole square-and-multiply loop.  A charge that passes
 the budget raises OverBudget.  Outside a budget, the default, nothing is
 predicted and no size is bounded.
 
@@ -269,6 +270,21 @@ def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
         return a
     pa, pb, l0, common = _common_cofactors(a, b)
     return lc_normalize(intpoly.add(pa, pb), l0, common)
+
+
+def lc_poly(coeffs) -> LefschetzClass:
+    """The class of the integer polynomial sum_i coeffs[i] * L^i.
+
+    Charged as a sum is, (D + 1)^2 for the degree D of the core left once
+    the L-valuation is stripped, and normalized once, so a sum of monomials
+    costs one normalization instead of one per term.
+    """
+    core = intpoly.normalize(coeffs)
+    if not core:
+        return LC_ZERO
+    v, core = intpoly.content_and_valuation(core)
+    _charge(lambda: len(core) ** 2)
+    return lc_normalize(core, v)
 
 
 def _power_units(p: tuple[int, ...], k: int) -> int:

@@ -1,11 +1,14 @@
 """Expression grammar: parsing, evaluation, rendering, and fuzzing."""
 
 import dataclasses
+import functools
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -19,11 +22,13 @@ from grstacks.lefschetz import (
     NotAUnit,
     ZeroInverse,
     l_power,
+    lc_add,
     lc_int,
+    lc_mul,
     lc_neg,
 )
 from grstacks import motive
-from grstacks.motive import M_ONE, DomainError, class_g2, m_atom, m_scalar
+from grstacks.motive import M_ONE, DomainError, class_g2, m_add, m_atom, m_scalar
 
 
 def ev(text):
@@ -439,9 +444,10 @@ def test_charges_cover_the_work_on_generated_expressions(text):
 def _charges_and_work(text):
     """Evaluate text; return whether it was accepted and each work-budget
     charge paired with the work it pays for: a product's charge with the next
-    product's length times its largest coefficient bits, a sum's (D + 1)^2
-    with the degree of the core it normalizes, and a power's with the sizes
-    of all its loop's products, as (charging function, units, work)."""
+    product's length times its largest coefficient bits, a sum's or a folded
+    polynomial's (D + 1)^2 with the degree of the core it normalizes, and a
+    power's with the sizes of all its loop's products, as (charging function,
+    units, work)."""
     events = []
     charge, mul, normalize = lefschetz._charge, intpoly.mul, lefschetz.lc_normalize
 
@@ -481,13 +487,13 @@ def _charges_and_work(text):
                 work += size
         elif name == "normalize":
             if sums:
-                pairs.append(("_common_cofactors", sums.pop(), size))
+                pairs.append((*sums.pop(), size))
         else:
             if site == "lc_pow":
                 pairs.append((site, units, work))
             site, units, work = name, size, 0
-            if name == "_common_cofactors":
-                sums.append(size)
+            if name in ("_common_cofactors", "lc_poly"):
+                sums.append((name, size))
                 site = None
     return accepted, pairs
 
@@ -515,14 +521,18 @@ def test_charges_cover_the_work_on_the_corpus_and_the_fail_fast_tables():
     assert {text: outcomes[text][0] for text in CALIBRATED} == CALIBRATED
     assert not any(outcomes[text][0] for text in HUGE_SCALAR_INPUTS + PAST_THE_BUDGET)
     pairs = [pair for _, text_pairs in outcomes.values() for pair in text_pairs]
-    # a product, a sum, a sum's cofactor product and a power, some of them large
-    assert {site for site, _, _ in pairs} == {"lc_mul", "_common_cofactors", "_cofactor", "lc_pow"}
+    # a product, a sum, a sum's cofactor product, a folded polynomial and a
+    # power, some of them large
+    assert {site for site, _, _ in pairs} == {"lc_mul", "_common_cofactors", "_cofactor", "lc_poly", "lc_pow"}
     assert max(work for _, _, work in pairs) > 10**6
 
 
 def _clear_caches():
+    # every memo in intpoly, so the cold branch below is cold throughout
     motive.clear_tower_cache()
-    for memo in (intpoly.cyclotomic, intpoly.totient, intpoly.cyclotomic_power, intpoly.cyclotomic_at):
+    memos = [f for f in vars(intpoly).values() if hasattr(f, "cache_clear")]
+    assert intpoly.phi_bounded in memos and intpoly._phi_walk in memos
+    for memo in memos:
         memo.cache_clear()
 
 
@@ -542,3 +552,125 @@ def test_a_verdict_near_the_budget_does_not_depend_on_the_caches(monkeypatch):
             except lefschetz.OverBudget:
                 verdict = False
             assert verdict == accepted, (budget, cold)
+
+
+@pytest.mark.parametrize("text", ["(L+2)^1000*(L+3)^1000", "cyclo(7)^333 + 1"])
+def test_renderings_of_calibrated_inputs_re_evaluate_under_the_budget(text):
+    # a rendered core is one sum of up to 2,001 monomials, charged once
+    value = ev(text)
+    assert ev(render(value)) == value
+
+
+def test_the_rendering_of_a_wide_tower_sum_stays_refused():
+    # 25.4 M units at (D + 1)^2 per core and block, 22.5 M of them its 59
+    # atom cores
+    value = ev("BSpin(60)*(L^2+3) + BPin(60)*(L-5)")
+    with pytest.raises(lefschetz.OverBudget):
+        ev(render(value))
+
+
+# -- folded polynomial literals ----------------------------------------
+
+
+def _term(op, minus, c, k, shape):
+    """One monomial of a chain as (text, op, c, k), c signed by its minus signs."""
+    if shape == "c":
+        body, k = str(c), 0
+    elif shape == "L":
+        body, c, k = "L", 1, 1
+    elif shape == "L^k":
+        body, c = f"L^{k}", 1
+    else:
+        body = f"{c}*L^{k}"
+    return "-" * minus + body, op, (-1) ** minus * c, k
+
+
+monomial_terms = strat.builds(
+    _term,
+    strat.sampled_from("+-"),
+    strat.integers(0, 3),
+    strat.integers(0, 12),
+    strat.integers(0, 8),
+    strat.sampled_from(("c", "L", "L^k", "c*L^k")),
+)
+
+
+def _chain(terms):
+    """The chain's text, the first term's operator dropped, its value added
+    term by term and the units those sums charge."""
+    text = " ".join(body if i == 0 else f"{op} {body}" for i, (body, op, _, _) in enumerate(terms))
+    signed = (c if i == 0 or op == "+" else -c for i, (_, op, c, _) in enumerate(terms))
+    parts = (lc_mul(lc_int(c), l_power(k)) for c, (_, _, _, k) in zip(signed, terms))
+    with lefschetz.work_budget(10**9):
+        value = functools.reduce(lc_add, parts)
+        return text, value, lefschetz._budget.get()[0]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(strat.lists(monomial_terms, min_size=2, max_size=12), strat.booleans())
+@hypothesis.example([_term("+", 0, 1, 6, "L^k"), _term("-", 0, 1, 0, "c")], False)
+@hypothesis.example([_term("+", 0, 1, 6, "L^k"), _term("-", 0, 1, 0, "c")], True)
+@hypothesis.example([_term("+", 1, 3, 2, "c*L^k"), _term("-", 1, 3, 2, "c*L^k")], False)
+@hypothesis.example([_term("+", 0, 2, 0, "c"), _term("-", 2, 2, 0, "L^k"), _term("+", 0, 5, 0, "c")], True)
+def test_a_folded_chain_equals_the_sum_term_by_term(terms, atom_on_top):
+    # repeated exponents, L^0 and stacked minus signs; L^6 - 1 factors into
+    # Phi_d and -3*L^2 - -3*L^2 cancels to 0; with BDelta(2) on top only the
+    # chain below it folds
+    text, want, units = _chain(terms)
+    expected = m_scalar(want)
+    if atom_on_top:
+        text, expected = text + " + BDelta(2)", m_add(expected, m_atom(2))
+    folds, spent = [], []
+    charge = lefschetz._charge
+
+    def spy_charge(units_of):
+        spent.append(units_of())
+        charge(lambda: spent[-1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "lc_poly", lambda coeffs: folds.append(coeffs) or lefschetz.lc_poly(coeffs))
+        patch.setattr(lefschetz, "_charge", spy_charge)
+        assert ev(text) == expected, text
+    assert len(folds) == 1, text
+    # one charge for the run, no more than its sums were charged
+    assert len(spent) <= 1 and sum(spent) <= max(units, 1), (text, spent, units)
+
+
+def test_terms_out_of_the_monomial_shapes_take_the_generic_path(monkeypatch):
+    folds = []
+    monkeypatch.setattr(dsl, "lc_poly", lambda coeffs: folds.append(coeffs) or lefschetz.lc_poly(coeffs))
+    with pytest.raises(DomainError) as exc:
+        ev("L^2001 + 1")
+    assert str(exc.value) == "exponent 2001 exceeds 2000 in size"
+    assert ev("L^-1 + 1") == m_scalar(lc_add(l_power(-1), LC_ONE))
+    assert folds == []
+
+
+@pytest.mark.parametrize("atom_at_foot", [True, False])
+def test_a_long_sum_is_walked_once(monkeypatch, atom_at_foot):
+    n = 20_000
+    terms = "".join(f" + L^{k % 4}" for k in range(n))
+    text = "BDelta(1)" + terms if atom_at_foot else "0" + terms + " + BDelta(1)"
+    node, expected = parse(text), ev("5000*(1 + L + L^2 + L^3) + BDelta(1)")
+    looks = []
+    monomial = dsl._monomial
+    monkeypatch.setattr(dsl, "_monomial", lambda *args: looks.append(1) or monomial(*args))
+    start = time.perf_counter()
+    value = dsl_eval(node)
+    elapsed = time.perf_counter() - start
+    # each term is looked at once at most
+    assert value == expected and len(looks) <= text.count("+") + 1
+    # 1.2 s term by term on a shared 2-vCPU host; rescanning the spine below
+    # every sum would walk 2 * 10^8 nodes, about 36 s there
+    assert elapsed < 10
+
+
+def test_a_rendered_class_normalizes_once_per_parenthesized_polynomial(monkeypatch):
+    text = render(motive.bspin(12))
+    polynomials = re.findall(r"\([^()]*[-+][^()]*\)", text)
+    monomials = sum(p.count("L") + 1 for p in polynomials)
+    calls = []
+    normalize = lefschetz.lc_normalize
+    monkeypatch.setattr(lefschetz, "lc_normalize", lambda *args: calls.append(1) or normalize(*args))
+    ev(text)
+    assert len(calls) == len(polynomials) and monomials > 5 * len(calls)
