@@ -10,12 +10,16 @@ multiplicative level, so -a*b reads -(a*b) while -a+b reads (-a)+b.
 
 Parsing works on the UTF-8 bytes of the input and reports 0-based byte
 offsets in every error, together with the set of tokens that would have been
-accepted.  One compiled byte regex splits the input: it matches an integer,
-an identifier, a punctuation byte, or any other non-whitespace byte, which is
-an error, and its finditer skips the whitespace between them.  The parser
-recurses only through `expr` and `factor`, so a parenthesized group costs two
-interpreter frames and a leading minus none; MAX_DEPTH nested groups need
-about 800 free frames, so parse runs inside the default recursion limit.
+accepted.  One findall pass of one compiled byte regex splits the input:
+each match is a run of whitespace and the token after it, an integer, an
+identifier, a punctuation byte, or any other non-whitespace byte, which is
+an error.  The matches tile the input, so a token's offset is the summed
+length of the matches before it plus its own leading whitespace.  Tokens
+are plain (kind, offset, value) tuples, a punctuation byte being its own
+kind, and the parser reads them in place by index.  It recurses only
+through `expr` and `factor`, so a parenthesized group costs two interpreter
+frames and a leading minus none; MAX_DEPTH nested groups need about 800
+free frames, so parse runs inside the default recursion limit.
 Evaluation walks the AST on an explicit stack, so its work is linear in the
 size of the AST however deep it nests, and produces a MotiveExpr; division
 and negative powers demand a unit scalar, and products of two atom-bearing
@@ -39,7 +43,6 @@ combine one sum at a time.
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import intpoly, lefschetz
 from .lefschetz import (
@@ -199,12 +202,6 @@ ExprAst = IntLit | LSymbol | Neg | Add | Sub | Mul | Div | Pow | Call
 # -- tokens ------------------------------------------------------------
 
 
-class Token(NamedTuple):
-    kind: str  # "int", "ident", "end", or the punctuation character itself
-    offset: int
-    value: object = None
-
-
 _LABELS = {"int": "integer", "ident": "identifier", "end": "end of input"}
 
 
@@ -212,127 +209,144 @@ def _label(kind: str) -> str:
     return _LABELS.get(kind, f'"{kind}"')
 
 
-def _describe(t: Token) -> str:
-    if t.kind == "int":
-        return f"integer {t.value}"
-    if t.kind == "ident":
-        return f"identifier {t.value!r}"
-    if t.kind == "end":
-        return "end of input"
-    return f'"{t.kind}"'
-
-
-# every byte but whitespace starts a token or is an error, so finditer, which
-# skips only bytes that no alternative matches, skips exactly the whitespace
+# each match is the whitespace before a token and the token: an integer, an
+# identifier, a punctuation byte, or any other non-whitespace byte, which is
+# an error; every byte but whitespace starts a token, so the matches tile the
+# input up to its trailing whitespace
 _TOKEN = re.compile(
-    rb"(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|[-+*/^(),]|(?P<bad>[^ \t\r\n\x0b\x0c])"
+    rb"([ \t\r\n\x0b\x0c]*)(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^(),])|([^ \t\r\n\x0b\x0c]))"
 )
 
+# a punctuation byte is its own kind
+_PUNCT = {bytes([b]): chr(b) for b in b"-+*/^(),"}
 
-def _tokenize(data: bytes) -> list[Token]:
-    toks: list[Token] = []
-    for m in _TOKEN.finditer(data):
-        i, kind, word = m.start(), m.lastgroup, m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected byte 0x{word[0]:02x}", i)
-        if kind == "int":
+# (kind, offset, value): kind is "int", "ident", "end" or a punctuation byte
+_Tok = tuple[str, int, object]
+
+
+def _tokenize(data: bytes) -> list[_Tok]:
+    """The tokens of data, then ("end", len(data), None)."""
+    toks: list[_Tok] = []
+    append = toks.append
+    pos = 0
+    for space, digits, name, punct, bad in _TOKEN.findall(data):
+        pos += len(space)
+        if punct:
+            append((_PUNCT[punct], pos, None))
+            pos += 1
+        elif digits:
             try:
-                value: object = int(word)
+                append(("int", pos, int(digits)))
             except ValueError:
                 # more digits than the interpreter's int_max_str_digits
-                raise ParseError(f"integer literal of {len(word)} digits is too long", i) from None
+                raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
+            pos += len(digits)
+        elif name:
+            append(("ident", pos, name.decode("ascii")))
+            pos += len(name)
         else:
-            value = word.decode("ascii")
-        # a punctuation byte is its own kind
-        toks.append(Token(kind or value, i, value))
-    toks.append(Token("end", len(data)))
+            raise ParseError(f"unexpected byte 0x{bad[0]:02x}", pos)
+    append(("end", len(data), None))
     return toks
 
 
 # -- parser ------------------------------------------------------------
 
 
+def _unexpected(tok: _Tok, expected: tuple[str, ...]) -> ParseError:
+    kind, offset, value = tok
+    if kind == "int":
+        what = f"integer {value}"
+    elif kind == "ident":
+        what = f"identifier {value!r}"
+    else:
+        what = _label(kind)
+    return ParseError(f"unexpected {what}", offset, expected)
+
+
 class _Parser:
-    def __init__(self, toks: list[Token]):
+    # reads self.toks[self.pos] in place: a token is consumed by moving pos
+    def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def take(self) -> Token:
+    def expect(self, kind: str) -> _Tok:
         t = self.toks[self.pos]
+        if t[0] != kind:
+            raise _unexpected(t, (kind,))
         self.pos += 1
         return t
 
-    def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"unexpected {_describe(t)}", t.offset, (kind,))
-        return self.take()
-
-    def _bump(self, depth: int, offset: int) -> None:
-        if depth >= MAX_DEPTH:
-            raise ParseError("expression nests too deeply", offset)
-
     def expr(self, depth: int) -> ExprAst:
+        toks = self.toks
         node: ExprAst | None = None
-        op = None
+        op = ""
         while True:
             # a term: leading minus signs over a product of factors; each
             # sign nests one level, so -a*b reads -(a*b)
             inner = depth
-            while self.peek().kind == "-":
-                self._bump(inner, self.take().offset)
+            while toks[self.pos][0] == "-":
+                if inner >= MAX_DEPTH:
+                    raise ParseError("expression nests too deeply", toks[self.pos][1])
+                self.pos += 1
                 inner += 1
             term = self.factor(inner)
-            while self.peek().kind in ("*", "/"):
-                mul = self.take().kind == "*"
+            kind = toks[self.pos][0]
+            while kind == "*" or kind == "/":
+                self.pos += 1
                 rhs = self.factor(inner)
-                term = Mul(term, rhs) if mul else Div(term, rhs)
+                term = Mul(term, rhs) if kind == "*" else Div(term, rhs)
+                kind = toks[self.pos][0]
             for _ in range(inner - depth):
                 term = Neg(term)
-            node = term if node is None else (Add if op == "+" else Sub)(node, term)
-            if self.peek().kind not in ("+", "-"):
+            if node is None:
+                node = term
+            else:
+                node = Add(node, term) if op == "+" else Sub(node, term)
+            if kind != "+" and kind != "-":
                 return node
-            op = self.take().kind
+            op = kind
+            self.pos += 1
 
     def signed_int(self) -> int:
-        neg = self.peek().kind == "-"
+        neg = self.toks[self.pos][0] == "-"
         if neg:
-            self.take()
-        t = self.expect("int")
-        return -t.value if neg else t.value
+            self.pos += 1
+        value = self.expect("int")[2]
+        return -value if neg else value
 
     def factor(self, depth: int) -> ExprAst:
-        t = self.take()
-        if t.kind == "int":
-            node = IntLit(t.value)
-        elif t.kind == "(":
-            self._bump(depth, t.offset)
+        toks = self.toks
+        kind, offset, value = toks[self.pos]
+        self.pos += 1
+        if kind == "int":
+            node = IntLit(value)
+        elif kind == "ident" and value == "L":
+            node = LSymbol()
+        elif kind == "(":
+            if depth >= MAX_DEPTH:
+                raise ParseError("expression nests too deeply", offset)
             node = self.expr(depth + 1)
             self.expect(")")
-        elif t.kind == "ident" and t.value == "L":
-            node = LSymbol()
-        elif t.kind == "ident":
-            if t.value not in REGISTRY:
-                raise UnknownIdent(t.value, t.offset)
+        elif kind == "ident":
+            if value not in REGISTRY:
+                raise UnknownIdent(value, offset)
             self.expect("(")
             args: list[int] = []
-            if self.peek().kind != ")":
+            if toks[self.pos][0] != ")":
                 args.append(self.signed_int())
-                while self.peek().kind == ",":
-                    self.take()
+                while toks[self.pos][0] == ",":
+                    self.pos += 1
                     args.append(self.signed_int())
             self.expect(")")
-            want = REGISTRY[t.value][0]
+            want = REGISTRY[value][0]
             if len(args) != want:
-                raise ArityError(t.value, len(args), want, t.offset)
-            node = Call(t.value, tuple(args))
+                raise ArityError(value, len(args), want, offset)
+            node = Call(value, tuple(args))
         else:
-            raise ParseError(f"unexpected {_describe(t)}", t.offset, ("int", "ident", "("))
-        if self.peek().kind == "^":
-            self.take()
+            raise _unexpected((kind, offset, value), ("int", "ident", "("))
+        if toks[self.pos][0] == "^":
+            self.pos += 1
             node = Pow(node, self.signed_int())
         return node
 

@@ -43,7 +43,6 @@ of the full core, so every such division succeeds.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,15 +67,20 @@ class OverBudget(ValueError):
 _budget: ContextVar[list[int] | None] = ContextVar("work_budget", default=None)
 
 
-@contextmanager
-def work_budget(units: int | None):
+class work_budget:  # noqa: N801 - entered as `with work_budget(units):`
     """Charge the products, sums and powers of this block to one budget of
     `units` work units, or to none when `units` is None."""
-    token = _budget.set(None if units is None else [0, units])
-    try:
-        yield
-    finally:
-        _budget.reset(token)
+
+    __slots__ = ("units", "token")
+
+    def __init__(self, units: int | None):
+        self.units = units
+
+    def __enter__(self) -> None:
+        self.token = _budget.set(None if self.units is None else [0, self.units])
+
+    def __exit__(self, *exc_info) -> None:
+        _budget.reset(self.token)
 
 
 def _charge(units_of) -> None:

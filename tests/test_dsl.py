@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import os
 import random
@@ -192,9 +193,79 @@ def test_overlong_integer_literal_is_a_parse_error(template):
     assert exc.value.offset == text.index(digits)
 
 
+# -- the tokenizer against a byte-at-a-time scanner --------------------
+
+SPACE_BYTES = b" \t\r\n\x0b\x0c"
+DIGIT_BYTES = b"0123456789"
+NAME_BYTES = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+PUNCT_BYTES = b"-+*/^(),"
+
+
+def _scan(data: bytes):
+    """The token tuples of data, or the offset and text of its first error,
+    read one byte at a time."""
+    limit = sys.get_int_max_str_digits()
+    toks, i = [], 0
+    while i < len(data):
+        b, j = data[i], i + 1
+        if b in SPACE_BYTES:
+            i = j
+            continue
+        if b in DIGIT_BYTES:
+            while j < len(data) and data[j] in DIGIT_BYTES:
+                j += 1
+            if limit and j - i > limit:
+                return i, f"integer literal of {j - i} digits is too long at offset {i}"
+            toks.append(("int", i, int(data[i:j])))
+        elif b in NAME_BYTES:
+            while j < len(data) and data[j] in NAME_BYTES + DIGIT_BYTES:
+                j += 1
+            toks.append(("ident", i, data[i:j].decode("ascii")))
+        elif b in PUNCT_BYTES:
+            toks.append((chr(b), i, None))
+        else:
+            return i, f"unexpected byte 0x{b:02x} at offset {i}"
+        i = j
+    toks.append(("end", len(data), None))
+    return toks
+
+
+token_bytes = strat.sampled_from(
+    [bytes([b]) for b in SPACE_BYTES + DIGIT_BYTES + NAME_BYTES + PUNCT_BYTES + bytes(range(0x80, 0x100))]
+)
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.given(strat.lists(token_bytes, max_size=200).map(b"".join))
+@hypothesis.example(b"\x0b 12\x0cL^3\r\n+ \t_x9(4,-5)\x0c")
+@hypothesis.example(b" (" + b"7" * 5000 + b")")
+@hypothesis.example(b"1 + L\xe2\x88\x92 2")
+def test_the_tokenizer_matches_a_byte_at_a_time_scanner(data):
+    want = _scan(data)
+    try:
+        got = dsl._tokenize(data)
+    except ParseError as exc:
+        got = exc.offset, str(exc)
+    assert got == want
+
+
 # -- stack use --------------------------------------------------------
 
 DEEP_INPUTS = ("(" * 400 + "1" + ")" * 400, "-" * 400 + "1")
+
+
+def test_parse_and_eval_leave_no_cyclic_garbage():
+    # a reference cycle per parse would keep each token list alive until the
+    # cyclic collector ran, and raise the peak memory of a run of round trips
+    text = render(motive.bspin(12))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            dsl_eval(parse(text))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_parse_and_eval_leave_the_recursion_limit_alone(monkeypatch):

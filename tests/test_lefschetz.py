@@ -539,6 +539,29 @@ def test_core_degree_bound(monkeypatch):
         lc_add(phi7_times_l(0, 2001), LC_ONE)
 
 
+def test_a_nested_budget_restores_the_outer_one_when_its_body_raises():
+    assert lefschetz._budget.get() is None
+    with work_budget(100):
+        outer = lefschetz._budget.get()
+        lefschetz._charge(lambda: 7)
+        with pytest.raises(ZeroDivisionError):
+            with work_budget(None):
+                assert lefschetz._budget.get() is None
+                lefschetz._charge(lambda: 10**9)
+                1 / 0
+        assert lefschetz._budget.get() is outer and outer == [7, 100]
+        with pytest.raises(OverBudget, match="more than 10 work units"):
+            with work_budget(10):
+                lefschetz._charge(lambda: 11)
+        assert lefschetz._budget.get() is outer and outer == [7, 100]
+        lefschetz._charge(lambda: 93)
+        with pytest.raises(OverBudget, match="more than 100 work units"):
+            lefschetz._charge(lambda: 1)
+    # the top level is unbounded again
+    assert lefschetz._budget.get() is None
+    lefschetz._charge(lambda: 10**12)
+
+
 def test_coefficient_bits_bound(monkeypatch):
     # nor coefficient bits: two 5000-bit factors pass the former 8192-bit cap
 
