@@ -18,6 +18,7 @@ from .lefschetz import (
     LC_ONE,
     LefschetzClass,
     NotAUnit,
+    OverBudget,
     ZeroInverse,
     lc_eval_at,
     lc_eval_digits,
@@ -97,9 +98,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_bspin(args: argparse.Namespace) -> int:
     try:
-        # through the evaluator, which bounds the tower index
+        # through the evaluator, which charges the tower before building it
         e = dsl.eval(dsl.Call("BSpin", (args.n,)))
-    except DomainError as exc:
+    except (DomainError, OverBudget) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":

@@ -596,10 +596,10 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
     e1 = basis_vector(n, 1)
 
     case_counts = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
-    tested = hom_bad = stab_bad = 0
+    tested = 0
 
     def check_pair(k1: int | None = None, k2: int | None = None) -> None:
-        nonlocal tested, hom_bad, stab_bad
+        nonlocal tested
         i = tested
         tested += 1
         drawn: dict[str, CliffordElement] = {}
@@ -618,17 +618,13 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
             moved = g1.eps() * e1 * g1.bar()
             parity = g1.parity()
         except _BROKEN_SAMPLE as exc:
-            hom_bad += 1
-            stab_bad += 1
             for check in ("phi.hom", "phi.stab", "phi.even"):
                 fail(check, i, drawn, {"error": f"{type(exc).__name__}: {exc}"})
             return
         if g12 != gp or x1 * x2 != xp:
-            hom_bad += 1
             got = {"phi(b1) phi(b2)": f"({g12}, {x1 * x2})", "phi(b1 b2)": f"({gp}, {xp})"}
             fail("phi.hom", i, drawn, got)
         if moved != (e1 if x1 == 1 else -e1):
-            stab_bad += 1
             got = {"phi(b1)": f"({g1}, {x1})", "eps(g1) e1 bar(g1)": moved}
             fail("phi.stab", i, drawn, got)
         if parity != 0:
@@ -647,8 +643,8 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
         all_cases,
         "parity case coverage " + str({f"{k[0]}{k[1]}": v for k, v in sorted(case_counts.items())}),
     )
-    witnesses.add("phi.hom", f"{tested - hom_bad}/{tested} pairs multiplicative")
-    witnesses.add("phi.stab", f"{tested - stab_bad}/{tested} stabilize e1 up to sign")
+    witnesses.add("phi.hom", f"{tested - witnesses.bad['phi.hom']}/{tested} pairs multiplicative")
+    witnesses.add("phi.stab", f"{tested - witnesses.bad['phi.stab']}/{tested} stabilize e1 up to sign")
     witnesses.add("phi.even", "first component always even")
 
     # spot check full spin membership on a few samples (costlier)
@@ -736,29 +732,33 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
     if not 3 <= n <= 8:
         raise ValueError("n must be in 3..8")
     rep = CheckReport(f"clifford.f.{n}", seed)
+    witnesses = Witnesses(rep, seed)
+    fail, bad = witnesses.fail, witnesses.bad
     rng = random.Random(seed)
     space = QuadSpace(n, NEG_SUM)
     f1 = CliffordElement.vector(n, f1_vector(n))
     tail = tuple(range(3, n + 1))
 
-    hom_bad = 0
-    for _ in range(samples):
+    def vec(w: Vector) -> CliffordElement:
+        return CliffordElement.vector(n, w)
+
+    for i in range(samples):
         w1 = _random_tail_vector(n, rng, gaussian=True)
         w2 = _random_tail_vector(n, rng, gaussian=True)
         ws = tuple(a + b for a, b in zip(w1, w2))
-        if f_map(n, w1) * f_map(n, w2) != f_map(n, ws):
-            hom_bad += 1
-    rep.add("f.hom", hom_bad == 0, f"{samples - hom_bad}/{samples} pairs satisfy f(w)f(w') = f(w+w')")
+        prod, fs = f_map(n, w1) * f_map(n, w2), f_map(n, ws)
+        if prod != fs:
+            fail("f.hom", i, {"w1": vec(w1), "w2": vec(w2)}, {"f(w1) f(w2)": prod, "f(w1 + w2)": fs})
+    witnesses.add("f.hom", f"{samples - bad['f.hom']}/{samples} pairs satisfy f(w)f(w') = f(w+w')")
 
     # anisotropic factorization: scale a unit tail vector so the square norm
     # has the explicit square root a
-    anis_bad = 0
     anis_runs = max(10, samples // 4)
-    for _ in range(anis_runs):
+    for i in range(anis_runs):
         try:
             v = unit_vector_sample(n, rng, support=tail)
-        except _BROKEN_SAMPLE:
-            anis_bad += 1
+        except _BROKEN_SAMPLE as exc:
+            fail("f.factor.anis", i, {}, {"error": f"{type(exc).__name__}: {exc}"})
             continue
         a = GaussianRational(Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.choice((1, 2))))
         w = tuple(a * x for x in v)
@@ -766,17 +766,18 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         nrm = dot(w, w)
         if nrm != a * a:
             # a scaled unit vector must have square norm a^2
-            anis_bad += 1
+            fail("f.factor.anis", i, {"v": vec(v), "a": a}, {"w.w": nrm, "a^2": a * a})
             continue
-        wv = CliffordElement.vector(n, w)
+        wv = vec(w)
         factor1 = wv * (GR_ONE / a)
         factor2 = (nrm * f1 - wv) * (GR_ONE / a)
         if factor1 * factor2 != lhs:
-            anis_bad += 1
-    rep.add("f.factor.anis", anis_bad == 0, f"{anis_runs - anis_bad}/{anis_runs} square-norm factorizations")
+            got = {"factors' product": factor1 * factor2, "f(a v)": lhs}
+            fail("f.factor.anis", i, {"v": vec(v), "a": a}, got)
+    good = anis_runs - bad["f.factor.anis"]
+    witnesses.add("f.factor.anis", f"{good}/{anis_runs} square-norm factorizations")
 
     if n >= 4:
-        iso_bad = 0
         iso_runs = max(10, samples // 4)
         e1 = basis_vector(n, 1)
         e2 = basis_vector(n, 2)
@@ -787,40 +788,40 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
                 w = tuple(w)
             else:
                 w = _random_isotropic_tail(n, rng)
+            wv = vec(w)
             if dot(w, w):
                 # reflections keep the seed isotropic
-                iso_bad += 1
+                fail("f.factor.iso", k, {"w": wv}, {"w.w": dot(w, w)})
                 continue
-            wv = CliffordElement.vector(n, w)
-            prod = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2
-            if prod != f_map(n, w):
-                iso_bad += 1
-        rep.add("f.factor.iso", iso_bad == 0, f"{iso_runs - iso_bad}/{iso_runs} isotropic factorizations")
+            prod, fw = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2, f_map(n, w)
+            if prod != fw:
+                fail("f.factor.iso", k, {"w": wv}, {"(e1 - i w/2) e1 (e2 - w/2) e2": prod, "f(w)": fw})
+        witnesses.add("f.factor.iso", f"{iso_runs - bad['f.factor.iso']}/{iso_runs} isotropic factorizations")
 
-    stab_bad = frame_bad = 0
     frame_runs = max(10, samples // 4)
     # columns f1, f2, e_3..e_n; P is invertible, so rho(fw) P = P phi_w says
     # that rho(fw) reads as phi_w in this frame
     p_mat = tuple(zip(f1_vector(n), f2_vector(n), *mat_identity(n)[2:]))
-    for _ in range(frame_runs):
+    for i in range(frame_runs):
         w = _random_tail_vector(n, rng)
         fw = f_map(n, w)
-        if fw.eps() * f1 * fw.bar() != f1:
-            stab_bad += 1
+        moved = fw.eps() * f1 * fw.bar()
+        if moved != f1:
+            fail("f.stab", i, {"w": vec(w)}, {"eps(f(w)) f1 bar(f(w))": moved, "f1": f1})
         try:
-            frame = mat_mul(rho(fw), p_mat) == mat_mul(p_mat, phi_w_matrix(space, n, w))
-        except NotPin:
+            lhs, rhs = mat_mul(rho(fw), p_mat), mat_mul(p_mat, phi_w_matrix(space, n, w))
+        except NotPin as exc:
             # f(w) is a spin element, so rho must accept it
-            frame = False
-        frame_bad += not frame
-    rep.add("f.stab", stab_bad == 0, f"{frame_runs - stab_bad}/{frame_runs} fix the pivot isotropic vector")
-    rep.add(
+            fail("f.frame", i, {"w": vec(w)}, {"error": f"{type(exc).__name__}: {exc}"})
+            continue
+        if lhs != rhs:
+            fail("f.frame", i, {"w": vec(w)}, {"rho(f(w)) P": _mat_text(lhs), "P phi_w": _mat_text(rhs)})
+    witnesses.add("f.stab", f"{frame_runs - bad['f.stab']}/{frame_runs} fix the pivot isotropic vector")
+    witnesses.add(
         "f.frame",
-        frame_bad == 0,
-        f"{frame_runs - frame_bad}/{frame_runs} match the unipotent template in the hyperbolic frame",
+        f"{frame_runs - bad['f.frame']}/{frame_runs} match the unipotent template in the hyperbolic frame",
     )
 
-    conj_bad = 0
     conj_runs = max(10, samples // 4)
     for k in range(conj_runs):
         w = _random_tail_vector(n, rng)
@@ -831,10 +832,11 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         else:
             alpha = f_map(n, _random_tail_vector(n, rng))
         out = alpha * fw * alpha.bar()
-        w2 = f_recover(out)
-        if out != f_map(n, w2):
-            conj_bad += 1
-    rep.add("f.conj", conj_bad == 0, f"{conj_runs - conj_bad}/{conj_runs} conjugates stay in the image")
+        back = f_map(n, f_recover(out))
+        if out != back:
+            got = {"alpha f(w) bar(alpha)": out, "f(w read back)": back}
+            fail("f.conj", k, {"w": vec(w), "alpha": alpha}, got)
+    witnesses.add("f.conj", f"{conj_runs - bad['f.conj']}/{conj_runs} conjugates stay in the image")
     return rep
 
 

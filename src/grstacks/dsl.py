@@ -23,13 +23,12 @@ free frames, so parse runs inside the default recursion limit.
 Evaluation walks the AST on an explicit stack, so its work is linear in the
 size of the AST however deep it nests, and produces a MotiveExpr; division
 and negative powers demand a unit scalar, and products of two atom-bearing
-values are refused.  REGISTRY, the one per-family table, gives each family
-its arity, the bound on its first argument (MAX_TOWER_INDEX, MAX_GROUP_INDEX,
-MAX_CYCLO_INDEX) and its builder; an exponent is bounded by MAX_EXPONENT.
-The combine steps share one lefschetz.work_budget of WORK_BUDGET units, so a
-product, sum or power past it raises OverBudget before it is built; builders
-run outside it, since the tower they read is memoized and charging it would
-make a verdict depend on what the process computed before.
+values are refused.  One work budget of WORK_BUDGET units admits every
+input: whatever builds a value is charged before it is built.  REGISTRY
+gives each family its arity, its units, charged from its integer arguments
+alone, and its builder, which runs outside the budget, so no verdict
+depends on the caches; BSpin, BPin and BG share one tower and pay for it
+once.  Combine steps charge their predicted sizes (lefschetz).
 
 A sum is walked once down its left spine.  The longest run of integer
 monomials from its foot up (c, L, L^k, c*L^k with 0 <= k <= MAX_EXPONENT,
@@ -81,40 +80,36 @@ def _cyclo(d: int) -> MotiveExpr:
 
 MAX_DEPTH = 400
 
-# Bound on the first argument of BSpin, BPin and BG, so a cold tower stays
-# within a few seconds: on a shared 2-vCPU host a cold `grstacks eval` of
-# BSpin(60) or BPin(60) takes 0.9-1.0 s (6-9 s before the tower shared one
-# atom-coefficient table across all atoms).
-MAX_TOWER_INDEX = 60
-
-# Bounds on the other work-bearing integers, from cold `grstacks eval` on the
-# same host.  GL, SL and Spin index: SL(3000) 2.6 s, GL(3000) 2.2 s, GL(4000)
-# 4.1 s.  cyclo index, where a sum must factor a core of degree
-# totient(d): cyclo(4999) + 1 1.8 s, cyclo(7993) + 1 4.0 s, cyclo(9973) + 1
-# 8.0 s; in a sum, a cyclo(d) whose totient passes 4,464 meets
-# WORK_BUDGET first.  Absolute exponent: (2*L+3)^2000 2.3 s,
-# (L+2)^2500 3.0 s, (L+2)^3000 5.7 s.
-MAX_GROUP_INDEX = 3000
-MAX_CYCLO_INDEX = 5000
+# Absolute exponent, from cold `grstacks eval` on a shared 2-vCPU host:
+# (2*L+3)^2000 2.3 s, (L+2)^2500 3.0 s, (L+2)^3000 5.7 s.  It also bounds
+# the coefficient list a folded run of monomials allocates before its charge.
 MAX_EXPONENT = 2000
 
-# Work units one evaluation may spend on its products, sums and powers (see
-# lefschetz).  It admits (2*L+3)^2000, 12 M units in 1.6 s cold on the same
-# host, and refuses a 23 M-unit wide square; README has the calibration table.
+# Work units one evaluation may spend (see lefschetz).  It admits
+# (2*L+3)^2000, 12 M units in 1.6 s cold on the same host, and refuses a
+# 23 M-unit wide square; README has the calibration table.
 WORK_BUDGET = 20_000_000
 
-# name -> (argument count, bound on the first argument or None, builder of
-# the value from the integer arguments)
-REGISTRY: dict[str, tuple[int, int | None, Callable[..., MotiveExpr]]] = {
-    "GL": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_gl(n))),
-    "SL": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_sl(n))),
-    "Spin": (1, MAX_GROUP_INDEX, lambda n: m_scalar(class_spin(n))),
-    "G2": (0, None, lambda: m_scalar(class_g2())),
-    "BSpin": (1, MAX_TOWER_INDEX, bspin),
-    "BPin": (1, MAX_TOWER_INDEX, bpin),
-    "BDelta": (1, None, m_atom),
-    "BG": (2, MAX_TOWER_INDEX, bg),
-    "cyclo": (1, MAX_CYCLO_INDEX, _cyclo),
+
+def _tower_units(n: int) -> int:
+    # T(n) for the cells G(n, r): steeper than the cold build (about n^5) so
+    # the top, BSpin(72), takes 2.5-3.7 s; 2n^3 covers the values at small n
+    return max(n, 0) ** 6 // 7000 + 2 * max(n, 0) ** 3
+
+
+# name -> (argument count, units charged from the integer arguments before
+# the value is built, builder).  GL, SL, Spin(n) cost about n^2 and cyclo(d)
+# about d, what rendering scans; a negative index costs nothing.
+REGISTRY: dict[str, tuple[int, Callable[..., int], Callable[..., MotiveExpr]]] = {
+    "GL": (1, lambda n: max(n, 0) ** 2, lambda n: m_scalar(class_gl(n))),
+    "SL": (1, lambda n: max(n, 0) ** 2, lambda n: m_scalar(class_sl(n))),
+    "Spin": (1, lambda n: max(n, 0) ** 2, lambda n: m_scalar(class_spin(n))),
+    "G2": (0, lambda: 49, lambda: m_scalar(class_g2())),
+    "BSpin": (1, lambda n: _tower_units(n - 1), bspin),
+    "BPin": (1, _tower_units, bpin),
+    "BDelta": (1, lambda m: 0, m_atom),
+    "BG": (2, lambda n, r: _tower_units(n), bg),
+    "cyclo": (1, lambda d: max(d, 0), _cyclo),
 }
 
 
@@ -414,7 +409,7 @@ def _monomial(node: ExprAst, negate: bool) -> tuple[int, int] | None:
     return k, -c if negate else c
 
 
-def _leaf(node: ExprAst) -> MotiveExpr:
+def _leaf(node: ExprAst, tower: list[int]) -> MotiveExpr:
     if isinstance(node, IntLit):
         return m_scalar(lc_int(node.value))
     if isinstance(node, LSymbol):
@@ -422,11 +417,15 @@ def _leaf(node: ExprAst) -> MotiveExpr:
     if isinstance(node, Call):
         if node.name not in REGISTRY:
             raise UnknownIdent(node.name, 0)
-        want, bound, build = REGISTRY[node.name]
+        want, units_of, build = REGISTRY[node.name]
         if len(node.args) != want:
             raise ArityError(node.name, len(node.args), want, 0)
-        if bound is not None and node.args[0] > bound:
-            raise DomainError(f"{node.name} index {node.args[0]} exceeds {bound}")
+        units = units_of(*node.args)
+        if node.name in ("BSpin", "BPin", "BG"):
+            # one tower for the three: pay what T(n) adds to the most paid
+            units, tower[0] = max(units - tower[0], 0), max(units, tower[0])
+        if units:
+            lefschetz._charge(lambda: units)
         with lefschetz.work_budget(None):
             return build(*node.args)
     raise TypeError(f"not an AST node: {node!r}")
@@ -437,14 +436,16 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
 
     Division and negative powers require a unit scalar on the right (NotAUnit
     otherwise); a product of two atom-bearing values has no representation
-    here and raises DomainError, as does an index or exponent above its bound.
-    A combine step past the evaluation's work budget raises OverBudget.
+    here and raises DomainError, as does an exponent above MAX_EXPONENT or
+    an index its builder refuses.  A leaf or combine step past the
+    evaluation's work budget raises OverBudget before it is built.
     """
     # post-order on an explicit stack, so no AST can exhaust the interpreter's:
     # an inner node is popped once to push its children and once, marked
     # ready, to combine their values, which wait on `values` in order
     values: list[MotiveExpr] = []
     todo: list[tuple[ExprAst, bool]] = [(node, False)]
+    tower = [0]
     with lefschetz.work_budget(WORK_BUDGET):
         while todo:
             node, ready = todo.pop()
@@ -491,7 +492,7 @@ def eval(node: ExprAst) -> MotiveExpr:  # noqa: A001 - the public op name
                     raise DomainError(f"exponent {node.exponent} exceeds {MAX_EXPONENT} in size")
                 todo += ((node, True), (node.base, False))
             else:
-                values.append(_leaf(node))
+                values.append(_leaf(node, tower))
     return values[0]
 
 

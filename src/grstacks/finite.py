@@ -559,23 +559,21 @@ def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> Ch
     q = model.q
     ident = model.identity()
 
-    comp_bad = inv_bad = 0
     for i in range(samples):
         g, h = model.sample(rng), model.sample(rng)
         x = tuple(_draws(rng, q, model.dim))
         gh_x, g_hx = model.apply(model.mul(g, h), x), model.apply(g, model.apply(h, x))
         if gh_x != g_hx:
-            comp_bad += 1
             got = {"(g h) x": gh_x, "g (h x)": g_hx}
             witnesses.fail("compose", i, {"g": g, "h": h, "x": x}, got)
         g_inv = model.inv(g)
         left, right = model.mul(g, g_inv), model.mul(g_inv, g)
         if left != ident or right != ident:
-            inv_bad += 1
             got = {"g g^-1": left, "g^-1 g": right}
             witnesses.fail("inverse", i, {"g": g, "h": h, "x": x}, got)
-    witnesses.add("compose", f"{samples - comp_bad}/{samples} triples associate with the action")
-    witnesses.add("inverse", f"{samples - inv_bad}/{samples} sampled inverses check out")
+    bad = witnesses.bad
+    witnesses.add("compose", f"{samples - bad['compose']}/{samples} triples associate with the action")
+    witnesses.add("inverse", f"{samples - bad['inverse']}/{samples} sampled inverses check out")
 
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
         rep.add(

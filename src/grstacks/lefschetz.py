@@ -415,7 +415,7 @@ def regroup_cyclotomics(cyc) -> tuple[list[tuple[int, int]], list[tuple[int, int
     """Split Phi-multiplicities into (L^n - 1) blocks plus leftovers.
 
     Greedy from the largest d: when every divisor of d still carries a
-    multiplicity of the same sign, emit an (L^d - 1)^sign block.  Returns
+    multiplicity of d's sign, emit (L^d - 1) to the most they share.  Returns
     (blocks, leftover) as lists of (n, exponent) / (d, exponent).
     """
     exps = {d: m for d, m in cyc}
@@ -425,15 +425,13 @@ def regroup_cyclotomics(cyc) -> tuple[list[tuple[int, int]], list[tuple[int, int
         d = max(exps)
         s = 1 if exps[d] > 0 else -1
         divisors = [e for e in range(1, d + 1) if d % e == 0]
-        if all(exps.get(e, 0) * s >= 1 for e in divisors):
-            count = 0
-            while all(exps.get(e, 0) * s >= 1 for e in divisors):
-                for e in divisors:
-                    exps[e] = exps.get(e, 0) - s
-                    if exps[e] == 0:
-                        del exps[e]
-                count += s
-            blocks.append((d, count))
+        count = min(exps.get(e, 0) * s for e in divisors)
+        if count >= 1:
+            for e in divisors:
+                exps[e] -= s * count
+                if exps[e] == 0:
+                    del exps[e]
+            blocks.append((d, s * count))
         else:
             leftover.append((d, exps.pop(d)))
     blocks.sort()

@@ -37,9 +37,11 @@ computed once however many cells share it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
+from . import intpoly
 from .lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -141,13 +143,11 @@ def m_scale(a: MotiveExpr, c: LefschetzClass) -> MotiveExpr:
 
 
 def class_gl(n: int) -> LefschetzClass:
-    """(L^n - 1)(L^n - L) ... (L^n - L^(n-1))."""
+    """(L^n - 1)(L^n - L) ... (L^n - L^(n-1)) = L^(n(n-1)/2) prod_(i<=n) (L^i - 1),
+    in which Phi_d divides floor(n/d) of the blocks."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    out = l_power(n * (n - 1) // 2)
-    for j in range(1, n + 1):
-        out = lc_mul(out, l_pow_minus_one(j))
-    return out
+    return LefschetzClass(intpoly.ONE, n * (n - 1) // 2, tuple((d, n // d) for d in range(1, n + 1)))
 
 
 def class_sl(n: int) -> LefschetzClass:
@@ -164,19 +164,14 @@ def class_g2() -> LefschetzClass:
 
 def class_spin(n: int) -> LefschetzClass:
     """L^(m^2-m) (L^m - 1) prod_(i<m) (L^2i - 1) for n = 2m, and
-    L^(m^2) prod_(i<=m) (L^2i - 1) for n = 2m + 1."""
+    L^(m^2) prod_(i<=m) (L^2i - 1) for n = 2m + 1, in which Phi_d divides
+    the t = m or m - 1 blocks L^2i - 1 with d / gcd(d, 2) dividing i."""
     if n < 2:
         raise DomainError("n must be >= 2")
-    m = n // 2
-    if n % 2 == 0:
-        out = lc_mul(l_power(m * m - m), l_pow_minus_one(m))
-        for i in range(1, m):
-            out = lc_mul(out, l_pow_minus_one(2 * i))
-    else:
-        out = l_power(m * m)
-        for i in range(1, m + 1):
-            out = lc_mul(out, l_pow_minus_one(2 * i))
-    return out
+    m, odd = divmod(n, 2)
+    t = m if odd else m - 1
+    exps = ((d, t // (d // math.gcd(d, 2)) + (not odd and m % d == 0)) for d in range(1, max(2 * t, m) + 1))
+    return LefschetzClass(intpoly.ONE, m * m - (0 if odd else m), tuple((d, e) for d, e in exps if e))
 
 
 # -- the generic two-stratum equation ---------------------------------
@@ -303,8 +298,8 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
     and anything outside the parity classes that appear) are simply absent
     from the result.
     """
-    if not 3 <= max_n <= 8:
-        raise DomainError("max_n must be in 3..8")
+    if max_n < 3:
+        raise DomainError("max_n must be >= 3")
     solved: dict[int, LefschetzClass] = {}
     for n in range(3, max_n + 1):
         e = bspin(n)

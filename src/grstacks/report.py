@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -86,14 +87,17 @@ class CheckReport:
 class Witnesses:
     """The first failing sample of each sampled check, kept as (lhs, rhs):
     where it was drawn and its rendered inputs, then what the check computed
-    from them.  A check with no failing sample keeps both sides empty."""
+    from them, and the count of failing samples, bad[check].  A check with no
+    failing sample keeps both sides empty."""
 
     def __init__(self, rep: CheckReport, seed: int):
         self.rep = rep
         self.seed = seed
         self.first: dict[str, tuple[str, str]] = {}
+        self.bad: Counter[str] = Counter()
 
     def fail(self, check: str, i: int, inputs: dict, got: dict) -> None:
+        self.bad[check] += 1
         if check not in self.first:
             drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
             computed = "; ".join(f"{k} = {v}" for k, v in got.items())

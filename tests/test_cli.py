@@ -242,12 +242,12 @@ def test_bspin_rejects_zero(capsys):
 
 
 def test_tower_index_above_the_bound_is_usage_error(capsys):
-    top = dsl.MAX_TOWER_INDEX
+    # the first G(n, r) first index whose tower charge passes the budget
+    n = next(n for n in range(1, 1000) if dsl.REGISTRY["BPin"][1](n) > dsl.WORK_BUDGET)
     misses = motive._tower.cache_info().misses
-    assert cli.main(["bspin", str(top + 1)]) == 2
-    assert cli.main(["eval", f"BG({top + 1}, {top})"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 2 and f"exceeds {top}" in err
+    assert cli.main(["bspin", str(n + 1)]) == 2
+    assert cli.main(["eval", f"BG({n}, {n - 1})"]) == 2
+    assert capsys.readouterr() == ("", OVER_BUDGET * 2)
     assert motive._tower.cache_info().misses == misses
 
 

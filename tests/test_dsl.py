@@ -399,34 +399,57 @@ def test_call_argument_domains():
         ev("BG(3,7)")
 
 
-def test_tower_index_bound():
-    top = dsl.MAX_TOWER_INDEX
+def _largest_admitted(units):
+    """The largest index whose units, increasing in it, fit the work budget."""
+    lo, hi = 1, 2
+    while units(hi) <= dsl.WORK_BUDGET:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if units(mid) <= dsl.WORK_BUDGET else (lo, mid)
+    return lo
+
+
+def test_tower_index_bound(monkeypatch):
+    # the highest first index of an admitted G(n, r) cell: BSpin(top + 1) is
+    # G(top, -1), BPin(top) is G(top, 0)
+    top = _largest_admitted(dsl.REGISTRY["BPin"][1])
+    assert top >= 60
+    past = (f"BG({top + 1}, {top})", f"BSpin({top + 2})", f"BPin({top + 1})")
     misses = motive._tower.cache_info().misses
-    for text in (f"BG({top + 1}, {top})", f"BSpin({top + 1})", f"BPin({top + 1})"):
-        with pytest.raises(DomainError):
+    for text in past:
+        with pytest.raises(lefschetz.OverBudget):
             ev(text)
     assert motive._tower.cache_info().misses == misses
     # r = n - 1 is an atom of the recurrence, no tower below it
     assert ev(f"BG({top}, {top - 1})") == m_atom(top)
-
-
-@pytest.mark.parametrize(
-    "name, bound",
-    [
-        ("GL", dsl.MAX_GROUP_INDEX),
-        ("SL", dsl.MAX_GROUP_INDEX),
-        ("Spin", dsl.MAX_GROUP_INDEX),
-        ("cyclo", dsl.MAX_CYCLO_INDEX),
-    ],
-)
-def test_scalar_family_index_bound(monkeypatch, name, bound):
-    # a stub builder shows what the bound lets through without paying for it
+    # stub builders show what the charge lets through without paying for it;
+    # the three leaves below are admitted together because they share T(top)
     built = []
-    monkeypatch.setitem(dsl.REGISTRY, name, (1, bound, lambda n: built.append(n) or M_ONE))
-    with pytest.raises(DomainError, match=f"{name} index {bound + 1} exceeds {bound}"):
-        ev(f"{name}({bound + 1})")
+    for name in ("BSpin", "BPin", "BG"):
+        arity, units, _ = dsl.REGISTRY[name]
+        monkeypatch.setitem(dsl.REGISTRY, name, (arity, units, lambda *args: built.append(args) or M_ONE))
+    for text in past:
+        with pytest.raises(lefschetz.OverBudget):
+            ev(text)
     assert built == []
-    assert ev(f"{name}({bound})") == M_ONE and built == [bound]
+    assert ev(f"BSpin({top + 1}) + BPin({top}) + BG({top}, 3)") == m_scalar(lc_int(3))
+    assert sorted(built) == [(top,), (top, 3), (top + 1,)]
+
+
+# each index the per-family bounds admitted before the charges stays admitted
+@pytest.mark.parametrize("name, admitted", [("GL", 3000), ("SL", 3000), ("Spin", 3000), ("cyclo", 5000)])
+def test_scalar_family_index_bound(monkeypatch, name, admitted):
+    # a stub builder shows what the charge lets through without paying for it
+    units = dsl.REGISTRY[name][1]
+    top = _largest_admitted(units)
+    built = []
+    monkeypatch.setitem(dsl.REGISTRY, name, (1, units, lambda n: built.append(n) or M_ONE))
+    with pytest.raises(lefschetz.OverBudget):
+        ev(f"{name}({top + 1})")
+    assert built == []
+    assert ev(f"{name}({top})") == ev(f"{name}({admitted})") == M_ONE
+    assert built == [top, admitted]
 
 
 def test_exponent_bound():
@@ -439,7 +462,7 @@ def test_exponent_bound():
     # the exponent is refused before its base is built
     misses = motive._tower.cache_info().misses
     with pytest.raises(DomainError, match="exponent"):
-        ev(f"BSpin({dsl.MAX_TOWER_INDEX})^{top + 1}")
+        ev(f"BSpin(60)^{top + 1}")
     assert motive._tower.cache_info().misses == misses
 
 
@@ -512,15 +535,24 @@ def test_charges_cover_the_work_on_generated_expressions(text):
 # -- work budget ------------------------------------------------------
 
 
+def _size(value):
+    """What rendering a value reads: the degree of each of its cores plus the
+    d of each Phi_d it carries."""
+    classes = [value.scalar] + [c for _, c in value.atoms]
+    return sum(intpoly.degree(c.core) + sum(d for d, _ in c.cyc) for c in classes if c.core)
+
+
 def _charges_and_work(text):
     """Evaluate text; return whether it was accepted and each work-budget
     charge paired with the work it pays for: a product's charge with the next
     product's length times its largest coefficient bits, a sum's or a folded
-    polynomial's (D + 1)^2 with the degree of the core it normalizes, and a
-    power's with the sizes of all its loop's products, as (charging function,
-    units, work)."""
+    polynomial's (D + 1)^2 with the degree of the core it normalizes, a
+    power's with the sizes of all its loop's products, and a family leaf's
+    with the size of the value it builds, as (charging function, units,
+    work).  The tower leaves share one charge, so theirs are summed and
+    paired once, with the largest of their values."""
     events = []
-    charge, mul, normalize = lefschetz._charge, intpoly.mul, lefschetz.lc_normalize
+    charge, mul, normalize, leaf = lefschetz._charge, intpoly.mul, lefschetz.lc_normalize, dsl._leaf
 
     def spy_charge(units_of):
         if lefschetz._budget.get() is not None:
@@ -539,16 +571,25 @@ def _charges_and_work(text):
             events.append(("normalize", intpoly.degree(intpoly.normalize(core))))
         return normalize(core, *rest)
 
+    def spy_leaf(node, tower):
+        value = leaf(node, tower)
+        if isinstance(node, dsl.Call):
+            events.append(("tower" if node.name in ("BSpin", "BPin", "BG") else "built", _size(value)))
+        return value
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(lefschetz, "_charge", spy_charge)
         patch.setattr(intpoly, "mul", spy_mul)
         patch.setattr(lefschetz, "lc_normalize", spy_normalize)
+        patch.setattr(dsl, "_leaf", spy_leaf)
         try:
             ev(text)
             accepted = True
         except (lefschetz.OverBudget, DomainError):
             accepted = False
     pairs, sums, site, units, work = [], [], None, 0, 0
+    # a leaf's charge, then the tower leaves' charges and largest value
+    leaf_units, tower = 0, None
     for name, size in events + [("end", 0)]:
         if name == "mul":
             if site in ("lc_mul", "_cofactor"):
@@ -559,6 +600,12 @@ def _charges_and_work(text):
         elif name == "normalize":
             if sums:
                 pairs.append((*sums.pop(), size))
+        elif name == "built":
+            pairs.append(("_leaf", leaf_units, size))
+            leaf_units = 0
+        elif name == "tower":
+            tower = (tower[0] + leaf_units, max(tower[1], size)) if tower else (leaf_units, size)
+            leaf_units = 0
         else:
             if site == "lc_pow":
                 pairs.append((site, units, work))
@@ -566,6 +613,10 @@ def _charges_and_work(text):
             if name in ("_common_cofactors", "lc_poly"):
                 sums.append((name, size))
                 site = None
+            elif name == "_leaf":
+                leaf_units, site = size, None
+    if tower:
+        pairs.append(("_leaf", *tower))
     return accepted, pairs
 
 
@@ -592,9 +643,10 @@ def test_charges_cover_the_work_on_the_corpus_and_the_fail_fast_tables():
     assert {text: outcomes[text][0] for text in CALIBRATED} == CALIBRATED
     assert not any(outcomes[text][0] for text in HUGE_SCALAR_INPUTS + PAST_THE_BUDGET)
     pairs = [pair for _, text_pairs in outcomes.values() for pair in text_pairs]
-    # a product, a sum, a sum's cofactor product, a folded polynomial and a
-    # power, some of them large
-    assert {site for site, _, _ in pairs} == {"lc_mul", "_common_cofactors", "_cofactor", "lc_poly", "lc_pow"}
+    # a product, a sum, a sum's cofactor product, a folded polynomial, a
+    # power and a family leaf, some of them large
+    sites = {"lc_mul", "_common_cofactors", "_cofactor", "lc_poly", "lc_pow", "_leaf"}
+    assert {site for site, _, _ in pairs} == sites
     assert max(work for _, _, work in pairs) > 10**6
 
 
@@ -608,8 +660,9 @@ def _clear_caches():
 
 
 def test_a_verdict_near_the_budget_does_not_depend_on_the_caches(monkeypatch):
-    # the tower leaves are memoized and run outside the budget, so a cold
-    # and a warm cache spend the same units
+    # the tower leaves are memoized and built outside the budget, charged
+    # T(30) from their indices alone, so a cold and a warm cache spend the
+    # same units
     text = "BSpin(30)*(L^2+3) - BPin(30)*(L-5) + BG(30, 3)"
     spent = sum(units for _, units, _ in _charges_and_work(text)[1])
     for budget, accepted in ((spent, True), (spent - 1, False)):
@@ -623,6 +676,19 @@ def test_a_verdict_near_the_budget_does_not_depend_on_the_caches(monkeypatch):
             except lefschetz.OverBudget:
                 verdict = False
             assert verdict == accepted, (budget, cold)
+
+
+def test_tower_leaves_share_one_charge():
+    # BSpin(k) reads the cells G(k - 1, r), BPin(k) the cells G(k, r): the two
+    # together pay T(k) once, in either order
+    tower, k = dsl.REGISTRY["BPin"][1], 30
+
+    def leaf_units(text):
+        return sum(units for site, units, _ in _charges_and_work(text)[1] if site == "_leaf")
+
+    assert leaf_units(f"BSpin({k})") == tower(k - 1) > 0
+    assert leaf_units(f"BSpin({k}) + BPin({k})") == leaf_units(f"BPin({k}) + BSpin({k})") == tower(k)
+    assert leaf_units(f"BPin({k}) + BG({k}, 3) - L*BSpin(5) + BPin({k})") == tower(k)
 
 
 @pytest.mark.parametrize("text", ["(L+2)^1000*(L+3)^1000", "cyclo(7)^333 + 1"])

@@ -125,6 +125,26 @@ def test_a_sign_dropping_embedding_records_its_first_witness(monkeypatch):
     assert failed["phi.stab"].rhs == f"phi(b1) = ({g1}, 1); eps(g1) e1 bar(g1) = {-e1}"
 
 
+def test_a_broken_f_map_records_its_first_witness(monkeypatch):
+    # an f that adds 1 when w has an imaginary coordinate is no longer
+    # multiplicative on the pairs that draw one
+    real = clifford.f_map
+    monkeypatch.setattr(clifford, "f_map", lambda n, w: real(n, w) + (1 if any(x.im for x in w) else 0))
+    n, seed = 4, 2
+    failed = {c.id: c for c in suite_clifford(seed=seed, samples=25).failures}
+    m = re.fullmatch(rf"seed {seed} sample (\d+): w1 = (.+), w2 = (.+)", failed["n4.f.hom"].lhs)
+    assert m and failed["n4.f.hom"].rhs.startswith("f(w1) f(w2) = ")
+    # the seed and index draw the same pair again, and it is the first bad one
+    rng = random.Random(seed)
+    for j in range(int(m[1]) + 1):
+        w1 = clifford._random_tail_vector(n, rng, gaussian=True)
+        w2 = clifford._random_tail_vector(n, rng, gaussian=True)
+        ws = tuple(a + b for a, b in zip(w1, w2))
+        f = clifford.f_map
+        assert (f(n, w1) * f(n, w2) != f(n, ws)) == (j == int(m[1]))
+    assert (m[2], m[3]) == tuple(str(clifford.CliffordElement.vector(n, w)) for w in (w1, w2))
+
+
 def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
     # without the gcd step equal values have unequal (x, y, d), so the
     # exact equalities behind the pin-group laws turn false
