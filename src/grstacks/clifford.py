@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 from .blades import blade_mul_mask, indices_of, mask_of
 from .gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational, dot, reduced
-from .report import CheckReport, Witnesses
+from .report import CheckReport
 
 Scalar = GaussianRational | int | Fraction
 Vector = tuple[GaussianRational, ...]
@@ -497,8 +497,7 @@ def _random_element(n: int, rng: random.Random) -> CliffordElement:
 def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> CheckReport:
     """Generator relations, involution product laws, and the vector action."""
     rep = CheckReport(f"clifford.rel.{n}", seed)
-    witnesses = Witnesses(rep, seed)
-    fail = witnesses.fail
+    fail = rep.fail
     rng = random.Random(seed)
     space = QuadSpace(n, NEG_SUM)
     full = tuple(range(1, n + 1))
@@ -513,8 +512,8 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
         polar, h2 = v * w + w * v, 2 * space.h(vc, wc)
         if polar != h2:
             fail("rel.polar", i, {"v": v, "w": w}, {"vw + wv": polar, "2h(v, w)": h2})
-    witnesses.add("rel.square", f"v*v = q(v) on {samples} samples")
-    witnesses.add("rel.polar", f"vw + wv = 2h(v, w) on {samples} samples")
+    rep.verdict("rel.square", f"v*v = q(v) on {samples} samples")
+    rep.verdict("rel.polar", f"vw + wv = 2h(v, w) on {samples} samples")
 
     # the involution laws hold on the whole algebra, not just the pin group
     for i in range(samples):
@@ -536,8 +535,8 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
         if bar != eps_t or bar != t_eps:
             got = {"bar(a)": bar, "transpose(eps(a))": eps_t, "eps(transpose(a))": t_eps}
             fail("inv.compose", i, {"a": a, "b": b}, got)
-    witnesses.add("inv.products", "eps multiplicative, transpose and bar antimultiplicative")
-    witnesses.add("inv.compose", "bar = eps after transpose, both orders")
+    rep.verdict("inv.products", "eps multiplicative, transpose and bar antimultiplicative")
+    rep.verdict("inv.compose", "bar = eps after transpose, both orders")
 
     ident = mat_identity(n)
     try:
@@ -558,16 +557,15 @@ def verify_clifford_relations(n: int, samples: int = 100, seed: int = 0) -> Chec
             det, want = mat_det(ra), GaussianRational(1 - 2 * (a.parity() or 0))
         except _BROKEN_SAMPLE as exc:
             # a product of unit vectors left the pin group: neither law holds
-            for check in ("rho.hom", "rho.det"):
-                fail(check, i, drawn, {"error": f"{type(exc).__name__}: {exc}"})
+            rep.error(("rho.hom", "rho.det"), i, drawn, exc)
             continue
         if rab != ra_rb:
             got = {"rho(ab)": _mat_text(rab), "rho(a) rho(b)": _mat_text(ra_rb)}
             fail("rho.hom", i, {"a": a, "b": b}, got)
         if det != want:
             fail("rho.det", i, {"a": a}, {"det rho(a)": det, "expected": want})
-    witnesses.add("rho.hom", f"rho(ab) = rho(a) rho(b) on {runs} pin pairs")
-    witnesses.add("rho.det", "determinant of rho is +1 on even elements and -1 on odd ones")
+    rep.verdict("rho.hom", f"rho(ab) = rho(a) rho(b) on {runs} pin pairs")
+    rep.verdict("rho.det", "determinant of rho is +1 on even elements and -1 on odd ones")
     return rep
 
 
@@ -589,8 +587,7 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
     if not 3 <= n <= 8:
         raise ValueError("n must be in 3..8")
     rep = CheckReport(f"clifford.phi_pin.{n}", seed)
-    witnesses = Witnesses(rep, seed)
-    fail = witnesses.fail
+    fail = rep.fail
     rng = random.Random(seed)
     sub = tuple(range(2, n + 1))
     e1 = basis_vector(n, 1)
@@ -618,8 +615,7 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
             moved = g1.eps() * e1 * g1.bar()
             parity = g1.parity()
         except _BROKEN_SAMPLE as exc:
-            for check in ("phi.hom", "phi.stab", "phi.even"):
-                fail(check, i, drawn, {"error": f"{type(exc).__name__}: {exc}"})
+            rep.error(("phi.hom", "phi.stab", "phi.even"), i, drawn, exc)
             return
         if g12 != gp or x1 * x2 != xp:
             got = {"phi(b1) phi(b2)": f"({g12}, {x1 * x2})", "phi(b1 b2)": f"({gp}, {xp})"}
@@ -643,19 +639,21 @@ def verify_phi_pin_embedding(n: int, samples: int = 100, seed: int = 0) -> Check
         all_cases,
         "parity case coverage " + str({f"{k[0]}{k[1]}": v for k, v in sorted(case_counts.items())}),
     )
-    witnesses.add("phi.hom", f"{tested - witnesses.bad['phi.hom']}/{tested} pairs multiplicative")
-    witnesses.add("phi.stab", f"{tested - witnesses.bad['phi.stab']}/{tested} stabilize e1 up to sign")
-    witnesses.add("phi.even", "first component always even")
+    rep.verdict("phi.hom", f"{tested - rep.bad['phi.hom']}/{tested} pairs multiplicative")
+    rep.verdict("phi.stab", f"{tested - rep.bad['phi.stab']}/{tested} stabilize e1 up to sign")
+    rep.verdict("phi.even", "first component always even")
 
     # spot check full spin membership on a few samples (costlier)
-    ok = True
-    for _ in range(4):
+    for i in range(4):
         try:
-            g, _x = phi_pin(pin_sample(n, rng, support=sub))
-            ok = ok and is_spin(g)
-        except _BROKEN_SAMPLE:
-            ok = False
-    rep.add("phi.spin", ok, "sampled images pass the spin membership test")
+            beta = pin_sample(n, rng, support=sub)
+            g, x = phi_pin(beta)
+        except _BROKEN_SAMPLE as exc:
+            rep.error(("phi.spin",), i, {}, exc)
+            continue
+        if not is_spin(g):
+            fail("phi.spin", i, {"beta": beta}, {"phi(beta)": f"({g}, {x})"})
+    rep.verdict("phi.spin", "sampled images pass the spin membership test")
     return rep
 
 
@@ -732,8 +730,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
     if not 3 <= n <= 8:
         raise ValueError("n must be in 3..8")
     rep = CheckReport(f"clifford.f.{n}", seed)
-    witnesses = Witnesses(rep, seed)
-    fail, bad = witnesses.fail, witnesses.bad
+    fail, bad = rep.fail, rep.bad
     rng = random.Random(seed)
     space = QuadSpace(n, NEG_SUM)
     f1 = CliffordElement.vector(n, f1_vector(n))
@@ -749,7 +746,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         prod, fs = f_map(n, w1) * f_map(n, w2), f_map(n, ws)
         if prod != fs:
             fail("f.hom", i, {"w1": vec(w1), "w2": vec(w2)}, {"f(w1) f(w2)": prod, "f(w1 + w2)": fs})
-    witnesses.add("f.hom", f"{samples - bad['f.hom']}/{samples} pairs satisfy f(w)f(w') = f(w+w')")
+    rep.verdict("f.hom", f"{samples - bad['f.hom']}/{samples} pairs satisfy f(w)f(w') = f(w+w')")
 
     # anisotropic factorization: scale a unit tail vector so the square norm
     # has the explicit square root a
@@ -758,7 +755,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         try:
             v = unit_vector_sample(n, rng, support=tail)
         except _BROKEN_SAMPLE as exc:
-            fail("f.factor.anis", i, {}, {"error": f"{type(exc).__name__}: {exc}"})
+            rep.error(("f.factor.anis",), i, {}, exc)
             continue
         a = GaussianRational(Fraction(rng.randint(1, 6) * rng.choice((-1, 1)), rng.choice((1, 2))))
         w = tuple(a * x for x in v)
@@ -775,7 +772,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             got = {"factors' product": factor1 * factor2, "f(a v)": lhs}
             fail("f.factor.anis", i, {"v": vec(v), "a": a}, got)
     good = anis_runs - bad["f.factor.anis"]
-    witnesses.add("f.factor.anis", f"{good}/{anis_runs} square-norm factorizations")
+    rep.verdict("f.factor.anis", f"{good}/{anis_runs} square-norm factorizations")
 
     if n >= 4:
         iso_runs = max(10, samples // 4)
@@ -796,7 +793,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             prod, fw = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2, f_map(n, w)
             if prod != fw:
                 fail("f.factor.iso", k, {"w": wv}, {"(e1 - i w/2) e1 (e2 - w/2) e2": prod, "f(w)": fw})
-        witnesses.add("f.factor.iso", f"{iso_runs - bad['f.factor.iso']}/{iso_runs} isotropic factorizations")
+        rep.verdict("f.factor.iso", f"{iso_runs - bad['f.factor.iso']}/{iso_runs} isotropic factorizations")
 
     frame_runs = max(10, samples // 4)
     # columns f1, f2, e_3..e_n; P is invertible, so rho(fw) P = P phi_w says
@@ -812,12 +809,12 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             lhs, rhs = mat_mul(rho(fw), p_mat), mat_mul(p_mat, phi_w_matrix(space, n, w))
         except NotPin as exc:
             # f(w) is a spin element, so rho must accept it
-            fail("f.frame", i, {"w": vec(w)}, {"error": f"{type(exc).__name__}: {exc}"})
+            rep.error(("f.frame",), i, {"w": vec(w)}, exc)
             continue
         if lhs != rhs:
             fail("f.frame", i, {"w": vec(w)}, {"rho(f(w)) P": _mat_text(lhs), "P phi_w": _mat_text(rhs)})
-    witnesses.add("f.stab", f"{frame_runs - bad['f.stab']}/{frame_runs} fix the pivot isotropic vector")
-    witnesses.add(
+    rep.verdict("f.stab", f"{frame_runs - bad['f.stab']}/{frame_runs} fix the pivot isotropic vector")
+    rep.verdict(
         "f.frame",
         f"{frame_runs - bad['f.frame']}/{frame_runs} match the unipotent template in the hyperbolic frame",
     )
@@ -836,7 +833,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         if out != back:
             got = {"alpha f(w) bar(alpha)": out, "f(w read back)": back}
             fail("f.conj", k, {"w": vec(w), "alpha": alpha}, got)
-    witnesses.add("f.conj", f"{conj_runs - bad['f.conj']}/{conj_runs} conjugates stay in the image")
+    rep.verdict("f.conj", f"{conj_runs - bad['f.conj']}/{conj_runs} conjugates stay in the image")
     return rep
 
 
@@ -845,40 +842,42 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
 
 def eta_center_check(samples: int = 100, seed: int = 0) -> CheckReport:
     rep = CheckReport("clifford.eta", seed)
+    bad = rep.bad
     rng = random.Random(seed)
     n = 8
     eta = CliffordElement.blade(n, tuple(range(1, n + 1)))
     rep.add("eta.square", eta * eta == 1, "top blade squares to 1")
     rep.add("eta.spin", is_spin(eta), "top blade is in the spin group")
 
-    bad = 0
-    for _ in range(samples):
+    for i in range(samples):
         try:
             g = spin_sample(n, rng)
-        except _BROKEN_SAMPLE:
-            bad += 1
+        except _BROKEN_SAMPLE as exc:
+            rep.error(("eta.central",), i, {}, exc)
             continue
-        if eta * g != g * eta:
-            bad += 1
-    rep.add("eta.central", bad == 0, f"commutes with {samples - bad}/{samples} sampled even units")
+        eta_g, g_eta = eta * g, g * eta
+        if eta_g != g_eta:
+            rep.fail("eta.central", i, {"g": g}, {"eta g": eta_g, "g eta": g_eta})
+    rep.verdict("eta.central", f"commutes with {samples - bad['eta.central']}/{samples} sampled even units")
 
     # multiplicativity of (g, s) -> (eta^[s=-1] g, s) on the e_1-stabilizer copy
     sub = tuple(range(2, n + 1))
-    emb_bad = 0
     runs = max(10, samples // 4)
-    for _ in range(runs):
+    for i in range(runs):
         try:
             g1, g2 = spin_sample(n, rng, sub), spin_sample(n, rng, sub)
-        except _BROKEN_SAMPLE:
-            emb_bad += 1
+        except _BROKEN_SAMPLE as exc:
+            rep.error(("eta.embed",), i, {}, exc)
             continue
         s1, s2 = rng.choice((1, -1)), rng.choice((1, -1))
         lift1 = g1 if s1 == 1 else eta * g1
         lift2 = g2 if s2 == 1 else eta * g2
         prod = g1 * g2 if s1 * s2 == 1 else eta * (g1 * g2)
-        if lift1 * lift2 != prod:
-            emb_bad += 1
-    rep.add("eta.embed", emb_bad == 0, f"{runs - emb_bad}/{runs} sign-twisted products multiplicative")
+        lifted = lift1 * lift2
+        if lifted != prod:
+            got = {"lift(g1, s1) lift(g2, s2)": lifted, "lift(g1 g2, s1 s2)": prod}
+            rep.fail("eta.embed", i, {"g1": g1, "g2": g2, "s1": s1, "s2": s2}, got)
+    rep.verdict("eta.embed", f"{runs - bad['eta.embed']}/{runs} sign-twisted products multiplicative")
     return rep
 
 
@@ -913,20 +912,26 @@ def verify_phi_w(n: int, samples: int = 100, seed: int = 0) -> CheckReport:
     zero = tuple([GR_ZERO] * n)
     rep.add("phiw.zero", phi_w_matrix(space, n, zero) == mat_identity(n), "w = 0 gives the identity")
 
-    bad_form = bad_fix = bad_hom = 0
-    for _ in range(samples):
+    def vec(w: Vector) -> CliffordElement:
+        return CliffordElement.vector(n, w)
+
+    fail, bad = rep.fail, rep.bad
+    for i in range(samples):
         w1 = _random_tail_vector(n, rng)
         w2 = _random_tail_vector(n, rng)
         m1 = phi_w_matrix(space, n, w1)
         m2 = phi_w_matrix(space, n, w2)
         if not space.preserves(m1):
-            bad_form += 1
-        if mat_vec(m1, e1) != e1:
-            bad_fix += 1
+            fail("phiw.form", i, {"w1": vec(w1)}, {"phi_w(w1)": _mat_text(m1)})
+        fixed = mat_vec(m1, e1)
+        if fixed != e1:
+            fail("phiw.fix", i, {"w1": vec(w1)}, {"phi_w(w1) e1": vec(fixed)})
         ws = tuple(a + b for a, b in zip(w1, w2))
-        if mat_mul(m1, m2) != phi_w_matrix(space, n, ws):
-            bad_hom += 1
-    rep.add("phiw.form", bad_form == 0, f"{samples - bad_form}/{samples} preserve the split form")
-    rep.add("phiw.fix", bad_fix == 0, f"{samples - bad_fix}/{samples} fix the first basis vector")
-    rep.add("phiw.hom", bad_hom == 0, f"{samples - bad_hom}/{samples} compose additively")
+        prod, m12 = mat_mul(m1, m2), phi_w_matrix(space, n, ws)
+        if prod != m12:
+            got = {"phi_w(w1) phi_w(w2)": _mat_text(prod), "phi_w(w1 + w2)": _mat_text(m12)}
+            fail("phiw.hom", i, {"w1": vec(w1), "w2": vec(w2)}, got)
+    rep.verdict("phiw.form", f"{samples - bad['phiw.form']}/{samples} preserve the split form")
+    rep.verdict("phiw.fix", f"{samples - bad['phiw.fix']}/{samples} fix the first basis vector")
+    rep.verdict("phiw.hom", f"{samples - bad['phiw.hom']}/{samples} compose additively")
     return rep

@@ -25,7 +25,7 @@ from collections import Counter, deque
 
 from . import blades
 from .blades import blade_mul_mask, indices_of
-from .clifford import CliffordElement, InvariantBroken, NotPin, is_spin, rho
+from .clifford import CliffordElement, InvariantBroken, NotPin, _mat_text, is_spin, rho
 from .gaussian import GR_ONE
 from .report import CheckReport
 
@@ -184,13 +184,13 @@ def verify_delta_structure(n: int) -> CheckReport:
         f"center order {len(center)} ({'with' if n % 2 else 'without'} the top blade)",
     )
 
-    sq_ok = True
-    for el in grp.elements:
+    for i, el in enumerate(grp.elements):
         g = el[1].bit_count()
         want = -1 if (g * (g + 1) // 2) & 1 else 1
-        if grp.square(el) != (want, 0):
-            sq_ok = False
-    rep.add("squares", sq_ok, "e_S^2 = (-1)^(g(g+1)/2) with g = |S|")
+        square = grp.square(el)
+        if square != (want, 0):
+            rep.fail("squares", i, {"(sign, mask)": el}, {"e_S^2": square, "predicted": (want, 0)})
+    rep.verdict("squares", "e_S^2 = (-1)^(g(g+1)/2) with g = |S|")
 
     if n >= 2:
         comm = grp.commutator_subgroup()
@@ -238,20 +238,17 @@ def verify_delta_structure(n: int) -> CheckReport:
     if n <= 6:
         # cross-check the sign formula against the rational Clifford action
         sample = grp.elements[:: max(1, len(grp.elements) // 8)]
-        cross_ok = True
-        for el in sample:
+        for k, el in enumerate(sample):
             try:
                 m = rho(grp.to_clifford(el))
-            except NotPin:
+            except NotPin as exc:
                 # every signed blade is in the pin group
-                cross_ok = False
+                rep.error(("rho.cross",), k, {"(sign, mask)": el}, exc)
                 continue
-            diag = tuple(1 if m[j][j] == 1 else -1 for j in range(n))
-            if diag != grp.rho_diagonal(el) or not all(
-                m[i][j] == 0 for i in range(n) for j in range(n) if i != j
-            ):
-                cross_ok = False
-        rep.add("rho.cross", cross_ok, "sign formula matches the exact Clifford action")
+            diag, want = tuple(1 if m[j][j] == 1 else -1 for j in range(n)), grp.rho_diagonal(el)
+            if diag != want or not all(m[i][j] == 0 for i in range(n) for j in range(n) if i != j):
+                rep.fail("rho.cross", k, {"(sign, mask)": el}, {"rho": _mat_text(m), "sign formula": want})
+        rep.verdict("rho.cross", "sign formula matches the exact Clifford action")
 
     return rep
 

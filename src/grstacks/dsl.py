@@ -98,8 +98,8 @@ def _tower_units(n: int) -> int:
 
 
 # name -> (argument count, units charged from the integer arguments before
-# the value is built, builder).  GL, SL, Spin(n) cost about n^2 and cyclo(d)
-# about d, what rendering scans; a negative index costs nothing.
+# the value is built, builder).  n^2 for GL, SL, Spin(n) and d for cyclo(d) are
+# calibrated charges that fix what is admitted; a negative index costs nothing.
 REGISTRY: dict[str, tuple[int, Callable[..., int], Callable[..., MotiveExpr]]] = {
     "GL": (1, lambda n: max(n, 0) ** 2, lambda n: m_scalar(class_gl(n))),
     "SL": (1, lambda n: max(n, 0) ** 2, lambda n: m_scalar(class_sl(n))),

@@ -57,7 +57,7 @@ from typing import Iterable, NamedTuple
 
 from .lefschetz import lc_eval_at
 from .motive import Inconsistent, class_gl, class_sl, class_spin
-from .report import CheckReport, Witnesses
+from .report import CheckReport
 
 Pt = tuple[int, ...]
 
@@ -383,19 +383,16 @@ class ModelUnitriangular(_TwistedPairMixin):
         self.name = "unitri_twist"
         self.q = q
         self.group_order = 2 * q**3
-        self._rev = self.element(tuple(tuple(x % q for x in row) for row in REVERSAL), -1)
+        self.twist = self.element(tuple(tuple(x % q for x in row) for row in REVERSAL), -1)
         self.generators = [
             self.element(unitriangular(q, *abc)) for abc in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        ] + [self._rev]
+        ] + [self.twist]
         self.elements = []
         for a, b, c in product(range(q), repeat=3):
             g = self.element(unitriangular(q, a, b, c))
-            self.elements += (g, self.mul(g, self._rev))
+            self.elements += (g, self.mul(g, self.twist))
         if len(self.elements) != self.group_order:
             raise Inconsistent(f"{len(self.elements)} elements listed, group order {self.group_order}")
-
-    def twist_element(self):
-        return self._rev
 
     def sample(self, rng: random.Random):
         return self.elements[_draws(rng, len(self.elements), 1)[0]]
@@ -554,7 +551,6 @@ def _element_order(model: PairModel, g) -> int:
 
 def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> CheckReport:
     rep = CheckReport(f"finite.laws.{model.name}", seed)
-    witnesses = Witnesses(rep, seed)
     rng = random.Random(seed)
     q = model.q
     ident = model.identity()
@@ -565,15 +561,15 @@ def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> Ch
         gh_x, g_hx = model.apply(model.mul(g, h), x), model.apply(g, model.apply(h, x))
         if gh_x != g_hx:
             got = {"(g h) x": gh_x, "g (h x)": g_hx}
-            witnesses.fail("compose", i, {"g": g, "h": h, "x": x}, got)
+            rep.fail("compose", i, {"g": g, "h": h, "x": x}, got)
         g_inv = model.inv(g)
         left, right = model.mul(g, g_inv), model.mul(g_inv, g)
         if left != ident or right != ident:
             got = {"g g^-1": left, "g^-1 g": right}
-            witnesses.fail("inverse", i, {"g": g, "h": h, "x": x}, got)
-    bad = witnesses.bad
-    witnesses.add("compose", f"{samples - bad['compose']}/{samples} triples associate with the action")
-    witnesses.add("inverse", f"{samples - bad['inverse']}/{samples} sampled inverses check out")
+            rep.fail("inverse", i, {"g": g, "h": h, "x": x}, got)
+    bad = rep.bad
+    rep.verdict("compose", f"{samples - bad['compose']}/{samples} triples associate with the action")
+    rep.verdict("inverse", f"{samples - bad['inverse']}/{samples} sampled inverses check out")
 
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
         rep.add(
@@ -594,7 +590,7 @@ def _dot(v, w, q):
 def verify_q6_claims(q: int = 5) -> CheckReport:
     if q not in (5, 13):
         raise ValueError("rank-3 orbit verification is kept to q in {5, 13}")
-    rep = CheckReport(f"finite.pairing3.{q}")
+    rep = CheckReport(f"finite.pairing3.{q}", seed=q)
     model = ModelSL3Swap(q)
     unit_count = q * q * (q**3 - 1)
     axes_count = 2 * (q**3 - 1)
@@ -641,7 +637,6 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
     # the pairing value is invariant, so a full orbit inside the pairing-1
     # locus plus a size match proves transitivity there
     rng = random.Random(q)
-    witnesses = Witnesses(rep, q)
     for i in range(200):
         x = tuple(_draws(rng, q, 6))
         g = model.sample(rng)
@@ -649,8 +644,8 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
         before, after = _dot(x[:3], x[3:], q), _dot(y[:3], y[3:], q)
         if before != after:
             got = {"g x": y, "pairing of x": before, "pairing of g x": after}
-            witnesses.fail("pairing.invariant", i, {"x": x, "g": g}, got)
-    witnesses.add("pairing.invariant", "pairing value preserved on 200 samples")
+            rep.fail("pairing.invariant", i, {"x": x, "g": g}, got)
+    rep.verdict("pairing.invariant", "pairing value preserved on 200 samples")
 
     # only the sizes are read, so the orbits are counted and never decoded
     base_unit = (1, 0, 0, 1, 0, 0)
@@ -759,23 +754,21 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     )
 
     # how each generator moves the scalar lam
-    lam_bad = 0
-    for pt in orth_pts:
-        lam = _lambda_of(pt, q)
-        for g, law in (
-            (model.generators[0], lambda x: x),
-            (model.generators[1], lambda x: x),
-            (model.generators[2], lambda x: -pow(x, -1, q) % q),
-            (model.generators[3], lambda x: -x % q),
-            (model.generators[4], lambda x: x),
-        ):
-            if _lambda_of(model.apply(g, pt), q) != law(lam) % q:
-                lam_bad += 1
-    rep.add(
-        "orth.lambda",
-        lam_bad == 0,
-        "matrix part and sign fix lam; swap sends it to -1/lam; flip negates it",
+    laws = (
+        lambda x: x,
+        lambda x: x,
+        lambda x: -pow(x, -1, q) % q,
+        lambda x: -x % q,
+        lambda x: x,
     )
+    for i, pt in enumerate(orth_pts):
+        lam = _lambda_of(pt, q)
+        for k, (g, law) in enumerate(zip(model.generators, laws)):
+            moved, want = _lambda_of(model.apply(g, pt), q), law(lam) % q
+            if moved != want:
+                got = {"lam": lam, f"lam after generator {k}": moved, "predicted": want}
+                rep.fail("orth.lambda", i, {"x": pt}, got)
+    rep.verdict("orth.lambda", "matrix part and sign fix lam; swap sends it to -1/lam; flip negates it")
 
     i_q = sqrt_minus_one(q)
     special = []
@@ -800,16 +793,15 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     )
     reps_pts = [(1, 0, 0, 1), (1, 0, 0, i_q)]
     no_sign = model.no_sign_subgroup()
-    stab_ok = True
-    for pt in reps_pts:
+    for i, pt in enumerate(reps_pts):
         if not any(pt in o for o in orbits):
-            stab_ok = False
+            rep.fail("orth.special.stab", i, {"x": pt}, {"orbit": "none of the special orbits"})
             continue
-        if stabilizer_count(model, pt, no_sign) != 2 * q:
-            stab_ok = False
-    rep.add(
+        count = stabilizer_count(model, pt, no_sign)
+        if count != 2 * q:
+            rep.fail("orth.special.stab", i, {"x": pt}, {"stabilizer order": count})
+    rep.verdict(
         "orth.special.stab",
-        stab_ok,
         f"both base points have stabilizer order 2q = {2 * q} in the no-sign subgroup",
     )
 
@@ -921,39 +913,45 @@ def _strata_base_points(q: int) -> dict[str, tuple[Pt, int]]:
 def verify_strata_partition(q: int = 5) -> CheckReport:
     if q not in (5, 13):
         raise ValueError("strata verification is kept to q in {5, 13}")
-    rep = CheckReport(f"finite.strata.{q}")
+    rep = CheckReport(f"finite.strata.{q}", seed=q)
     model = ModelUnitriangular(q)
     expect = _strata_expectations(q)
 
-    flag_ok = True
-    for v in product(range(q), repeat=3):
-        la, lb = _level_last(v), _level_first(v)
-        if any(v) and (la is None or lb is None):
-            flag_ok = False
-        if not any(v) and (la is not None or lb is not None):
-            flag_ok = False
-    rep.add("flags", flag_ok, "both flag stratifications cover the nonzero vectors")
+    for i, v in enumerate(product(range(q), repeat=3)):
+        la, lb, zero = _level_last(v), _level_first(v), not any(v)
+        if (la is None) != zero or (lb is None) != zero:
+            rep.fail("flags", i, {"v": v}, {"last level": la, "first level": lb})
+    rep.verdict("flags", "both flag stratifications cover the nonzero vectors")
 
     # the twist conjugates a unitriangular element to its reversed transpose
-    sigma = model.twist_element()
+    sigma = model.twist
     sig_inv = model.inv(sigma)
-    conj_ok = True
-    for a, b, c in product(range(q), repeat=3):
+    for i, (a, b, c) in enumerate(product(range(q), repeat=3)):
         g = model.element(unitriangular(q, a, b, c))
         want = unitriangular(q, c, (a * c - b) % q, a)
         got = model.mul(sigma, model.mul(g, sig_inv))
         if got[0] != want or got[2] != 1:
-            conj_ok = False
-    rep.add("twist.conj", conj_ok, "conjugation by the twist reverses the parameters")
+            conj = {"sigma g sigma^-1": got, "predicted": model.element(want)}
+            rep.fail("twist.conj", i, {"a": a, "b": b, "c": c}, conj)
+    rep.verdict("twist.conj", "conjugation by the twist reverses the parameters")
 
     bases = _strata_base_points(q)
     base_ok = all(stratum_of(pt, q) == s for s, (pt, _) in bases.items())
     rep.add("bases", base_ok, "each canonical base point classifies into its stratum")
 
+    def check_invariance(i: int, x: Pt, s: str) -> None:
+        for k, g in enumerate(model.generators):
+            y = model.apply(g, x)
+            if stratum_of(y, q) != s:
+                got = {f"generator {k} image": y, "strata": f"{s} -> {stratum_of(y, q)}"}
+                rep.fail("invariance", i, {"x": x}, got)
+
     if q == 5:
         buckets: dict[str, list[Pt]] = {}
-        for pt in product(range(q), repeat=model.dim):
-            buckets.setdefault(stratum_of(pt, q), []).append(pt)
+        for i, pt in enumerate(product(range(q), repeat=model.dim)):
+            s = stratum_of(pt, q)
+            buckets.setdefault(s, []).append(pt)
+            check_invariance(i, pt, s)
 
         rep.add("zero", len(buckets.get("zero", [])) == 1, "only the origin is unstratified")
         count_ok = all(len(buckets.get(s, [])) == e["count"] for s, e in expect.items())
@@ -968,28 +966,23 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
             sum(len(b) for b in buckets.values()) == q**6,
             "strata plus origin exhaust the space",
         )
+        rep.verdict("invariance", "every stratum is preserved by every generator")
 
-        inv_bad = 0
-        for s, pts in buckets.items():
-            for pt in pts:
-                for g in model.generators:
-                    if stratum_of(model.apply(g, pt), q) != s:
-                        inv_bad += 1
-        rep.add("invariance", inv_bad == 0, "every stratum is preserved by every generator")
-
-        orbit_ok = True
         details = {}
-        for s, e in expect.items():
+        for i, (s, e) in enumerate(expect.items()):
             orbits = _or_none(orbit_decompose, model, buckets[s]) or []
             sizes: dict[int, int] = {}
             for o in orbits:
                 sizes[len(o)] = sizes.get(len(o), 0) + 1
             details[s] = sizes
-            if len(orbits) != e["orbits"] or sizes != e["sizes"]:
-                orbit_ok = False
-            if any(model.group_order % len(o) for o in orbits):
-                orbit_ok = False
-        rep.add("orbits", orbit_ok, "orbit counts and sizes match in every stratum " + str(details))
+            if (
+                len(orbits) != e["orbits"]
+                or sizes != e["sizes"]
+                or any(model.group_order % len(o) for o in orbits)
+            ):
+                got = {"orbits": len(orbits), "sizes": sizes, "predicted": (e["orbits"], e["sizes"])}
+                rep.fail("orbits", i, {"stratum": s}, got)
+        rep.verdict("orbits", "orbit counts and sizes match in every stratum " + str(details))
     else:
         # the full space has q^6 ~ 4.8M points; check the count ledger
         # arithmetically and the dynamics on base orbits only
@@ -998,23 +991,18 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
 
         # the 2000 points are consecutive draws, so they are drawn at once
         flat = _draws(random.Random(q), q, 6 * 2000)
-        witnesses = Witnesses(rep, q)
         for i in range(2000):
             x = tuple(flat[6 * i : 6 * i + 6])
-            s = stratum_of(x, q)
-            for k, g in enumerate(model.generators):
-                y = model.apply(g, x)
-                if stratum_of(y, q) != s:
-                    got = {f"generator {k} image": y, "strata": f"{s} -> {stratum_of(y, q)}"}
-                    witnesses.fail("invariance", i, {"x": x}, got)
-        witnesses.add("invariance", "strata preserved on 2000 sampled points")
+            check_invariance(i, x, stratum_of(x, q))
+        rep.verdict("invariance", "strata preserved on 2000 sampled points")
 
-        size_ok = True
-        for s, (pt, size) in bases.items():
+        for i, (s, (pt, size)) in enumerate(bases.items()):
             orb = orbit_bfs(model, pt)
             if len(orb) != size or any(stratum_of(y, q) != s for y in orb):
-                size_ok = False
-        rep.add("base.orbits", size_ok, "base-point orbit sizes match the predictions")
+                met = sorted({stratum_of(y, q) for y in orb})
+                got = {"orbit size": len(orb), "predicted": size, "strata": met}
+                rep.fail("base.orbits", i, {"x": pt}, got)
+        rep.verdict("base.orbits", "base-point orbit sizes match the predictions")
 
     fixed_pts = [(lam, 0, 0, 0, 0, lam) for lam in range(1, q)]
     fixed_ok = all(

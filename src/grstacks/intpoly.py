@@ -37,7 +37,6 @@ class NotDivisible(ArithmeticError):
 
 ZERO: tuple[int, ...] = ()
 ONE: tuple[int, ...] = (1,)
-X: tuple[int, ...] = (0, 1)
 
 
 def normalize(coeffs) -> tuple[int, ...]:
@@ -188,6 +187,26 @@ def _div_binomial(p: list[int], k: int) -> list[int]:
     return q
 
 
+def _prime_factors(d: int) -> list[int]:
+    """The primes dividing d >= 1, ascending, each as often as it divides d."""
+    out, r, p = [], d, 2
+    while p * p <= r:
+        while r % p == 0:
+            out.append(p)
+            r //= p
+        p += 1
+    return out + [r] * (r > 1)
+
+
+@cache
+def divisors(d: int) -> tuple[int, ...]:
+    """Every divisor of d >= 1, ascending, from its prime factors."""
+    out = {1}
+    for p in _prime_factors(d):
+        out |= {k * p for k in out}
+    return tuple(sorted(out))
+
+
 def _moebius_binomials(d: int) -> list[tuple[int, int]]:
     """(d/s, mu(s)) over squarefree s | d, in an order whose running
     product stays a polynomial.
@@ -197,18 +216,8 @@ def _moebius_binomials(d: int) -> list[tuple[int, int]]:
     Within one prime's batch the mu(s) = +1 factors come first, so each
     mu(s) = -1 factor after them divides exactly.
     """
-    primes: list[int] = []
-    r, p = d, 2
-    while p * p <= r:
-        if r % p == 0:
-            primes.append(p)
-            while r % p == 0:
-                r //= p
-        p += 1
-    if r > 1:
-        primes.append(r)
     out = [(d, 1)]
-    for p in primes:
+    for p in dict.fromkeys(_prime_factors(d)):
         out += sorted(((k // p, -mu) for k, mu in out), key=lambda e: -e[1])
     return out
 

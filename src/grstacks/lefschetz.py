@@ -393,7 +393,11 @@ def lc_eval_digits(a: LefschetzClass, q: int) -> int:
             bottom -= intpoly.totient(d) * m
     log_q = math.log10(q)
     coeff = _bits(a.core) * math.log10(2) + math.log10(len(a.core))
-    return math.ceil(max(top * log_q + coeff, bottom * log_q))
+    try:
+        return math.ceil(max(top * log_q + coeff, bottom * log_q))
+    except OverflowError:
+        # a degree past the float range: the same estimate in exact arithmetic
+        return math.ceil(max(top * Fraction(log_q) + Fraction(coeff), bottom * Fraction(log_q)))
 
 
 def lc_eval_at(a: LefschetzClass, q: int) -> Fraction:
@@ -421,10 +425,12 @@ def regroup_cyclotomics(cyc) -> tuple[list[tuple[int, int]], list[tuple[int, int
     exps = {d: m for d, m in cyc}
     blocks: list[tuple[int, int]] = []
     leftover: list[tuple[int, int]] = []
-    while exps:
-        d = max(exps)
+    # keys are only ever removed, so one descending pass meets each survivor
+    for d in sorted(exps, reverse=True):
+        if d not in exps:
+            continue
         s = 1 if exps[d] > 0 else -1
-        divisors = [e for e in range(1, d + 1) if d % e == 0]
+        divisors = intpoly.divisors(d)
         count = min(exps.get(e, 0) * s for e in divisors)
         if count >= 1:
             for e in divisors:
@@ -432,7 +438,8 @@ def regroup_cyclotomics(cyc) -> tuple[list[tuple[int, int]], list[tuple[int, int
                 if exps[e] == 0:
                     del exps[e]
             blocks.append((d, s * count))
-        else:
+        # what a block leaves of d has a divisor at zero, so it stays left over
+        if d in exps:
             leftover.append((d, exps.pop(d)))
     blocks.sort()
     leftover.sort()

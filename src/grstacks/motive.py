@@ -330,7 +330,4 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
         lhs = substitute_deltas(bspin(n), solved)
         if not lc_eq(lhs, lc_inv(class_spin(n))):
             raise Inconsistent(f"solved values do not satisfy the n={n} equation")
-    for n in range(3, 13):
-        if 1 in bspin(n).support():
-            raise Inconsistent(f"atom index 1 occurs in bspin({n})")
     return solved

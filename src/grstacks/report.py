@@ -1,4 +1,11 @@
-"""Check reports: the shared result type for all verification suites."""
+"""Check reports: the shared result type for all verification suites.
+
+A looped check records each failing case with CheckReport.fail (error, for a
+case that raised) and adds its verdict once with verdict, which keeps the first
+failing case: lhs "seed S sample I: k = v, ..." (the report's seed, the case's
+index in its loop, its inputs) and rhs "k = v; ..." (what the check computed
+from them).  A check with no failing case keeps both sides empty.
+"""
 
 from __future__ import annotations
 
@@ -25,9 +32,28 @@ class CheckReport:
     suite: str
     seed: int = 0
     checks: list[CheckResult] = field(default_factory=list)
+    # per looped check: its first failing case as (lhs, rhs), and the count of failing cases
+    first: dict[str, tuple[str, str]] = field(default_factory=dict, repr=False, compare=False)
+    bad: Counter[str] = field(default_factory=Counter, repr=False, compare=False)
 
     def add(self, id: str, ok: bool, detail: str = "", lhs: str = "", rhs: str = "") -> None:
         self.checks.append(CheckResult(id, PASS if ok else FAIL, detail, lhs, rhs))
+
+    def fail(self, check: str, i: int, inputs: dict, got: dict) -> None:
+        self.bad[check] += 1
+        if check not in self.first:
+            drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
+            computed = "; ".join(f"{k} = {v}" for k, v in got.items())
+            self.first[check] = (f"seed {self.seed} sample {i}: {drawn}", computed)
+
+    def error(self, checks: tuple[str, ...], i: int, inputs: dict, exc: Exception) -> None:
+        """Record a case that raised as a failure of every check it fed."""
+        for check in checks:
+            self.fail(check, i, inputs, {"error": f"{type(exc).__name__}: {exc}"})
+
+    def verdict(self, check: str, detail: str) -> None:
+        """Add a looped check: PASS unless fail ran for it, with its first failing case."""
+        self.add(check, check not in self.first, detail, *self.first.get(check, ()))
 
     def describe(self, id: str, detail: str, lhs: str = "", rhs: str = "") -> None:
         self.checks.append(CheckResult(id, DESCRIPTIVE, detail, lhs, rhs))
@@ -82,26 +108,3 @@ class CheckReport:
         n_fail = len(self.failures)
         lines.append(f"  {len(self.checks)} checks, {n_fail} failures")
         return "\n".join(lines)
-
-
-class Witnesses:
-    """The first failing sample of each sampled check, kept as (lhs, rhs):
-    where it was drawn and its rendered inputs, then what the check computed
-    from them, and the count of failing samples, bad[check].  A check with no
-    failing sample keeps both sides empty."""
-
-    def __init__(self, rep: CheckReport, seed: int):
-        self.rep = rep
-        self.seed = seed
-        self.first: dict[str, tuple[str, str]] = {}
-        self.bad: Counter[str] = Counter()
-
-    def fail(self, check: str, i: int, inputs: dict, got: dict) -> None:
-        self.bad[check] += 1
-        if check not in self.first:
-            drawn = ", ".join(f"{k} = {v}" for k, v in inputs.items())
-            computed = "; ".join(f"{k} = {v}" for k, v in got.items())
-            self.first[check] = (f"seed {self.seed} sample {i}: {drawn}", computed)
-
-    def add(self, check: str, detail: str) -> None:
-        self.rep.add(check, check not in self.first, detail, *self.first.get(check, ()))

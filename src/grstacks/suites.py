@@ -48,7 +48,7 @@ from .motive import (
     solve_deltas,
     substitute_deltas,
 )
-from .report import CheckReport, Witnesses
+from .report import CheckReport
 
 
 def _random_unit(rng: random.Random) -> LefschetzClass:
@@ -75,8 +75,7 @@ def _random_class(rng: random.Random) -> LefschetzClass:
 def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     rep = CheckReport("ring", seed)
     rng = random.Random(seed)
-    witnesses = Witnesses(rep, seed)
-    fail, add = witnesses.fail, witnesses.add
+    fail, verdict = rep.fail, rep.verdict
 
     for i in range(samples):
         a = _random_class(rng)
@@ -89,17 +88,16 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
             fail("canonical.oracle", i, {"a": a, "c": c}, {"a == c": lc_eq(a, c)})
         if lc_eq(a, a + LC_ONE):
             fail("canonical.separates", i, {"a": a}, {"a + 1": a + LC_ONE})
-    add(
+    verdict(
         "canonical.unique",
         f"a * u / u is structurally a again on {samples} random (class, unit) pairs",
     )
-    add(
+    verdict(
         "canonical.oracle",
         f"structural equality agrees with the cross-multiplication oracle on {samples} pairs",
     )
-    add("canonical.separates", "a + 1 never collides with a")
+    verdict("canonical.separates", "a + 1 never collides with a")
 
-    poly_bad = class_bad = 0
     for n in range(1, 65):
         prod = intpoly.ONE
         cls = LC_ONE
@@ -109,26 +107,19 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
                 cls = lc_mul(cls, lc_normalize(intpoly.ONE, 0, ((d, 1),)))
         want = tuple([-1] + [0] * (n - 1) + [1])
         if prod != want:
-            poly_bad += 1
-        if not lc_eq(cls, lc_normalize(intpoly.x_pow_minus_one(n))):
-            class_bad += 1
-    rep.add(
-        "phi.product.poly",
-        poly_bad == 0,
-        "cyclotomic factors multiply out to x^n - 1 for n <= 64",
-    )
-    rep.add(
-        "phi.product.class",
-        class_bad == 0,
-        "the same product holds structurally in the localized ring",
-    )
+            fail("phi.product.poly", n, {"n": n}, {"product": intpoly.to_text(prod, "x")})
+        binomial = lc_normalize(intpoly.x_pow_minus_one(n))
+        if not lc_eq(cls, binomial):
+            fail("phi.product.class", n, {"n": n}, {"product": cls, "L^n - 1": binomial})
+    verdict("phi.product.poly", "cyclotomic factors multiply out to x^n - 1 for n <= 64")
+    verdict("phi.product.class", "the same product holds structurally in the localized ring")
 
     for i in range(samples):
         u = _random_unit(rng)
         one, back = lc_mul(u, lc_inv(u)), lc_inv(lc_inv(u))
         if not (lc_eq(one, LC_ONE) and lc_eq(back, u)):
             fail("units.roundtrip", i, {"u": u}, {"u * u^-1": one, "(u^-1)^-1": back})
-    add("units.roundtrip", f"u * u^-1 = 1 and (u^-1)^-1 = u on {samples} units")
+    verdict("units.roundtrip", f"u * u^-1 = 1 and (u^-1)^-1 = u on {samples} units")
 
     try:
         lc_inv(lc_normalize((2, 1)))
@@ -147,7 +138,7 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
         if at_ab != at_a * at_b or at_sum != at_a + at_b:
             got = {"(a * b)(7)": at_ab, "(a + b)(7)": at_sum, "a(7)": at_a, "b(7)": at_b}
             fail("eval.hom", i, {"a": a, "b": b}, got)
-    add("eval.hom", "specialization at 7 is a ring homomorphism")
+    verdict("eval.hom", "specialization at 7 is a ring homomorphism")
     return rep
 
 

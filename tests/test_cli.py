@@ -186,6 +186,12 @@ def test_eval_at_refuses_a_value_too_long_to_print(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.startswith(f"({'9' * 4000}*L^1000 + 1)")
     assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
+    # L^(2000^100): a degree past the float range is refused the same way
+    nested = "(" * 100 + "L" + ")^2000" * 100
+    for flags in ([], ["--deltas-one"]):
+        assert cli.main(["eval", nested, "--at", "2", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
 
 
 def test_eval_at_with_atoms_left_is_an_error(capsys):

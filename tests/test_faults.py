@@ -4,6 +4,7 @@ built on it report FAIL rather than pass or crash."""
 import itertools
 import random
 import re
+import types
 
 import pytest
 
@@ -72,6 +73,16 @@ def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
     assert DeltaGroup(n).mul((1, 0b101), (1, 0b110)) == (-1, 0b011)
     rep = verify_delta_structure(n)
     assert "commutators" in {c.id for c in rep.failures}
+
+
+def test_a_wrong_square_records_its_first_witness(monkeypatch):
+    # a square that drops the sign of e_1 e_2 fails the closed form for that blade alone
+    square = DeltaGroup.square
+    monkeypatch.setattr(DeltaGroup, "square", lambda self, a: (1, 0) if a == (1, 0b11) else square(self, a))
+    failed = {c.id: c for c in verify_delta_structure(3).failures}
+    i = DeltaGroup(3).elements.index((1, 0b11))
+    assert failed["squares"].lhs == f"seed 0 sample {i}: (sign, mask) = (1, 3)"
+    assert failed["squares"].rhs == "e_S^2 = (1, 0); predicted = (-1, 0)"
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -143,6 +154,41 @@ def test_a_broken_f_map_records_its_first_witness(monkeypatch):
         f = clifford.f_map
         assert (f(n, w1) * f(n, w2) != f(n, ws)) == (j == int(m[1]))
     assert (m[2], m[3]) == tuple(str(clifford.CliffordElement.vector(n, w)) for w in (w1, w2))
+
+
+def test_a_transposed_stabilizer_template_records_its_first_witness(monkeypatch):
+    # the transpose still composes additively, but moves e_1 whenever w != 0
+    template = clifford.phi_w_matrix
+    monkeypatch.setattr(clifford, "phi_w_matrix", lambda space, n, w: tuple(zip(*template(space, n, w))))
+    n, seed = 4, 3
+    failed = {c.id: c for c in clifford.verify_phi_w(n, samples=20, seed=seed).failures}
+    assert "phiw.fix" in failed and "phiw.hom" not in failed
+    m = re.fullmatch(rf"seed {seed} sample (\d+): w1 = (.+)", failed["phiw.fix"].lhs)
+    # the seed and index draw the same w1 again, and it is the first nonzero one
+    rng = random.Random(seed)
+    for j in range(int(m[1]) + 1):
+        w1, _ = clifford._random_tail_vector(n, rng), clifford._random_tail_vector(n, rng)
+        assert any(w1) == (j == int(m[1]))
+    assert m[2] == str(clifford.CliffordElement.vector(n, w1))
+    assert failed["phiw.fix"].rhs.startswith("phi_w(w1) e1 = ")
+
+
+def test_an_odd_spin_sample_records_the_first_eta_witnesses(monkeypatch):
+    # an odd sample anticommutes with the top blade: eta g = -g eta, and a
+    # sign-twisted product picks up a sign whenever its second twist is set
+    spin = clifford.spin_sample
+    monkeypatch.setattr(
+        clifford,
+        "spin_sample",
+        lambda n, rng, support=None: spin(n, rng, support) * clifford.basis_vector(n, 2),
+    )
+    failed = {c.id: c for c in clifford.eta_center_check(samples=12, seed=4).failures}
+    assert set(failed) == {"eta.central", "eta.embed"}
+    assert re.fullmatch(r"seed 4 sample 0: g = .+", failed["eta.central"].lhs)
+    assert failed["eta.central"].rhs.startswith("eta g = ")
+    m = re.fullmatch(r"seed 4 sample \d+: g1 = .+, g2 = .+, s1 = (-?1), s2 = (-?1)", failed["eta.embed"].lhs)
+    assert m and m[2] == "-1"
+    assert failed["eta.embed"].rhs.startswith("lift(g1, s1) lift(g2, s2) = ")
 
 
 def test_unreduced_gaussians_fail_clifford_relations(monkeypatch):
@@ -295,6 +341,22 @@ def test_orbit_short_by_one_point_fails_its_verifier(orbit_drops_a_point, verify
     assert failing <= {c.id for c in rep.failures}
 
 
+def test_a_wrong_lambda_records_its_first_witness(monkeypatch):
+    # a scalar doubled on the points with v1 = 1: the matrix part moves
+    # points into and out of that set, so their lam no longer follows the law
+    lam = finite._lambda_of
+    monkeypatch.setattr(finite, "_lambda_of", lambda pt, q: lam(pt, q) * (2 if pt[0] == 1 else 1) % q)
+    failed = {c.id: c for c in finite.verify_c4_structure(5).failures}
+    m = re.fullmatch(r"seed 0 sample (\d+): x = (.+)", failed["orth.lambda"].lhs)
+    orth = [
+        pt
+        for pt in itertools.product(range(5), repeat=4)
+        if (pt[0] * pt[2] + pt[1] * pt[3]) % 5 == 0 and any(pt[:2]) and any(pt[2:])
+    ]
+    assert m[2] == repr(orth[int(m[1])])
+    assert re.fullmatch(r"lam = \d; lam after generator \d = \d; predicted = \d", failed["orth.lambda"].rhs)
+
+
 def test_orbit_short_by_one_point_fails_the_other_orbits_at_13(orbit_drops_a_point):
     # at q = 13 some orthogonal points have lam^2 != +-1, and their orbits
     # no longer tile them
@@ -430,6 +492,37 @@ def test_a_broken_stratum_map_records_its_first_witness(monkeypatch):
     assert re.fullmatch(
         r"generator \d image = \(.+\); strata = S\d+ -> S\d+", failed["invariance"].rhs
     )
+
+
+def test_a_broken_stratum_map_records_its_first_witnesses_at_5(monkeypatch):
+    # every point is enumerated at q = 5, so the witness index is the point's
+    # place in product order, and the strata no longer hold whole orbits
+    stratum_of = finite.stratum_of
+    monkeypatch.setattr(finite, "stratum_of", lambda pt, q: "S0" if pt[:2] == (1, 1) else stratum_of(pt, q))
+    failed = {c.id: c for c in finite.verify_strata_partition(5).failures}
+    m = re.fullmatch(r"seed 5 sample (\d+): x = (.+)", failed["invariance"].lhs)
+    points = list(itertools.product(range(5), repeat=6))
+    x = points[int(m[1])]
+    assert m[2] == repr(x) and x[:2] != (1, 1)
+    assert re.fullmatch(r"generator \d image = \(.+\); strata = S\d+ -> S0", failed["invariance"].rhs)
+    m = re.fullmatch(r"seed 5 sample (\d+): stratum = (S\d+)", failed["orbits"].lhs)
+    assert m[2] == list(finite._strata_expectations(5))[int(m[1])]
+    assert failed["orbits"].rhs.startswith("orbits = ")
+
+
+def test_wrong_cyclotomic_products_record_their_first_witnesses(monkeypatch):
+    # the suite's own view of intpoly gets a wrong Phi_7 and a wrong x^5 - 1;
+    # the localized ring underneath keeps the real ones
+    broken = types.SimpleNamespace(**vars(intpoly))
+    broken.cyclotomic = lambda d: intpoly.cyclotomic(1) if d == 7 else intpoly.cyclotomic(d)
+    broken.x_pow_minus_one = lambda n: (1, 0, 0, 0, 0, 1) if n == 5 else intpoly.x_pow_minus_one(n)
+    monkeypatch.setattr(suites, "intpoly", broken)
+    failed = {c.id: c for c in suite_ring(seed=0, samples=5).failures}
+    assert set(failed) == {"phi.product.poly", "phi.product.class"}
+    assert failed["phi.product.poly"].lhs == "seed 0 sample 7: n = 7"
+    assert failed["phi.product.poly"].rhs == "product = x^2 - 2*x + 1"
+    assert failed["phi.product.class"].lhs == "seed 0 sample 5: n = 5"
+    assert failed["phi.product.class"].rhs.startswith("product = ")
 
 
 def test_a_failed_ring_sample_records_its_first_witness(monkeypatch):

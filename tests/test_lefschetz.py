@@ -1,13 +1,14 @@
 """Exact arithmetic in the localized ring of Lefschetz classes."""
 
 import functools
+import random
 from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from grstacks import intpoly, lefschetz
+from grstacks import intpoly, lefschetz, motive
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -665,6 +666,44 @@ def test_render_keeps_stray_cyclotomics():
     x = lc_normalize(intpoly.ONE, 0, ((3, -1), (6, -1)))
     assert render_factors(x) == "cyclo(3)^-1 * cyclo(6)^-1"
     assert regroup_cyclotomics(x.cyc) == ([], [(3, -1), (6, -1)])
+
+
+def _regroup_by_scan(cyc):
+    # the greedy regroup with the largest key each round and its divisors
+    # found by a scan of 1..d: the reference the one-pass regroup must match
+    exps = dict(cyc)
+    blocks, leftover = [], []
+    while exps:
+        d = max(exps)
+        s = 1 if exps[d] > 0 else -1
+        divisors = [e for e in range(1, d + 1) if d % e == 0]
+        count = min(exps.get(e, 0) * s for e in divisors)
+        if count >= 1:
+            for e in divisors:
+                exps[e] -= s * count
+                if exps[e] == 0:
+                    del exps[e]
+            blocks.append((d, s * count))
+        else:
+            leftover.append((d, exps.pop(d)))
+    return sorted(blocks), sorted(leftover)
+
+
+def test_regroup_matches_the_divisor_scan():
+    cases = [motive.class_gl(n) for n in range(1, 301)] + [motive.class_spin(n) for n in range(2, 301)]
+    for n in range(2, 40):
+        e = motive.bspin(n)
+        cases += [e.scalar] + [c for _, c in e.atoms]
+    cycs = [a.cyc for a in cases]
+    # and mixed signs, where a block can leave part of its own key over
+    rng = random.Random(0)
+    for _ in range(500):
+        exps = {d: rng.choice((-2, -1, 1, 1, 2, 3)) for d in rng.sample(range(1, 25), rng.randint(1, 12))}
+        cycs.append(tuple(sorted(exps.items())))
+    for cyc in cycs:
+        assert regroup_cyclotomics(cyc) == _regroup_by_scan(cyc)
+    for d in range(1, 1001):
+        assert sorted(intpoly.divisors(d)) == [e for e in range(1, d + 1) if d % e == 0]
 
 
 def test_render_constants():

@@ -61,3 +61,45 @@ def test_ledgers_import_only_the_evaluator_and_the_report():
         elif isinstance(node, ast.Import):
             found |= {a.name for a in node.names if a.name.startswith("grstacks")}
     assert found <= LEDGER_IMPORTS
+
+
+# the modules whose looped checks record a failing case only through CheckReport
+RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
+
+
+def _is_counter(name: str) -> bool:
+    return name == "bad" or name.endswith("_bad") or name.startswith("bad_")
+
+
+def _is_flag(name: str) -> bool:
+    return name == "ok" or name.endswith("_ok")
+
+
+def test_failing_checks_are_recorded_only_through_the_report():
+    # a hand-kept failure counter or pass flag reports a count or a bare FAIL,
+    # where CheckReport.fail keeps the first failing case; counts of points
+    # or tests (axes += 1, tested += 1) are not failure counters
+    found = set()
+    for module in RECORDING_MODULES:
+        path = pathlib.Path(grstacks.__file__).parent / module
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            set_true: dict[str, int] = {}
+            set_false: list[tuple[str, int]] = []
+            for node in ast.walk(func):
+                if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+                    if isinstance(node.target, ast.Name) and _is_counter(node.target.id):
+                        found.add(f"{module}:{node.lineno} {node.target.id} += ...")
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                    for target in node.targets:
+                        if not (isinstance(target, ast.Name) and _is_flag(target.id)):
+                            continue
+                        if node.value.value is True:
+                            set_true[target.id] = min(set_true.get(target.id, node.lineno), node.lineno)
+                        elif node.value.value is False:
+                            set_false.append((target.id, node.lineno))
+            for name, line in set_false:
+                if set_true.get(name, line) < line:
+                    found.add(f"{module}:{line} {name} = False")
+    assert sorted(found) == []
