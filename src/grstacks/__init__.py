@@ -26,6 +26,7 @@ from .lefschetz import (
     lc_neg,
     lc_normalize,
     lc_pow,
+    lc_sum,
     render_factors,
 )
 from .motive import (
@@ -82,6 +83,7 @@ __all__ = [
     "lc_neg",
     "lc_normalize",
     "lc_pow",
+    "lc_sum",
     "leading_delta_coeff",
     "m_atom",
     "m_scalar",

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import sys
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import neg as _negate, sub as _subtract
 
 class NotDivisible(ArithmeticError):
@@ -51,13 +51,9 @@ def degree(p: tuple[int, ...]) -> int:
     return len(p) - 1
 
 
-def add(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    if len(p) < len(q):
-        p, q = q, p
-    cs = list(p)
-    for i, c in enumerate(q):
-        cs[i] += c
-    return normalize(cs)
+def add(*ps: tuple[int, ...]) -> tuple[int, ...]:
+    """The sum of any number of polynomials."""
+    return normalize(map(sum, zip_longest(*ps, fillvalue=0)))
 
 
 def neg(p: tuple[int, ...]) -> tuple[int, ...]:

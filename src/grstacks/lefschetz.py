@@ -18,17 +18,19 @@ Phi_d (irreducibility), so only the L-valuation needs re-extraction.  When
 one core is +-1, as it is for the unit classes the tower mostly multiplies
 by, no polynomial product is formed at all.
 
-Addition pulls out the common factor of the two operands, adds the expanded
-cofactors and renormalizes the sum from scratch.  Each cofactor's Phi-part
-is multiplied out first, from memoized powers Phi_d^m, and then multiplied
-into the shifted core once.
+Addition (lc_sum, and lc_add for two summands) pulls out the common factor
+of all the summands, the componentwise min of their exponents, adds the
+expanded cofactors and normalizes the sum once, from scratch.  Each
+cofactor's Phi-part is multiplied out first, from memoized powers Phi_d^m,
+and then multiplied into the shifted core once.
 
 Both build polynomials whose size the operands fix in advance.  Inside a
 work budget (work_budget, which dsl.eval opens for untrusted input), each
 site that builds them predicts its work from the operand sizes alone and
 charges it before any polynomial work: a non-unit product its length times
-its predicted coefficient bits, a sum (D + 1)^2 for the larger cofactor
-degree D plus the size of each cofactor product, a polynomial given by its
+its predicted coefficient bits, a sum of k nonzero summands
+(D + 1)(D + k - 1) for the largest cofactor degree D, (D + 1)^2 for two,
+plus the size of each cofactor product, a polynomial given by its
 coefficients (lc_poly) (D + 1)^2 for its degree D, and a power, once, an
 upper bound on its whole square-and-multiply loop.  A charge that passes
 the budget raises OverBudget.  Outside a budget, the default, nothing is
@@ -159,10 +161,10 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     deg = intpoly.degree(core)
     if deg > 0:
         lead = core[-1]
-        t = 2
-        while intpoly.eval_at(core, t) == 0:
+        t, point = 2, intpoly.eval_at(core, 2)
+        while point == 0:
             t += 1
-        point = intpoly.eval_at(core, t)
+            point = intpoly.eval_at(core, t)
         for d in intpoly.phi_bounded(deg):
             phi_t = intpoly.cyclotomic_at(d, t)
             if phi_t != 0 and point % phi_t:
@@ -198,7 +200,7 @@ def l_pow_minus_one(n: int) -> LefschetzClass:
     factorization rather than by trial division."""
     if n < 1:
         raise ValueError(f"L^n - 1 needs n >= 1, got {n}")
-    return LefschetzClass(intpoly.ONE, 0, tuple((d, 1) for d in range(1, n + 1) if n % d == 0))
+    return LefschetzClass(intpoly.ONE, 0, tuple((d, 1) for d in intpoly.divisors(n)))
 
 
 def lc_neg(a: LefschetzClass) -> LefschetzClass:
@@ -220,41 +222,46 @@ def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
         # too (both constant terms nonzero), hence no re-extraction at all.
         _charge(lambda: _units(len(a.core), _bits(a.core), len(b.core), _bits(b.core)))
         core = intpoly.mul(a.core, b.core)
-    exps: dict[int, int] = dict(a.cyc)
-    for d, m in b.cyc:
-        exps[d] = exps.get(d, 0) + m
-    cyc = tuple(sorted((d, m) for d, m in exps.items() if m))
+    if not a.cyc or not b.cyc:
+        cyc = a.cyc or b.cyc
+    else:
+        exps: dict[int, int] = dict(a.cyc)
+        for d, m in b.cyc:
+            exps[d] = exps.get(d, 0) + m
+        cyc = tuple(sorted((d, m) for d, m in exps.items() if m))
     return LefschetzClass(core, a.l_exp + b.l_exp, cyc)
 
 
-def _common_cofactors(a: LefschetzClass, b: LefschetzClass):
-    """Write a = F * pa, b = F * pb with F the common factor of the two
-    canonical forms (componentwise min of exponents) and pa, pb expanded
-    integer polynomials.  Returns (pa, pb, l0, common)."""
-    am, bm = dict(a.cyc), dict(b.cyc)
-    l0 = min(a.l_exp, b.l_exp)
+def _common_cofactors(values):
+    """Write each of the nonzero canonical forms values[i] as F * p_i, with F
+    their common factor (componentwise min of exponents) and p_i expanded
+    integer polynomials.  Returns ([p_0, p_1, ...], l0, common)."""
+    maps = [dict(x.cyc) for x in values]
+    l0 = min(x.l_exp for x in values)
     common: dict[int, int] = {}
-    for d in set(am) | set(bm):
-        m = min(am.get(d, 0), bm.get(d, 0))
+    for d in set().union(*maps):
+        m = min(xm.get(d, 0) for xm in maps)
         if m:
             common[d] = m
     # each cofactor's Phi-part: the exponent differences are >= 0 by
     # construction of the min, but must cover factors only in the common part
     extras = []
-    for xm in (am, bm):
+    for xm in maps:
         diffs = ((d, xm.get(d, 0) - common.get(d, 0)) for d in set(xm) | set(common))
         extras.append([(d, m) for d, m in diffs if m])
 
     def units() -> int:
-        # (D + 1)^2 for the larger degree D of the two expanded cofactors
-        return max(
+        # (D + 1)^2 for the normalization, D the largest degree of the
+        # expanded cofactors, and D + 1 for each addition past the first
+        length = max(
             len(x.core) + x.l_exp - l0 + sum(intpoly.totient(d) * m for d, m in extra)
-            for x, extra in zip((a, b), extras)
-        ) ** 2
+            for x, extra in zip(values, extras)
+        )
+        return length * (length + len(values) - 2)
 
     _charge(units)
-    pa, pb = (_cofactor(x, x.l_exp - l0, extra) for x, extra in zip((a, b), extras))
-    return pa, pb, l0, common
+    cofactors = [_cofactor(x, x.l_exp - l0, extra) for x, extra in zip(values, extras)]
+    return cofactors, l0, common
 
 
 def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tuple[int, ...]:
@@ -267,13 +274,18 @@ def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tu
     return intpoly.mul(p, phis)
 
 
+def lc_sum(values) -> LefschetzClass:
+    """The sum of any number of classes, over their one common factor: the
+    cofactors are added and the sum is normalized once, not once per term."""
+    terms = [x for x in values if x.core]
+    if len(terms) <= 1:
+        return terms[0] if terms else LC_ZERO
+    cofactors, l0, common = _common_cofactors(terms)
+    return lc_normalize(intpoly.add(*cofactors), l0, common)
+
+
 def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
-    if not a.core:
-        return b
-    if not b.core:
-        return a
-    pa, pb, l0, common = _common_cofactors(a, b)
-    return lc_normalize(intpoly.add(pa, pb), l0, common)
+    return lc_sum((a, b))
 
 
 def lc_poly(coeffs) -> LefschetzClass:
@@ -364,7 +376,7 @@ def _cross_multiply_eq(a: LefschetzClass, b: LefschetzClass) -> bool:
     """Compare by clearing the common factor and expanding both cofactors."""
     if not a.core or not b.core:
         return (not a.core) == (not b.core)
-    pa, pb, _, _ = _common_cofactors(a, b)
+    (pa, pb), _, _ = _common_cofactors((a, b))
     return pa == pb
 
 

@@ -53,7 +53,7 @@ from .lefschetz import (
     lc_inv,
     lc_mul,
     lc_neg,
-    lc_normalize,
+    lc_sum,
     render_factors,
 )
 
@@ -255,19 +255,23 @@ def clear_tower_cache() -> None:
     _atom_coeff.cache_clear()
 
 
+def _lead_closed_form(n: int) -> LefschetzClass:
+    """(L-1)^(n-1) / prod_(i=2..n) (L^i - 1), in which Phi_d divides
+    floor(n/d) of the blocks and (L-1)^(n-1) cancels Phi_1."""
+    return LefschetzClass(intpoly.ONE, 0, tuple((d, -(n // d)) for d in range(2, n + 1)))
+
+
 def leading_delta_coeff(n: int) -> LefschetzClass:
     """Coefficient of the top atom BDelta_(n-1) in bspin(n).
 
     Checked against the closed form (L-1)^(n-1) / prod_(i=2..n) (L^i - 1)
-    before returning.
+    before returning.  The closed form is built from divisor counts, so it
+    shares no arithmetic with the tower.
     """
     if n < 3:
         raise DomainError("n must be >= 3")
     coeff = bspin(n).atom_map().get(n - 1, LC_ZERO)
-    closed = lc_normalize((-1, 1)) ** (n - 1)
-    for i in range(2, n + 1):
-        closed = lc_mul(closed, lc_inv(l_pow_minus_one(i)))
-    if not lc_eq(coeff, closed):
+    if not lc_eq(coeff, _lead_closed_form(n)):
         raise Inconsistent(
             f"top-atom coefficient of bspin({n}) does not match the closed form"
         )
@@ -278,10 +282,7 @@ def substitute_deltas(e: MotiveExpr, values: dict[int, LefschetzClass]) -> Lefsc
     missing = [m for m, _ in e.atoms if m not in values]
     if missing:
         raise MissingAtom(f"no value for atom indices {missing}")
-    out = e.scalar
-    for m, c in e.atoms:
-        out = lc_add(out, lc_mul(c, values[m]))
-    return out
+    return lc_sum([e.scalar] + [lc_mul(c, values[m]) for m, c in e.atoms])
 
 
 def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClass]:
@@ -306,18 +307,17 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
         if 1 in e.support():
             raise Inconsistent(f"atom index 1 occurs in bspin({n})")
         target = lc_inv(spin_classes(n))
-        residual = lc_neg(e.scalar)
+        terms = [lc_neg(e.scalar), target]
         new_atom = None
         for m, c in e.atoms:
             if m in solved:
-                residual = lc_add(residual, lc_neg(lc_mul(c, solved[m])))
+                terms.append(lc_neg(lc_mul(c, solved[m])))
             elif new_atom is None:
                 new_atom = (m, c)
             else:
                 raise Inconsistent(
                     f"equation for n={n} has two unsolved atoms {new_atom[0]}, {m}"
                 )
-        residual = lc_add(residual, target)
         if new_atom is None:
             if not lc_eq(e.scalar, target):
                 raise Inconsistent(f"scalar equation for n={n} fails")
@@ -325,7 +325,7 @@ def solve_deltas(max_n: int, spin_classes=class_spin) -> dict[int, LefschetzClas
         m, c = new_atom
         if m != n - 1:
             raise Inconsistent(f"the fresh atom of row n={n} is {m}, not the top one {n - 1}")
-        solved[m] = lc_mul(residual, lc_inv(c))
+        solved[m] = lc_mul(lc_sum(terms), lc_inv(c))
     for n in range(2, max_n + 1):
         lhs = substitute_deltas(bspin(n), solved)
         if not lc_eq(lhs, lc_inv(class_spin(n))):

@@ -308,6 +308,22 @@ def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
     assert {f"lead.{n:02d}" for n in range(3, 31)} | {"solve.allones"} <= failing
 
 
+def test_a_wrong_block_in_the_recursion_fails_the_top_atom_check(monkeypatch):
+    # L * (L^4 - 1) in place of (L^4 - 1) in the recursion only: the closed
+    # form is built from divisor counts, not from the blocks, so it does not
+    # absorb the fault
+    block = motive.l_pow_minus_one
+    monkeypatch.setattr(motive, "l_pow_minus_one", lambda n: lc_mul(block(n), l_power(1 if n == 4 else 0)))
+    motive.clear_tower_cache()
+    try:
+        motive.leading_delta_coeff(3)
+        for n in range(4, 9):
+            with pytest.raises(Inconsistent):
+                motive.leading_delta_coeff(n)
+    finally:
+        motive.clear_tower_cache()
+
+
 # -- the finite layer ---------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from grstacks.lefschetz import (
     lc_neg,
     lc_normalize,
     lc_pow,
+    lc_sum,
     regroup_cyclotomics,
     render_factors,
     work_budget,
@@ -161,6 +162,49 @@ def test_fractions_with_common_factor_sum_to_one():
         lc_mul(lc_normalize((-2, 1)), l_power(-1)),
     )
     assert lc_eq(lhs, LC_ONE)
+
+
+def _summands(rng, k):
+    """k classes: zeros, units, small polynomials times units, and negations
+    of earlier summands, so that some sums cancel in part or to 0."""
+    out = []
+    for _ in range(k):
+        roll = rng.random()
+        if out and roll < 0.2:
+            out.append(lc_neg(rng.choice(out)))
+        elif roll < 0.3:
+            out.append(LC_ZERO)
+        else:
+            u = l_power(rng.randint(-4, 4))
+            for n in rng.sample(range(1, 10), rng.randint(0, 3)):
+                f = l_pow_minus_one(n)
+                u = lc_mul(u, lc_inv(f) if rng.random() < 0.5 else f)
+            if roll >= 0.5:
+                u = lc_mul(u, lc_normalize([rng.randint(-5, 5) for _ in range(rng.randint(1, 5))]))
+            out.append(u)
+    rng.shuffle(out)
+    return out
+
+
+def test_sum_matches_exact_values_and_term_by_term_adds():
+    rng = random.Random(25)
+    cancelled = 0
+    for _ in range(400):
+        terms = _summands(rng, rng.randint(0, 8))
+        total = lc_sum(iter(terms))
+        assert total == functools.reduce(lc_add, terms, LC_ZERO), terms
+        for q in (2, 3, 5, 7):
+            assert lc_eval_at(total, q) == sum((lc_eval_at(t, q) for t in terms), Fraction(0))
+        cancelled += not total.core and any(t.core for t in terms)
+        assert lc_sum(terms + [lc_neg(t) for t in reversed(terms)]) == LC_ZERO
+    assert cancelled > 0
+
+
+def test_sum_of_fewer_than_two_nonzero_terms_is_that_term():
+    x = lc_mul(lc_normalize((3, 1)), lc_inv(l_pow_minus_one(4)))
+    assert lc_sum(()) == LC_ZERO
+    assert lc_sum([LC_ZERO, LC_ZERO]) == LC_ZERO
+    assert lc_sum([LC_ZERO, x, LC_ZERO]) is x
 
 
 # -- multiplication and inversion -------------------------------------

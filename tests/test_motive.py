@@ -19,6 +19,7 @@ from grstacks.lefschetz import (
     LC_ZERO,
     l_pow_minus_one,
     l_power,
+    lc_add,
     lc_eq,
     lc_eval_at,
     lc_inv,
@@ -415,6 +416,13 @@ def test_leading_coeff_small_closed_forms():
     assert lc_eq(leading_delta_coeff(8), _closed_lead(8))
 
 
+def test_closed_form_from_divisor_counts_matches_the_block_product():
+    # the direct form the top atom is checked against, against the product of
+    # (L-1)^(n-1) and each (L^i - 1)^-1 that it replaces
+    for n in range(3, 81):
+        assert motive._lead_closed_form(n) == _closed_lead(n), n
+
+
 def test_leading_coeff_invertible_through_30():
     for n in range(3, 31):
         c = leading_delta_coeff(n)
@@ -452,6 +460,16 @@ def test_substitute_reports_missing_indices():
     with pytest.raises(MissingAtom) as exc:
         substitute_deltas(bspin(7), {2: LC_ONE})
     assert "4" in str(exc.value) and "6" in str(exc.value)
+
+
+def test_substitute_matches_the_term_by_term_sum():
+    # one sum over all the atoms, against adding one term at a time, with
+    # atom values that are not units
+    for n in range(2, 15):
+        e = bspin(n)
+        values = {m: lc_normalize((m, 1, -2)) for m in e.support()}
+        terms = [lc_mul(c, values[m]) for m, c in e.atoms]
+        assert substitute_deltas(e, values) == functools.reduce(lc_add, terms, e.scalar), n
 
 
 def test_substitute_all_ones_inverts_spin_classes():
