@@ -160,17 +160,19 @@ def verify_delta_structure(n: int) -> CheckReport:
     rep.add("order", len(grp.elements) == grp.order == 2 ** (n + 1), f"order {grp.order}")
 
     ident = grp.identity()
-    inv_ok = all(grp.mul(a, grp.inv(a)) == ident for a in grp.elements)
-    rep.add("inverses", inv_ok, "a * inv(a) = 1 for every element")
+    for i, a in enumerate(grp.elements):
+        inv = grp.inv(a)
+        prod = grp.mul(a, inv)
+        if prod != ident:
+            rep.fail("inverses", i, {"(sign, mask)": a}, {"inv(a)": inv, "a * inv(a)": prod})
+    rep.verdict("inverses", "a * inv(a) = 1 for every element")
 
     if n <= 3:
-        assoc_ok = all(
-            grp.mul(grp.mul(a, b), c) == grp.mul(a, grp.mul(b, c))
-            for a in grp.elements
-            for b in grp.elements
-            for c in grp.elements
-        )
-        rep.add("assoc", assoc_ok, "exhaustive associativity")
+        for i, (a, b, c) in enumerate(itertools.product(grp.elements, repeat=3)):
+            left, right = grp.mul(grp.mul(a, b), c), grp.mul(a, grp.mul(b, c))
+            if left != right:
+                rep.fail("assoc", i, {"a": a, "b": b, "c": c}, {"(a b) c": left, "a (b c)": right})
+        rep.verdict("assoc", "exhaustive associativity")
 
     center = grp.center()
     if n % 2 == 0:
@@ -207,19 +209,22 @@ def verify_delta_structure(n: int) -> CheckReport:
         # e_s e_t = (-1)^(|s||t| + |s & t|) e_t e_s; attached signs cancel,
         # so a pair of masks stands for all four signed pairs, and the rule is
         # symmetric in s and t, so each unordered pair is read once
-        comm_ok = comm == {(1, 0), (-1, 0)} and all(
-            grp.mul((1, s), (1, t))
-            == grp.mul(((-1) ** (s.bit_count() * t.bit_count() + (s & t).bit_count()), t), (1, s))
-            for s, t in pairs
-        )
-        rep.add("commutators", comm_ok, "commutator subgroup is {+-1}")
+        if comm != {(1, 0), (-1, 0)}:
+            rep.fail("commutators", 0, {"generator pairs": "all"}, {"commutator subgroup": sorted(comm)})
+        for i, (s, t) in enumerate(pairs):
+            st = grp.mul((1, s), (1, t))
+            rule = grp.mul(((-1) ** (s.bit_count() * t.bit_count() + (s & t).bit_count()), t), (1, s))
+            if st != rule:
+                rep.fail("commutators", i, {"(s, t)": (s, t)}, {"e_s e_t": st, "by the rule": rule})
+        rep.verdict("commutators", "commutator subgroup is {+-1}")
         if grp.order > EXHAUSTIVE_MAX_ORDER:
             els = grp.elements
-            spot = all(
-                grp.commutator(els[i], els[(i * 7 + 3) % len(els)]) in comm
-                for i in range(0, len(els), 9)
-            )
-            rep.add("commutators.spot", spot, "sampled commutators land in the subgroup")
+            for i in range(0, len(els), 9):
+                a, b = els[i], els[(i * 7 + 3) % len(els)]
+                c = grp.commutator(a, b)
+                if c not in comm:
+                    rep.fail("commutators.spot", i, {"a": a, "b": b}, {"[a, b]": c})
+            rep.verdict("commutators.spot", "sampled commutators land in the subgroup")
         rep.add(
             "abelianization",
             grp.order // len(comm) == 2**n,
@@ -227,13 +232,17 @@ def verify_delta_structure(n: int) -> CheckReport:
         )
 
     preimages = Counter(grp.rho_diagonal(a) for a in grp.elements)
-    rep.add(
-        "rho.image",
-        len(preimages) == 2**n and all(all(d in (1, -1) for d in t) for t in preimages),
-        f"vector action image is all {2 ** n} diagonal sign matrices",
-    )
-    fibers_ok = all(preimages[grp.rho_diagonal(a)] == 2 for a in grp.elements[:8])
-    rep.add("rho.fiber", fibers_ok, "each diagonal has exactly two preimages (spot checked)")
+    if len(preimages) != 2**n:
+        rep.fail("rho.image", 0, {"elements": grp.order}, {"distinct diagonals": len(preimages)})
+    for i, diag in enumerate(preimages):
+        if not set(diag) <= {1, -1}:
+            rep.fail("rho.image", i, {"diagonal": diag}, {"entries": sorted(set(diag))})
+    rep.verdict("rho.image", f"vector action image is all {2 ** n} diagonal sign matrices")
+    for i, a in enumerate(grp.elements[:8]):
+        diag = grp.rho_diagonal(a)
+        if preimages[diag] != 2:
+            rep.fail("rho.fiber", i, {"(sign, mask)": a}, {"diagonal": diag, "preimages": preimages[diag]})
+    rep.verdict("rho.fiber", "each diagonal has exactly two preimages (spot checked)")
 
     if n <= 6:
         # cross-check the sign formula against the rational Clifford action
@@ -261,12 +270,11 @@ def verify_delta_embedding(n: int) -> CheckReport:
     big = DeltaGroup(n + 1)
     emb = delta_embed_spin(n)
 
-    hom_ok = all(
-        emb[grp.mul(a, b)] == big.mul(emb[a], emb[b])
-        for a in grp.elements
-        for b in grp.elements
-    )
-    rep.add("hom", hom_ok, f"multiplicative on all {len(grp.elements) ** 2} pairs")
+    for i, (a, b) in enumerate(itertools.product(grp.elements, repeat=2)):
+        image, product = emb[grp.mul(a, b)], big.mul(emb[a], emb[b])
+        if image != product:
+            rep.fail("hom", i, {"a": a, "b": b}, {"emb(a b)": image, "emb(a) emb(b)": product})
+    rep.verdict("hom", f"multiplicative on all {len(grp.elements) ** 2} pairs")
 
     rep.add("injective", len(set(emb.values())) == len(grp.elements), "no collisions")
 
@@ -277,8 +285,8 @@ def verify_delta_embedding(n: int) -> CheckReport:
         f"image is exactly the {len(even)} even blades one size up",
     )
 
-    spot_ok = all(
-        is_spin(big.to_clifford(emb[el])) for el in grp.elements[:: max(1, len(grp.elements) // 6)]
-    )
-    rep.add("spin", spot_ok, "sampled image elements pass the spin membership test")
+    for i, el in enumerate(grp.elements[:: max(1, len(grp.elements) // 6)]):
+        if not is_spin(big.to_clifford(emb[el])):
+            rep.fail("spin", i, {"(sign, mask)": el}, {"image": emb[el], "is_spin": False})
+    rep.verdict("spin", "sampled image elements pass the spin membership test")
     return rep

@@ -613,11 +613,11 @@ def verify_q6_claims(q: int = 5) -> CheckReport:
             by_value.get(1, 0) == unit_count,
             f"{by_value.get(1, 0)} points with pairing 1, expected q^2(q^3-1) = {unit_count}",
         )
-        rep.add(
-            "pairing.cosets",
-            all(by_value.get(c, 0) == unit_count for c in range(1, q)),
-            "every nonzero pairing value has the same count",
-        )
+        for c in range(1, q):
+            got = {"points": by_value.get(c, 0), "predicted": unit_count}
+            if got["points"] != unit_count:
+                rep.fail("pairing.cosets", c, {"pairing value": c}, got)
+        rep.verdict("pairing.cosets", "every nonzero pairing value has the same count")
         rep.add(
             "axes.count",
             axes == axes_count,
@@ -936,8 +936,11 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
     rep.verdict("twist.conj", "conjugation by the twist reverses the parameters")
 
     bases = _strata_base_points(q)
-    base_ok = all(stratum_of(pt, q) == s for s, (pt, _) in bases.items())
-    rep.add("bases", base_ok, "each canonical base point classifies into its stratum")
+    for i, (s, (pt, _)) in enumerate(bases.items()):
+        got = stratum_of(pt, q)
+        if got != s:
+            rep.fail("bases", i, {"stratum": s, "x": pt}, {"classified as": got})
+    rep.verdict("bases", "each canonical base point classifies into its stratum")
 
     def check_invariance(i: int, x: Pt, s: str) -> None:
         for k, g in enumerate(model.generators):
@@ -954,13 +957,11 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
             check_invariance(i, pt, s)
 
         rep.add("zero", len(buckets.get("zero", [])) == 1, "only the origin is unstratified")
-        count_ok = all(len(buckets.get(s, [])) == e["count"] for s, e in expect.items())
-        rep.add(
-            "counts",
-            count_ok,
-            "all ten strata have their predicted point counts "
-            + str({s: len(buckets.get(s, [])) for s in expect}),
-        )
+        counts = {s: len(buckets.get(s, [])) for s in expect}
+        for i, (s, e) in enumerate(expect.items()):
+            if counts[s] != e["count"]:
+                rep.fail("counts", i, {"stratum": s}, {"points": counts[s], "predicted": e["count"]})
+        rep.verdict("counts", "all ten strata have their predicted point counts " + str(counts))
         rep.add(
             "partition",
             sum(len(b) for b in buckets.values()) == q**6,
@@ -1005,11 +1006,11 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
         rep.verdict("base.orbits", "base-point orbit sizes match the predictions")
 
     fixed_pts = [(lam, 0, 0, 0, 0, lam) for lam in range(1, q)]
-    fixed_ok = all(
-        stabilizer_count(model, pt, model.elements) == model.group_order
-        for pt in fixed_pts
-    )
-    rep.add("fixed", fixed_ok, "matched-scalar axis points are fixed by the whole group")
+    for i, pt in enumerate(fixed_pts):
+        stab = stabilizer_count(model, pt, model.elements)
+        if stab != model.group_order:
+            rep.fail("fixed", i, {"x": pt}, {"stabilizer": stab, "group order": model.group_order})
+    rep.verdict("fixed", "matched-scalar axis points are fixed by the whole group")
 
     # the mid-depth matched stratum: stabilizer order 2q by direct filter
     mid = bases["S9"][0]

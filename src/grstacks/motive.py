@@ -20,19 +20,22 @@ with m == n - 1 (mod 2); in particular the n = 3..max solve in
 solve_deltas is triangular with a fresh atom BDelta_(n-1) in every row.
 
 The recurrence is linear and its coefficients depend only on k = n - r;
-its two inputs sit at k - 2 and k - 1, the atom boundary is the same for
-every m >= 2, and the scalar bases carry no atoms.  So the coefficient of
-BDelta_m in G(n, r) is A(n - m, n - r) for one table shared by every m and
-both parity classes:
+its two inputs sit at k - 2 and k - 1, and the atom boundary is the same
+for every m.  So the coefficient of BDelta_m in G(n, r) is A(n - m, n - r)
+for one table shared by every m and both parity classes:
 
   (L^k - 1) * A(j, k) = L^(2-k) * A(j-2, k-2) + (L-1) * A(j, k-1)
 
 with A(0, k) = 1 and A(j > 0, k) = 0 for k <= 1, and A(j < 0, k) = 0;
-A(0, n) is the closed form leading_delta_coeff checks.  The tower keeps
-two memo tables, the scalar part S(n, r) of G(n, r) (the same recurrence
-and scalar bases, with S = 0 where G collapses to an atom) and A(j, k),
-and assembles each requested G(n, r) from them, so an atom coefficient is
-computed once however many cells share it.
+A(0, n) is the closed form leading_delta_coeff checks.  The scalar bases
+are constant atoms of that table: G(0, r) = 1 is BDelta_0, and the rank-1
+corner G(1, r >= 0) = 1 sits at m = 1.  So the scalar part of G(n, r) is
+read from the table at m = n mod 2, A(n - n mod 2, n - r).  The one
+exception is the r = -1 row of odd n, which starts at G(1, -1) = (L-1)^-1
+instead of 1; r never decreases along the recurrence, so no other cell
+reaches that base, and that row is the only scalar the tower computes
+itself.  Each requested G(n, r) is assembled from the table, so a
+coefficient is computed once however many cells share it.
 """
 
 from __future__ import annotations
@@ -198,16 +201,18 @@ def _step(k: int, null_cone: LefschetzClass, quadric: LefschetzClass) -> Lefsche
 
 @cache
 def _scalar(n: int, r: int) -> LefschetzClass:
-    """S(n, r), the scalar part of G(n, r)."""
+    """S(n, r), the scalar part of G(n, r): the coefficient of the constant
+    atom at m = n mod 2, except on the r = -1 row of odd n."""
+    # ahead of the parity test, which would send n = -1 into the odd row
     if n <= 0:
         return LC_ONE
+    if n % 2 == 0 or r >= 0:
+        return _atom_coeff(n - n % 2, n - r)
     if n == 1:
-        # rank-1 diagonal preimage is the cyclic group of order 4; its
-        # classifying class is recorded as the constant 1, never an atom
-        return lc_inv(l_pow_minus_one(1)) if r == -1 else LC_ONE
-    if r >= n - 1:
-        return LC_ZERO
-    return _step(n - r, _scalar(n - 2, r), _scalar(n, r + 1))
+        # bspin(2) = G(1, -1); the rest of the rank-1 corner is the order-4
+        # cyclic group, whose class is recorded as the constant 1
+        return lc_inv(l_pow_minus_one(1))
+    return _step(n + 1, _scalar(n - 2, -1), _atom_coeff(n - 1, n))
 
 
 @cache
@@ -222,7 +227,7 @@ def _atom_coeff(j: int, k: int) -> LefschetzClass:
 
 @cache
 def _tower(n: int, r: int) -> MotiveExpr:
-    """G(n, r), r >= -1, assembled from the two tables of the module docstring."""
+    """G(n, r), r >= -1, assembled from the table of the module docstring."""
     atoms = ((m, _atom_coeff(n - m, n - r)) for m in range(2 + n % 2, n + 1, 2))
     return MotiveExpr(_scalar(n, r), tuple((m, c) for m, c in atoms if c.core))
 
@@ -248,8 +253,8 @@ def bg(n: int, r: int) -> MotiveExpr:
 
 
 def clear_tower_cache() -> None:
-    """Empty the assembled cells and both coefficient tables, so the next
-    tower request recomputes from the base cases."""
+    """Empty the assembled cells, the scalar memo and the coefficient table,
+    so the next tower request recomputes from the base cases."""
     _tower.cache_clear()
     _scalar.cache_clear()
     _atom_coeff.cache_clear()

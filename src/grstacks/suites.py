@@ -28,6 +28,7 @@ from .finite import (
 )
 from .lefschetz import (
     LC_ONE,
+    LC_ZERO,
     LefschetzClass,
     NotAUnit,
     ZeroInverse,
@@ -39,6 +40,7 @@ from .lefschetz import (
     lc_inv,
     lc_mul,
     lc_normalize,
+    render_factors,
 )
 from .motive import (
     Inconsistent,
@@ -150,41 +152,32 @@ def suite_spin78(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     return ledgers.run_ledger("spin78", ledgers.SPIN78_LEDGER, seed)
 
 
-def _unless_inconsistent(fn, *args):
-    """fn(*args), or None when fn finds the tower inconsistent."""
-    try:
-        return fn(*args)
-    except Inconsistent:
-        return None
-
-
 def suite_tower(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     rep = CheckReport("tower", seed)
     for n in range(3, 31):
-        e = bspin(n)
-        coeff = e.atom_map().get(n - 1)
-        lead = _unless_inconsistent(leading_delta_coeff, n)
-        support = e.support()
-        ok = (
-            coeff is not None
-            and lead is not None
-            and lc_eq(coeff, lead)
-            and coeff.is_unit()
-            and max(support) <= n - 1
-            and all(m % 2 == (n - 1) % 2 for m in support)
-        )
-        rep.add(
-            f"lead.{n:02d}",
-            ok,
-            "top atom coefficient, unit flag, support bound and parity",
-        )
+        check = f"lead.{n:02d}"
+        try:
+            # the top coefficient of bspin(n), checked against its closed form
+            lead = leading_delta_coeff(n)
+        except Inconsistent as exc:
+            rep.error((check,), n, {"n": n}, exc)
+        else:
+            stray = [m for m in bspin(n).support() if m > n - 1 or m % 2 != (n - 1) % 2]
+            if not lead.is_unit() or stray:
+                rep.fail(check, n, {"n": n}, {"top coefficient": render_factors(lead), "stray atoms": stray})
+        rep.verdict(check, "top atom coefficient, unit flag, support bound and parity")
 
-    sol = _unless_inconsistent(solve_deltas, 8) or {}
-    rep.add(
-        "solve.allones",
-        bool(sol) and all(lc_eq(v, LC_ONE) for v in sol.values()),
-        f"atoms {sorted(sol)} all solve to 1",
-    )
+    try:
+        sol = solve_deltas(8)
+    except Inconsistent as exc:
+        sol = {}
+        rep.error(("solve.allones",), 0, {"max_n": 8}, exc)
+    # the rows n = 3..8 solve for the atoms 2..7; one left out reads as 0
+    for m in range(2, 8):
+        v = sol.get(m, LC_ZERO)
+        if not lc_eq(v, LC_ONE):
+            rep.fail("solve.allones", m, {"atom": f"BDelta({m})"}, {"value": render_factors(v)})
+    rep.verdict("solve.allones", f"atoms {sorted(sol)} all solve to 1")
     ones = {m: LC_ONE for m in range(1, 9)}
     for n in range(2, 9):
         got = substitute_deltas(bspin(n), ones)

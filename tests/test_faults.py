@@ -1,6 +1,7 @@
 """Fault injection: break one kernel at a time and check that the suites
 built on it report FAIL rather than pass or crash."""
 
+import functools
 import itertools
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import l_power, lc_mul, lc_neg, lc_normalize
+from grstacks.lefschetz import LC_ONE, l_power, lc_mul, lc_neg, lc_normalize
 from grstacks.motive import Inconsistent
 from grstacks.suites import (
     suite_clifford,
@@ -62,7 +63,9 @@ def test_flipped_blade_sign_fails_delta_structure(flipped_blade_sign, n):
 @pytest.mark.parametrize("n", [3, 4, 6, 7, 10])
 def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
     # Delta reads the kernel only on generator rows, so the one-pair flip goes
-    # into its product; the rule reads every pair for n <= 9, the low pairs at 10
+    # into its product; the rule reads the unordered pairs of masks in order,
+    # every pair for n <= 9 and the pairs below 2^6 first at 10, and names the
+    # flipped one
     mul = DeltaGroup.mul
 
     def flipped(self, a, b):
@@ -71,8 +74,21 @@ def test_flipped_off_diagonal_sign_fails_the_commutation_rule(monkeypatch, n):
 
     monkeypatch.setattr(DeltaGroup, "mul", flipped)
     assert DeltaGroup(n).mul((1, 0b101), (1, 0b110)) == (-1, 0b011)
-    rep = verify_delta_structure(n)
-    assert "commutators" in {c.id for c in rep.failures}
+    failed = {c.id: c for c in verify_delta_structure(n).failures}
+    pairs = itertools.combinations_with_replacement(range(1 << (n if n <= 9 else 6)), 2)
+    i = list(pairs).index(FLIPPED_OFF_DIAGONAL_PAIR)
+    assert failed["commutators"].lhs == f"seed 0 sample {i}: (s, t) = (5, 6)"
+    assert failed["commutators"].rhs == "e_s e_t = (-1, 3); by the rule = (1, 3)"
+
+
+def test_a_wrong_inverse_records_its_first_witness(monkeypatch):
+    # e_1 e_2 squares to -1, so taking it for its own inverse fails there alone
+    inv = DeltaGroup.inv
+    monkeypatch.setattr(DeltaGroup, "inv", lambda self, a: a if a == (1, 0b11) else inv(self, a))
+    failed = {c.id: c for c in verify_delta_structure(3).failures}
+    i = DeltaGroup(3).elements.index((1, 0b11))
+    assert failed["inverses"].lhs == f"seed 0 sample {i}: (sign, mask) = (1, 3)"
+    assert failed["inverses"].rhs == "inv(a) = (1, 3); a * inv(a) = (-1, 0)"
 
 
 def test_a_wrong_square_records_its_first_witness(monkeypatch):
@@ -134,6 +150,21 @@ def test_a_sign_dropping_embedding_records_its_first_witness(monkeypatch):
     e1 = clifford.basis_vector(n, 1)
     g1 = e1 * b1
     assert failed["phi.stab"].rhs == f"phi(b1) = ({g1}, 1); eps(g1) e1 bar(g1) = {-e1}"
+
+
+def test_a_missing_parity_pair_is_named(monkeypatch):
+    # samples of two unit vectors each are all even, so the pairs with an
+    # odd element never occur, the forced draws included
+    sample = clifford.pin_sample
+
+    def even(n, rng, factors=None, support=None):
+        return sample(n, rng, 2, support)
+
+    monkeypatch.setattr(clifford, "pin_sample", even)
+    failed = {c.id: c for c in clifford.verify_phi_pin_embedding(3, samples=10, seed=0).failures}
+    assert set(failed) == {"phi.cases"}
+    assert failed["phi.cases"].lhs == "seed 0 sample 1: parity pair = 01"
+    assert failed["phi.cases"].rhs == "pairs drawn = 0"
 
 
 def test_a_broken_f_map_records_its_first_witness(monkeypatch):
@@ -306,6 +337,24 @@ def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
         motive.clear_tower_cache()
     failing = {c.id for c in rep.failures}
     assert {f"lead.{n:02d}" for n in range(3, 31)} | {"solve.allones"} <= failing
+
+
+def test_a_wrong_odd_spin_base_fails_the_tower_suite_without_raising(monkeypatch):
+    # G(1, -1) = 1 in place of (L-1)^-1: the odd r = -1 row, bspin(2),
+    # bspin(4), ..., starts there, and so does the solve; the top atoms do
+    # not read the scalar base, so every lead check stays green; the memo is
+    # emptied first, or it would serve the odd row from before the patch
+    motive.clear_tower_cache()
+    scalar = motive._scalar
+    wrong = functools.cache(lambda n, r: LC_ONE if (n, r) == (1, -1) else scalar(n, r))
+    monkeypatch.setattr(motive, "_scalar", wrong)
+    try:
+        rep = suite_tower()
+    finally:
+        monkeypatch.undo()
+        motive.clear_tower_cache()
+    failing = {c.id for c in rep.failures}
+    assert failing == {"subst.2", "subst.4", "subst.6", "subst.8", "solve.allones"}
 
 
 def test_a_wrong_block_in_the_recursion_fails_the_top_atom_check(monkeypatch):

@@ -329,6 +329,28 @@ def test_atom_coefficients_depend_only_on_the_offsets():
                 assert here.get(m, LC_ZERO) == up.get(m + 2, LC_ZERO), (n, r, m)
 
 
+def test_the_scalar_is_the_constant_atom_of_the_offset_cell():
+    # the identity behind reading the scalar from the atom table, on the
+    # per-cell recursion: the scalar of G(n, r) is the BDelta_(2 + n mod 2)
+    # coefficient of G(n + 2, r + 2), save on the r = -1 row of odd n, which
+    # starts at G(1, -1) = (L-1)^-1 where the atom starts at 1
+    for n in range(0, 23):
+        for r in range(-1, n + 3):
+            here = _oracle_tower(n, r).scalar
+            up = _oracle_tower(n + 2, r + 2).atom_map().get(2 + n % 2, LC_ZERO)
+            assert (here == up) != (n % 2 == 1 and r == -1), (n, r)
+
+
+def test_the_scalar_memo_holds_only_the_odd_spin_row():
+    # every other scalar is one read of the atom table
+    clear_tower_cache()
+    bspin(40)
+    assert motive._scalar.cache_info().currsize == 20
+    clear_tower_cache()
+    bspin(41)
+    assert motive._scalar.cache_info().currsize == 1
+
+
 def test_clear_tower_cache_empties_every_table():
     # a table left full would serve the next tower warm
     tables = (motive._tower, motive._scalar, motive._atom_coeff)

@@ -63,6 +63,23 @@ def test_ledgers_import_only_the_evaluator_and_the_report():
     assert found <= LEDGER_IMPORTS
 
 
+# the tower's memo tables; only the tower reads them
+TOWER_TABLES = {"_scalar", "_atom_coeff"}
+
+
+def test_only_the_tower_reads_its_tables():
+    found = []
+    for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
+        if path.name == "motive.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            names |= {a.name for a in getattr(node, "names", ()) if isinstance(a, ast.alias)}
+            if names & TOWER_TABLES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # the modules whose looped checks record a failing case only through CheckReport
 RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
 
@@ -75,10 +92,48 @@ def _is_flag(name: str) -> bool:
     return name == "ok" or name.endswith("_ok")
 
 
+def _report_adds(func: ast.FunctionDef):
+    for node in ast.walk(func):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add"
+            and getattr(node.func.value, "id", None) == "rep"
+        ):
+            yield node
+
+
+def _is_looped_all(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "all"
+        and len(node.args) == 1
+        and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+    )
+
+
+def _folded_loops(func: ast.FunctionDef):
+    # an all(...) over a loop whose value reaches rep.add, directly or through
+    # a name, or is bound to a pass flag: it reports a bare FAIL with no case
+    adds = list(_report_adds(func))
+    passed = {n.id for add in adds for n in ast.walk(add) if isinstance(n, ast.Name)}
+    feeds = list(adds)
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and (_is_flag(t.id) or t.id in passed) for t in node.targets
+        ):
+            feeds.append(node.value)
+    for feed in feeds:
+        for node in ast.walk(feed):
+            if _is_looped_all(node):
+                yield node
+
+
 def test_failing_checks_are_recorded_only_through_the_report():
-    # a hand-kept failure counter or pass flag reports a count or a bare FAIL,
-    # where CheckReport.fail keeps the first failing case; counts of points
-    # or tests (axes += 1, tested += 1) are not failure counters
+    # a hand-kept failure counter or pass flag, or a loop folded into one
+    # all(...), reports a count or a bare FAIL, where CheckReport.fail keeps
+    # the first failing case; counts of points or tests (axes += 1,
+    # tested += 1) are not failure counters
     found = set()
     for module in RECORDING_MODULES:
         path = pathlib.Path(grstacks.__file__).parent / module
@@ -102,4 +157,5 @@ def test_failing_checks_are_recorded_only_through_the_report():
             for name, line in set_false:
                 if set_true.get(name, line) < line:
                     found.add(f"{module}:{line} {name} = False")
+            found |= {f"{module}:{node.lineno} all(...)" for node in _folded_loops(func)}
     assert sorted(found) == []
