@@ -733,6 +733,8 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
     rep = CheckReport(f"clifford.f.{n}", seed)
     fail, bad = rep.fail, rep.bad
     rng = random.Random(seed)
+    # sample count of every check after f.hom
+    runs = max(10, samples // 4)
     space = QuadSpace(n, NEG_SUM)
     f1 = CliffordElement.vector(n, f1_vector(n))
     tail = tuple(range(3, n + 1))
@@ -751,8 +753,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
 
     # anisotropic factorization: scale a unit tail vector so the square norm
     # has the explicit square root a
-    anis_runs = max(10, samples // 4)
-    for i in range(anis_runs):
+    for i in range(runs):
         try:
             v = unit_vector_sample(n, rng, support=tail)
         except _BROKEN_SAMPLE as exc:
@@ -772,14 +773,13 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         if factor1 * factor2 != lhs:
             got = {"factors' product": factor1 * factor2, "f(a v)": lhs}
             fail("f.factor.anis", i, {"v": vec(v), "a": a}, got)
-    good = anis_runs - bad["f.factor.anis"]
-    rep.verdict("f.factor.anis", f"{good}/{anis_runs} square-norm factorizations")
+    good = runs - bad["f.factor.anis"]
+    rep.verdict("f.factor.anis", f"{good}/{runs} square-norm factorizations")
 
     if n >= 4:
-        iso_runs = max(10, samples // 4)
         e1 = basis_vector(n, 1)
         e2 = basis_vector(n, 2)
-        for k in range(iso_runs):
+        for k in range(runs):
             if k == 0:
                 w = [GR_ZERO] * n
                 w[2], w[3] = GR_ONE, GR_I
@@ -794,13 +794,12 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             prod, fw = (e1 - GR_HALF * GR_I * wv) * e1 * (e2 - GR_HALF * wv) * e2, f_map(n, w)
             if prod != fw:
                 fail("f.factor.iso", k, {"w": wv}, {"(e1 - i w/2) e1 (e2 - w/2) e2": prod, "f(w)": fw})
-        rep.verdict("f.factor.iso", f"{iso_runs - bad['f.factor.iso']}/{iso_runs} isotropic factorizations")
+        rep.verdict("f.factor.iso", f"{runs - bad['f.factor.iso']}/{runs} isotropic factorizations")
 
-    frame_runs = max(10, samples // 4)
     # columns f1, f2, e_3..e_n; P is invertible, so rho(fw) P = P phi_w says
     # that rho(fw) reads as phi_w in this frame
     p_mat = tuple(zip(f1_vector(n), f2_vector(n), *mat_identity(n)[2:]))
-    for i in range(frame_runs):
+    for i in range(runs):
         w = _random_tail_vector(n, rng)
         fw = f_map(n, w)
         moved = fw.eps() * f1 * fw.bar()
@@ -814,14 +813,13 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
             continue
         if lhs != rhs:
             fail("f.frame", i, {"w": vec(w)}, {"rho(f(w)) P": _mat_text(lhs), "P phi_w": _mat_text(rhs)})
-    rep.verdict("f.stab", f"{frame_runs - bad['f.stab']}/{frame_runs} fix the pivot isotropic vector")
+    rep.verdict("f.stab", f"{runs - bad['f.stab']}/{runs} fix the pivot isotropic vector")
     rep.verdict(
         "f.frame",
-        f"{frame_runs - bad['f.frame']}/{frame_runs} match the unipotent template in the hyperbolic frame",
+        f"{runs - bad['f.frame']}/{runs} match the unipotent template in the hyperbolic frame",
     )
 
-    conj_runs = max(10, samples // 4)
-    for k in range(conj_runs):
+    for k in range(runs):
         w = _random_tail_vector(n, rng)
         fw = f_map(n, w)
         if k % 2 == 0 and n >= 4:
@@ -834,7 +832,7 @@ def verify_f_properties(n: int, samples: int = 100, seed: int = 0) -> CheckRepor
         if out != back:
             got = {"alpha f(w) bar(alpha)": out, "f(w read back)": back}
             fail("f.conj", k, {"w": vec(w), "alpha": alpha}, got)
-    rep.verdict("f.conj", f"{conj_runs - bad['f.conj']}/{conj_runs} conjugates stay in the image")
+    rep.verdict("f.conj", f"{runs - bad['f.conj']}/{runs} conjugates stay in the image")
     return rep
 
 

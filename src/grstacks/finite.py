@@ -62,10 +62,6 @@ from .report import CheckReport
 Pt = tuple[int, ...]
 
 
-class NonDivisible(ArithmeticError):
-    pass
-
-
 def sqrt_minus_one(q: int) -> int:
     for i in range(2, q):
         if i * i % q == q - 1:
@@ -518,14 +514,14 @@ def stabilizer_order(
     if orbit_size is None:
         orbit_size = len(_orbit_numbers(model, point))
     if model.group_order % orbit_size:
-        raise NonDivisible(
+        raise Inconsistent(
             f"orbit size {orbit_size} does not divide group order {model.group_order}"
         )
     by_division = model.group_order // orbit_size
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
         direct = stabilizer_count(model, point, model.elements)
         if direct != by_division:
-            raise NonDivisible(
+            raise Inconsistent(
                 f"direct stabilizer count {direct} disagrees with division {by_division}"
             )
     return by_division
@@ -536,7 +532,7 @@ def _or_none(search, *args):
     that the check reading it fails instead of the whole report raising."""
     try:
         return search(*args)
-    except (NonDivisible, Inconsistent):
+    except Inconsistent:
         return None
 
 
@@ -726,9 +722,10 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     orb = orbit_bfs(model, base_unit)
     rep.add("pairing.orbit", orb == set(unit_pts), "pairing-1 locus is a single orbit")
     stab = _or_none(stabilizer_order, model, base_unit, len(orb))
-    rep.add("pairing.stab", stab == 8, f"stabilizer order {stab} (direct filter cross-check ran)")
-    # more than one group of order 8 exists, so report the computed shape without naming one
+    # stabilizer_order filters directly only up to DIRECT_FILTER_LIMIT, passed at q = 13
     fixers = [g for g in model.elements if model.apply(g, base_unit) == base_unit]
+    rep.add("pairing.stab", stab == 8 == len(fixers), f"stabilizer order {stab} (direct filter cross-check ran)")
+    # more than one group of order 8 exists, so report the computed shape without naming one
     orders = sorted(_element_order(model, g) for g in fixers)
     abelian = all(
         model.mul(a, b) == model.mul(b, a) for a in fixers for b in fixers

@@ -30,12 +30,18 @@ with A(0, k) = 1 and A(j > 0, k) = 0 for k <= 1, and A(j < 0, k) = 0;
 A(0, n) is the closed form leading_delta_coeff checks.  The scalar bases
 are constant atoms of that table: G(0, r) = 1 is BDelta_0, and the rank-1
 corner G(1, r >= 0) = 1 sits at m = 1.  So the scalar part of G(n, r) is
-read from the table at m = n mod 2, A(n - n mod 2, n - r).  The one
-exception is the r = -1 row of odd n, which starts at G(1, -1) = (L-1)^-1
-instead of 1; r never decreases along the recurrence, so no other cell
-reaches that base, and that row is the only scalar the tower computes
-itself.  Each requested G(n, r) is assembled from the table, so a
-coefficient is computed once however many cells share it.
+A(n - n mod 2, n - r), and the tower holds that one table.  Only the r = -1
+row of odd n starts elsewhere, at G(1, -1) = (L-1)^-1 against A(0, 2) =
+(L+1)^-1 (r never decreases along the recurrence).  Both rows read the same
+quadric input A(n - 1, n), so the row's excess D over the table solves the
+homogeneous recurrence:
+
+  D(1) = (L-1)^-1 - (L+1)^-1 = 2 / (L^2 - 1)
+  D(n) = L^(1-n) * D(n-2) / (L^(n+1) - 1)
+  D(2m - 1) = 2 * L^(-m(m-1)) / prod_(i<=m) (L^(2i) - 1)
+
+Each requested G(n, r) is assembled from the table, plus D on that row, so
+a coefficient is computed once however many cells share it.
 """
 
 from __future__ import annotations
@@ -200,22 +206,6 @@ def _step(k: int, null_cone: LefschetzClass, quadric: LefschetzClass) -> Lefsche
 
 
 @cache
-def _scalar(n: int, r: int) -> LefschetzClass:
-    """S(n, r), the scalar part of G(n, r): the coefficient of the constant
-    atom at m = n mod 2, except on the r = -1 row of odd n."""
-    # ahead of the parity test, which would send n = -1 into the odd row
-    if n <= 0:
-        return LC_ONE
-    if n % 2 == 0 or r >= 0:
-        return _atom_coeff(n - n % 2, n - r)
-    if n == 1:
-        # bspin(2) = G(1, -1); the rest of the rank-1 corner is the order-4
-        # cyclic group, whose class is recorded as the constant 1
-        return lc_inv(l_pow_minus_one(1))
-    return _step(n + 1, _scalar(n - 2, -1), _atom_coeff(n - 1, n))
-
-
-@cache
 def _atom_coeff(j: int, k: int) -> LefschetzClass:
     """A(j, k), the coefficient of BDelta_m in G(m + j, m + j - k)."""
     if j < 0:
@@ -225,11 +215,24 @@ def _atom_coeff(j: int, k: int) -> LefschetzClass:
     return _step(k, _atom_coeff(j - 2, k - 2), _atom_coeff(j, k - 1))
 
 
+def _odd_row_excess(m: int) -> LefschetzClass:
+    """D(2m - 1) of the module docstring: G(2m - 1, -1) minus its table atom."""
+    out = LefschetzClass((2,), -m * (m - 1), ())
+    for i in range(1, m + 1):
+        out = lc_mul(out, lc_inv(l_pow_minus_one(2 * i)))
+    return out
+
+
 @cache
 def _tower(n: int, r: int) -> MotiveExpr:
     """G(n, r), r >= -1, assembled from the table of the module docstring."""
+    if n < 0:
+        return M_ONE
+    scalar = _atom_coeff(n - n % 2, n - r)
+    if n % 2 and r == -1:
+        scalar = lc_add(scalar, _odd_row_excess((n + 1) // 2))
     atoms = ((m, _atom_coeff(n - m, n - r)) for m in range(2 + n % 2, n + 1, 2))
-    return MotiveExpr(_scalar(n, r), tuple((m, c) for m, c in atoms if c.core))
+    return MotiveExpr(scalar, tuple((m, c) for m, c in atoms if c.core))
 
 
 def bspin(n: int) -> MotiveExpr:
@@ -253,10 +256,9 @@ def bg(n: int, r: int) -> MotiveExpr:
 
 
 def clear_tower_cache() -> None:
-    """Empty the assembled cells, the scalar memo and the coefficient table,
-    so the next tower request recomputes from the base cases."""
+    """Empty the assembled cells and the coefficient table, so the next
+    tower request recomputes from the base cases."""
     _tower.cache_clear()
-    _scalar.cache_clear()
     _atom_coeff.cache_clear()
 
 

@@ -1,7 +1,6 @@
 """Fault injection: break one kernel at a time and check that the suites
 built on it report FAIL rather than pass or crash."""
 
-import functools
 import itertools
 import random
 import re
@@ -12,7 +11,7 @@ import pytest
 from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import LC_ONE, l_power, lc_mul, lc_neg, lc_normalize
+from grstacks.lefschetz import LC_ZERO, l_power, lc_mul, lc_neg, lc_normalize
 from grstacks.motive import Inconsistent
 from grstacks.suites import (
     suite_clifford,
@@ -340,14 +339,13 @@ def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
 
 
 def test_a_wrong_odd_spin_base_fails_the_tower_suite_without_raising(monkeypatch):
-    # G(1, -1) = 1 in place of (L-1)^-1: the odd r = -1 row, bspin(2),
-    # bspin(4), ..., starts there, and so does the solve; the top atoms do
-    # not read the scalar base, so every lead check stays green; the memo is
-    # emptied first, or it would serve the odd row from before the patch
+    # no excess over the table on the odd r = -1 row, so it starts at the
+    # constant atom's base (L+1)^-1 in place of G(1, -1) = (L-1)^-1: bspin(2),
+    # bspin(4), ... and the solve read that row; the top atoms do not read
+    # it, so every lead check stays green; the memo is emptied first, or it
+    # would serve the odd row from before the patch
     motive.clear_tower_cache()
-    scalar = motive._scalar
-    wrong = functools.cache(lambda n, r: LC_ONE if (n, r) == (1, -1) else scalar(n, r))
-    monkeypatch.setattr(motive, "_scalar", wrong)
+    monkeypatch.setattr(motive, "_odd_row_excess", lambda m: LC_ZERO)
     try:
         rep = suite_tower()
     finally:
@@ -427,6 +425,22 @@ def test_orbit_short_by_one_point_fails_the_other_orbits_at_13(orbit_drops_a_poi
     # no longer tile them
     rep = finite.verify_c4_structure(13)
     assert "orth.rest" in {c.id for c in rep.failures}
+
+
+def test_an_extra_fixer_of_the_pairing_base_fails_at_every_q(monkeypatch):
+    # e12 also fixes (1, 0, 1, 0) and nothing else changes: the half-point
+    # images stay, so the orbit search and the division do too; only a
+    # direct filter sees the ninth fixer, and at q = 13 the group is past
+    # the one that stabilizer_order runs
+    apply = finite.ModelRank2.apply
+    e12 = (((1, 1), (0, 1)), 0, 0, 0)
+
+    def extra_fixer(self, g, pt):
+        return pt if (g, pt) == (e12, (1, 0, 1, 0)) else apply(self, g, pt)
+
+    monkeypatch.setattr(finite.ModelRank2, "apply", extra_fixer)
+    for q in (5, 13):
+        assert {c.id for c in finite.verify_c4_structure(q).failures} == {"pairing.stab"}, q
 
 
 def test_swapped_half_table_entries_fail_the_finite_suite(monkeypatch):

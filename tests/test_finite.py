@@ -10,7 +10,6 @@ from grstacks.finite import (
     ModelRank2,
     ModelSL3Swap,
     ModelUnitriangular,
-    NonDivisible,
     _closure,
     _draws,
     _orbit_numbers,
@@ -237,7 +236,7 @@ def test_sl3_swap_generators_reach_the_whole_group_at_3():
 
 def test_stabilizer_rejects_non_dividing_orbit():
     model = ModelSL3Swap(3)
-    with pytest.raises(NonDivisible):
+    with pytest.raises(Inconsistent):
         stabilizer_order(model, (1, 0, 0, 1, 0, 0), orbit_size=7)
 
 

@@ -341,22 +341,26 @@ def test_the_scalar_is_the_constant_atom_of_the_offset_cell():
             assert (here == up) != (n % 2 == 1 and r == -1), (n, r)
 
 
-def test_the_scalar_memo_holds_only_the_odd_spin_row():
-    # every other scalar is one read of the atom table
-    clear_tower_cache()
-    bspin(40)
-    assert motive._scalar.cache_info().currsize == 20
-    clear_tower_cache()
-    bspin(41)
-    assert motive._scalar.cache_info().currsize == 1
+def test_the_odd_spin_row_excess_solves_the_homogeneous_recurrence():
+    # D(n), the r = -1 row of odd n minus the table's constant atom, by the
+    # recurrence with both inputs' shared quadric term cancelled; its blocks
+    # are factored by trial division, not read from l_pow_minus_one
+    def block(k):
+        return lc_normalize((-1,) + (0,) * (k - 1) + (1,))
+
+    d = lc_mul(lc_normalize((2,)), lc_inv(block(2)))
+    for n in range(1, 72, 2):
+        if n > 1:
+            d = lc_mul(lc_mul(d, l_power(1 - n)), lc_inv(block(n + 1)))
+        assert motive._odd_row_excess((n + 1) // 2) == d, n
 
 
 def test_clear_tower_cache_empties_every_table():
     # a table left full would serve the next tower warm
-    tables = (motive._tower, motive._scalar, motive._atom_coeff)
+    tables = (motive._tower, motive._atom_coeff)
     bspin(12)
     clear_tower_cache()
-    assert [t.cache_info().currsize for t in tables] == [0, 0, 0]
+    assert [t.cache_info().currsize for t in tables] == [0, 0]
     misses = [t.cache_info().misses for t in tables]
     bspin(12)
     assert all(t.cache_info().misses > k for t, k in zip(tables, misses))

@@ -63,8 +63,8 @@ def test_ledgers_import_only_the_evaluator_and_the_report():
     assert found <= LEDGER_IMPORTS
 
 
-# the tower's memo tables; only the tower reads them
-TOWER_TABLES = {"_scalar", "_atom_coeff"}
+# the tower's coefficient table; only the tower reads it
+TOWER_TABLES = {"_atom_coeff"}
 
 
 def test_only_the_tower_reads_its_tables():
@@ -78,6 +78,36 @@ def test_only_the_tower_reads_its_tables():
             if names & TOWER_TABLES:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the tower's memos: the coefficient table and the assembled cells
+TOWER_MEMOS = {"_tower", "_atom_coeff"}
+MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _callee_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_the_tower_memoizes_only_its_table_and_its_cells():
+    # a further memo in motive.py would be a second table beside the one
+    # every tower coefficient is read from
+    path = pathlib.Path(grstacks.__file__).parent / "motive.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    memoized, decorators = [], set()
+    for node in ast.walk(tree):
+        for dec in getattr(node, "decorator_list", ()):
+            if _callee_name(dec) in MEMO_DECORATORS:
+                memoized.append(node.name)
+                decorators.add(dec)
+    calls = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee_name(node) in MEMO_DECORATORS and node not in decorators
+    ]
+    assert sorted(memoized) == sorted(TOWER_MEMOS) and calls == []
 
 
 # the modules whose looped checks record a failing case only through CheckReport
