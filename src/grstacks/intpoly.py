@@ -4,10 +4,13 @@ A polynomial is a tuple of ints indexed by degree, with no trailing zeros;
 the zero polynomial is the empty tuple.  Tuples keep values hashable, which
 the memo tables downstream rely on.
 
-mul is Kronecker substitution: each factor is packed into one Python int,
-one coefficient per byte-aligned slot wide enough for any product
-coefficient, the two ints are multiplied once (CPython's Karatsuba), and the
-slots are read back.  A half-slot offset makes every slot non-negative, so
+mul takes any number of factors and is Kronecker substitution: each factor
+is packed into one Python int, one coefficient per byte-aligned slot, with
+one slot width per product, wide enough for any coefficient of the whole
+product; the packed ints are multiplied (CPython's Karatsuba), and the
+slots of the result are read back once.  For two factors the width reads
+max|p| max|q| min(len p, len q), for three or more the product of the
+factors' L1 norms.  A half-slot offset makes every slot non-negative, so
 signed coefficients pack and unpack without borrows, and both directions
 are linear in the length.
 
@@ -26,6 +29,7 @@ budget, and phi_bounded(m) filters the walk for the least one >= m.
 
 from __future__ import annotations
 
+import math
 import sys
 from functools import cache
 from itertools import accumulate, zip_longest
@@ -60,17 +64,24 @@ def neg(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in p)
 
 
-def mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """Product by Kronecker substitution (see the module docstring)."""
-    if not p or not q:
+def mul(*ps: tuple[int, ...]) -> tuple[int, ...]:
+    """The product of any number of polynomials, by one Kronecker
+    substitution (see the module docstring); ONE for none."""
+    if len(ps) < 2:
+        return ps[0] if ps else ONE
+    if not all(ps):
         return ZERO
-    n = len(p) + len(q) - 1
+    n = sum(map(len, ps)) - len(ps) + 1
     # every input and product coefficient is at most this bound in absolute
     # value, and a slot of w bytes holds [-2^(8w-1), 2^(8w-1)) after the offset
-    bound = max(max(map(abs, p)), 1) * max(max(map(abs, q)), 1) * min(len(p), len(q))
+    if len(ps) == 2:
+        p, q = ps
+        bound = max(max(map(abs, p)), 1) * max(max(map(abs, q)), 1) * min(len(p), len(q))
+    else:
+        bound = math.prod(max(sum(map(abs, p)), 1) for p in ps)
     w = (bound.bit_length() + 8) // 8
     half = 1 << (8 * w - 1)
-    prod = _pack(p, w, half) * _pack(q, w, half) + _halves(n, w)
+    prod = math.prod(_pack(p, w, half) for p in ps) + _halves(n, w)
     data = prod.to_bytes(n * w, "little")
     return tuple(int.from_bytes(data[i : i + w], "little") - half for i in range(0, n * w, w))
 

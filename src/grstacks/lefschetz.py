@@ -21,20 +21,23 @@ by, no polynomial product is formed at all.
 Addition (lc_sum, and lc_add for two summands) pulls out the common factor
 of all the summands, the componentwise min of their exponents, adds the
 expanded cofactors and normalizes the sum once, from scratch.  Each
-cofactor's Phi-part is multiplied out first, from memoized powers Phi_d^m,
-and then multiplied into the shifted core once.
+cofactor is one product, intpoly.mul of the shifted core and the memoized
+powers Phi_d^m of its Phi-part, with no Phi-part multiplied out alone.
 
 Both build polynomials whose size the operands fix in advance.  Inside a
 work budget (work_budget, which dsl.eval opens for untrusted input), each
 site that builds them predicts its work from the operand sizes alone and
 charges it before any polynomial work: a non-unit product its length times
-its predicted coefficient bits, a sum of k nonzero summands
+its predicted coefficient bits; a sum of k nonzero summands
 (D + 1)(D + k - 1) for the largest cofactor degree D, (D + 1)^2 for two,
-plus the size of each cofactor product, a polynomial given by its
-coefficients (lc_poly) (D + 1)^2 for its degree D, and a power, once, an
-upper bound on its whole square-and-multiply loop.  A charge that passes
-the budget raises OverBudget.  Outside a budget, the default, nothing is
-predicted and no size is bounded.
+plus each cofactor product as the product of the shifted core and a
+Phi-part of length 1 + sum_d totient(d) m_d and of coefficients with as
+many bits as the product of its factors' L1 norms (as Phi_d^m itself, for
+one factor); a polynomial given by its coefficients (lc_poly) (D + 1)^2
+for its degree D; and a power, once, an upper bound on its whole
+square-and-multiply loop.  A charge that passes the budget raises
+OverBudget.  Outside a budget, the default, nothing is predicted and no
+size is bounded.
 
 Normalization trial-divides by the complete candidate set of Phi_d.  A
 candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
@@ -48,7 +51,6 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from . import intpoly
 
@@ -222,14 +224,30 @@ def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
         # too (both constant terms nonzero), hence no re-extraction at all.
         _charge(lambda: _units(len(a.core), _bits(a.core), len(b.core), _bits(b.core)))
         core = intpoly.mul(a.core, b.core)
-    if not a.cyc or not b.cyc:
-        cyc = a.cyc or b.cyc
-    else:
-        exps: dict[int, int] = dict(a.cyc)
-        for d, m in b.cyc:
-            exps[d] = exps.get(d, 0) + m
-        cyc = tuple(sorted((d, m) for d, m in exps.items() if m))
+    cyc = _merge_cyc(a.cyc, b.cyc) if a.cyc and b.cyc else a.cyc or b.cyc
     return LefschetzClass(core, a.l_exp + b.l_exp, cyc)
+
+
+def _merge_cyc(a, b) -> tuple[tuple[int, int], ...]:
+    """The sorted (d, multiplicity) tuple of the product of the Phi-parts a
+    and b, both sorted: one linear merge, dropping multiplicities that cancel."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        da, db = a[i][0], b[j][0]
+        if da < db:
+            out.append(a[i])
+            i += 1
+        elif db < da:
+            out.append(b[j])
+            j += 1
+        else:
+            m = a[i][1] + b[j][1]
+            if m:
+                out.append((da, m))
+            i += 1
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def _common_cofactors(values):
@@ -239,16 +257,17 @@ def _common_cofactors(values):
     maps = [dict(x.cyc) for x in values]
     l0 = min(x.l_exp for x in values)
     common: dict[int, int] = {}
-    for d in set().union(*maps):
-        m = min(xm.get(d, 0) for xm in maps)
-        if m:
-            common[d] = m
-    # each cofactor's Phi-part: the exponent differences are >= 0 by
-    # construction of the min, but must cover factors only in the common part
-    extras = []
-    for xm in maps:
-        diffs = ((d, xm.get(d, 0) - common.get(d, 0)) for d in set(xm) | set(common))
-        extras.append([(d, m) for d, m in diffs if m])
+    # one walk over the key union: each cofactor's Phi-part is its exponents
+    # less the min, >= 0, and covers the factors only in the common part too
+    extras: list[list[tuple[int, int]]] = [[] for _ in values]
+    for d in dict.fromkeys(d for x in values for d, _ in x.cyc):
+        ms = [xm.get(d, 0) for xm in maps]
+        low = min(ms)
+        if low:
+            common[d] = low
+        for extra, m in zip(extras, ms):
+            if m != low:
+                extra.append((d, m - low))
 
     def units() -> int:
         # (D + 1)^2 for the normalization, D the largest degree of the
@@ -265,13 +284,24 @@ def _common_cofactors(values):
 
 
 def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tuple[int, ...]:
-    # the small Phi-part is multiplied out first, then into the core once
+    # the shifted core and each Phi_d^m, multiplied in one product
     p = intpoly.shift(x.core, shift)
     if not extra:
         return p
-    phis = reduce(intpoly.mul, (intpoly.cyclotomic_power(d, m) for d, m in extra))
-    _charge(lambda: _units(len(p), _bits(p), len(phis), _bits(phis)))
-    return intpoly.mul(p, phis)
+    phis = [intpoly.cyclotomic_power(d, m) for d, m in extra]
+
+    def units() -> int:
+        # the Phi-part's length, and the bits of the bound on its
+        # coefficients that the product's slot width reads
+        length = 1 + sum(intpoly.totient(d) * m for d, m in extra)
+        if len(phis) == 1:
+            bits = _bits(phis[0])
+        else:
+            bits = math.prod(sum(map(abs, phi)) for phi in phis).bit_length()
+        return _units(len(p), _bits(p), length, bits)
+
+    _charge(units)
+    return intpoly.mul(p, *phis)
 
 
 def lc_sum(values) -> LefschetzClass:

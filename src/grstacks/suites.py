@@ -101,12 +101,11 @@ def suite_ring(seed: int = 0, samples: int = 100, q: int = 5) -> CheckReport:
     verdict("canonical.separates", "a + 1 never collides with a")
 
     for n in range(1, 65):
-        prod = intpoly.ONE
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        prod = intpoly.mul(*map(intpoly.cyclotomic, divisors))
         cls = LC_ONE
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = intpoly.mul(prod, intpoly.cyclotomic(d))
-                cls = lc_mul(cls, lc_normalize(intpoly.ONE, 0, ((d, 1),)))
+        for d in divisors:
+            cls = lc_mul(cls, lc_normalize(intpoly.ONE, 0, ((d, 1),)))
         want = tuple([-1] + [0] * (n - 1) + [1])
         if prod != want:
             fail("phi.product.poly", n, {"n": n}, {"product": intpoly.to_text(prod, "x")})

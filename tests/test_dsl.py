@@ -560,8 +560,8 @@ def _charges_and_work(text):
             events.append((sys._getframe(1).f_code.co_name, units))
             charge(lambda: units)
 
-    def spy_mul(p, q):
-        out = mul(p, q)
+    def spy_mul(*ps):
+        out = mul(*ps)
         if lefschetz._budget.get() is not None:
             events.append(("mul", len(out) * max(max(out), -min(out)).bit_length()))
         return out

@@ -207,6 +207,98 @@ def test_sum_of_fewer_than_two_nonzero_terms_is_that_term():
     assert lc_sum([LC_ZERO, x, LC_ZERO]) is x
 
 
+def _old_cofactor(x, shift, extra):
+    # the Phi-part multiplied out factor by factor, then into the core
+    p = intpoly.shift(x.core, shift)
+    if not extra:
+        return p
+    phis = functools.reduce(intpoly.mul, (intpoly.cyclotomic_power(d, m) for d, m in extra))
+    return intpoly.mul(p, phis)
+
+
+def test_cofactors_of_the_cold_tower_match_the_factor_by_factor_expansion(monkeypatch):
+    calls = []
+    real = lefschetz._cofactor
+
+    def recording(x, shift, extra):
+        calls.append((x, shift, list(extra), real(x, shift, extra)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(lefschetz, "_cofactor", recording)
+    motive.clear_tower_cache()
+    try:
+        for n in range(2, 41):
+            motive.bspin(n)
+        for n in range(30):
+            motive.bpin(n)
+    finally:
+        motive.clear_tower_cache()
+    # the odd spin row's excess has one factor per odd d up to 2m - 1
+    assert max(len(extra) for _, _, extra, _ in calls) >= 10
+    for x, shift, extra, got in calls:
+        assert got == _old_cofactor(x, shift, extra), (x, shift, extra)
+
+
+def _dict_merge(a, b):
+    exps = dict(a)
+    for d, m in b:
+        exps[d] = exps.get(d, 0) + m
+    return tuple(sorted((d, m) for d, m in exps.items() if m))
+
+
+def _old_common_cofactors(values):
+    # a set union of the keys, and one more per term
+    maps = [dict(x.cyc) for x in values]
+    common = {}
+    for d in set().union(*maps):
+        m = min(xm.get(d, 0) for xm in maps)
+        if m:
+            common[d] = m
+    cofactors = []
+    for x, xm in zip(values, maps):
+        diffs = ((d, xm.get(d, 0) - common.get(d, 0)) for d in set(xm) | set(common))
+        extra = [(d, m) for d, m in diffs if m]
+        cofactors.append(_old_cofactor(x, x.l_exp - min(y.l_exp for y in values), extra))
+    return cofactors, common
+
+
+def _cyc_pair(rng):
+    # sorted Phi-parts with negative multiplicities; the second one shares
+    # keys with the first, cancels some of them to 0, or is disjoint from it,
+    # and may have keys of its own beside the shared ones
+    keys = rng.sample(range(1, 31), rng.randint(0, 6))
+    a = sorted((d, rng.choice((-3, -2, -1, 1, 2, 3))) for d in keys)
+    pool = [d for d in range(1, 31) if d not in keys]
+    own = [(d, rng.choice((-2, -1, 1, 2))) for d in rng.sample(pool, rng.randint(0, 6))]
+    kind = rng.choice(("shared", "cancel", "disjoint"))
+    if kind == "disjoint":
+        b = own
+    else:
+        # each shared key cancels a's multiplicity or takes a new one
+        shared = [(d, -m if kind == "cancel" and rng.random() < 0.7 else rng.choice((-2, -1, 1, 2))) for d, m in a]
+        b = rng.sample(shared, rng.randint(0, len(shared))) + own[: rng.randint(0, 2)]
+    return kind, tuple(a), tuple(sorted(b))
+
+
+def test_the_exponent_merges_match_the_dict_versions():
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(500):
+        kind, a, b = _cyc_pair(rng)
+        want = _dict_merge(a, b)
+        assert lefschetz._merge_cyc(a, b) == want, (a, b)
+        x, y = LefschetzClass(intpoly.ONE, 0, a), LefschetzClass((2, 1), rng.randint(-3, 3), b)
+        assert lc_mul(x, y).cyc == want
+        cofactors, _, common = lefschetz._common_cofactors((x, y))
+        assert (cofactors, common) == _old_common_cofactors((x, y)), (a, b)
+        seen.add(kind)
+        if any(d in dict(b) and d not in dict(want) for d, _ in a):
+            seen.add("cancelled")
+        if any(m < 0 for _, m in a + b):
+            seen.add("negative")
+    assert seen == {"shared", "cancel", "disjoint", "cancelled", "negative"}
+
+
 # -- multiplication and inversion -------------------------------------
 
 
@@ -467,6 +559,50 @@ def test_mul_edge_values():
                 assert intpoly.mul(p, p) == _schoolbook_mul(p, p)
 
 
+def _chained_schoolbook(ps):
+    return functools.reduce(_schoolbook_mul, ps, intpoly.ONE)
+
+
+@hypothesis.given(
+    strat.lists(strat.tuples(strat.integers(0, 40), strat.integers(0, 200)), max_size=6),
+    strat.randoms(use_true_random=False),
+)
+@hypothesis.settings(max_examples=80, deadline=None)
+def test_mul_of_any_number_of_factors_matches_chained_schoolbook(shapes, rng):
+    ps = [_random_poly(rng, length, bits) for length, bits in shapes]
+    assert intpoly.mul(*ps) == _chained_schoolbook(ps)
+    assert intpoly.mul(*ps[::-1]) == _chained_schoolbook(ps)
+
+
+def test_mul_of_any_number_of_factors_edge_values():
+    big = 2**200
+    p, q, r = (-big, 0, big), (3, -1), (0, 0, 5)
+    assert intpoly.mul() == intpoly.ONE
+    # one factor is returned as it is, trailing zeros and all
+    for one in ((), (0,), p, (1, 0, 0)):
+        assert intpoly.mul(one) is one
+    # an empty factor anywhere empties the product
+    for ps in [((), p, q), (p, (), q, r), (p, q, r, ()), ((), (), ())]:
+        assert intpoly.mul(*ps) == intpoly.ZERO
+    # zeros inside, and all-zero factors next to wide ones
+    for ps in [((0,), (big,), (-big,)), ((0, 0), p, q, r), ((0,), (1000,), (1,))]:
+        assert intpoly.mul(*ps) == _chained_schoolbook(ps)
+    # for k >= 3 the slot width reads the product of the factors' L1 norms,
+    # which a product of signed monomials reaches exactly, for bounds of
+    # every bit length from 1 to 140 and past; constant-sign factors come
+    # near it
+    for k in (3, 4):
+        for bits in range(140):
+            for c in (2**bits - 1, 2**bits):
+                for small in (1, 3, 255, 256):
+                    for sign in (1, -1):
+                        ps = [(0,) * j + (small,) for j in range(k - 1)] + [(sign * c,)]
+                        assert intpoly.mul(*ps) == _chained_schoolbook(ps), (k, bits, c, small)
+                for n in (1, 2, 17):
+                    ps = [(c,) * n, (-c,) * n] + [(c,) * n] * (k - 2)
+                    assert intpoly.mul(*ps) == _chained_schoolbook(ps), (k, bits, c, n)
+
+
 def test_half_offsets_match_the_division_formula():
     # 2^(8w-1) in each of n slots of w bytes: the all-ones slot pattern,
     # built by long division, shifted to the top bit of each slot
@@ -553,7 +689,7 @@ def test_non_factor_closed_quotient_reduces():
 # -- work budget ------------------------------------------------------
 
 
-def _no_product(p, q):
+def _no_product(*ps):
     raise AssertionError("multiplied before refusing")
 
 

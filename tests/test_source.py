@@ -189,3 +189,15 @@ def test_failing_checks_are_recorded_only_through_the_report():
                     found.add(f"{module}:{line} {name} = False")
             found |= {f"{module}:{node.lineno} all(...)" for node in _folded_loops(func)}
     assert sorted(found) == []
+
+
+def test_products_of_several_polynomials_take_one_call():
+    # intpoly.mul takes every factor at once, with one slot width for the
+    # whole product; a reduce over it packs and unpacks once per factor
+    found = []
+    for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _callee_name(node) == "reduce" and node.args:
+                if _callee_name(node.args[0]) == "mul":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
