@@ -8,11 +8,14 @@ mul takes any number of factors and is Kronecker substitution: each factor
 is packed into one Python int, one coefficient per byte-aligned slot, with
 one slot width per product, wide enough for any coefficient of the whole
 product; the packed ints are multiplied (CPython's Karatsuba), and the
-slots of the result are read back once.  For two factors the width reads
-max|p| max|q| min(len p, len q), for three or more the product of the
-factors' L1 norms.  A half-slot offset makes every slot non-negative, so
-signed coefficients pack and unpack without borrows, and both directions
-are linear in the length.
+slots of the result are read back once.  The width reads one bound for any
+number of factors: max|A| times the product of the other factors' L1
+norms, A the longest factor.  A coefficient of A B is at most max|A| L1(B),
+L1 is submultiplicative and each input coefficient is at most its own L1
+norm; for two factors the bound is at most max|p| max|q| min(len p, len q).
+A half-slot offset makes every slot non-negative, so signed coefficients
+pack and unpack without borrows, and both directions are linear in the
+length.
 
 cyclotomic(d) is the Moebius product  prod_{s | d squarefree}
 (x^{d/s} - 1)^{mu(s)}:  multiplying by x^k - 1 is a shift and subtract,
@@ -74,11 +77,9 @@ def mul(*ps: tuple[int, ...]) -> tuple[int, ...]:
     n = sum(map(len, ps)) - len(ps) + 1
     # every input and product coefficient is at most this bound in absolute
     # value, and a slot of w bytes holds [-2^(8w-1), 2^(8w-1)) after the offset
-    if len(ps) == 2:
-        p, q = ps
-        bound = max(max(map(abs, p)), 1) * max(max(map(abs, q)), 1) * min(len(p), len(q))
-    else:
-        bound = math.prod(max(sum(map(abs, p)), 1) for p in ps)
+    i = max(range(len(ps)), key=lambda j: len(ps[j]))
+    others = ps[:i] + ps[i + 1 :]
+    bound = max(max(map(abs, ps[i])), 1) * math.prod(max(sum(map(abs, p)), 1) for p in others)
     w = (bound.bit_length() + 8) // 8
     half = 1 << (8 * w - 1)
     prod = math.prod(_pack(p, w, half) for p in ps) + _halves(n, w)

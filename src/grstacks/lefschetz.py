@@ -291,8 +291,12 @@ def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tu
     phis = [intpoly.cyclotomic_power(d, m) for d, m in extra]
 
     def units() -> int:
-        # the Phi-part's length, and the bits of the bound on its
-        # coefficients that the product's slot width reads
+        # the Phi-part's length, and the bits of a bound on its coefficients:
+        # the product of its factors' L1 norms (max|Phi_d^m| for one factor).
+        # mul's slot bound is max|A| times the other factors' L1 norms, A the
+        # longest factor, so it takes an L1 norm in place of a max only on the
+        # side no longer than the other; as L1(f) <= max|f| len(f), it has at
+        # most as many bits as the coefficient width _units charges
         length = 1 + sum(intpoly.totient(d) * m for d, m in extra)
         if len(phis) == 1:
             bits = _bits(phis[0])

@@ -1,6 +1,7 @@
 """Exact arithmetic in the localized ring of Lefschetz classes."""
 
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -587,17 +588,18 @@ def test_mul_of_any_number_of_factors_edge_values():
     # zeros inside, and all-zero factors next to wide ones
     for ps in [((0,), (big,), (-big,)), ((0, 0), p, q, r), ((0,), (1000,), (1,))]:
         assert intpoly.mul(*ps) == _chained_schoolbook(ps)
-    # for k >= 3 the slot width reads the product of the factors' L1 norms,
-    # which a product of signed monomials reaches exactly, for bounds of
-    # every bit length from 1 to 140 and past; constant-sign factors come
-    # near it
-    for k in (3, 4):
+    # for any k the slot width reads max|A| times the other factors' L1
+    # norms, A the longest factor, which a product of signed monomials
+    # reaches exactly, with the wide coefficient in A or outside it, for
+    # bounds of every bit length from 1 to 140 and past; constant-sign
+    # factors come near it
+    for k in (2, 3, 4):
         for bits in range(140):
             for c in (2**bits - 1, 2**bits):
                 for small in (1, 3, 255, 256):
-                    for sign in (1, -1):
-                        ps = [(0,) * j + (small,) for j in range(k - 1)] + [(sign * c,)]
-                        assert intpoly.mul(*ps) == _chained_schoolbook(ps), (k, bits, c, small)
+                    for sign, pad in itertools.product((1, -1), (0, k)):
+                        ps = [(0,) * j + (small,) for j in range(k - 1)] + [(0,) * pad + (sign * c,)]
+                        assert intpoly.mul(*ps) == _chained_schoolbook(ps), (k, bits, c, small, pad)
                 for n in (1, 2, 17):
                     ps = [(c,) * n, (-c,) * n] + [(c,) * n] * (k - 2)
                     assert intpoly.mul(*ps) == _chained_schoolbook(ps), (k, bits, c, n)
