@@ -352,12 +352,6 @@ class QuadSpace:
             return GR_HALF
         return GR_ZERO
 
-    def gram(self) -> Matrix:
-        return tuple(
-            tuple(self._pair_entry(i, j) for j in range(self.n))
-            for i in range(self.n)
-        )
-
     def preserves(self, m: Matrix) -> bool:
         cols = [tuple(m[i][j] for i in range(self.n)) for j in range(self.n)]
         return all(

@@ -13,7 +13,9 @@ e_(i+1) e_t carries -1, read once from the blade kernel, and the sign of
 e_s e_t is the parity of s & row[t].  Up to order EXHAUSTIVE_MAX_ORDER
 (n <= 9) `verify_delta_structure` reads every unordered pair against the
 commutation rule; for larger groups the rule reads every unordered pair on
-the first six generators and a seeded sample of the others.
+the first six generators and a seeded sample of the others.  The
+commutator subgroup is searched by `finite.closure`, the package's one
+search over group elements.
 """
 
 from __future__ import annotations
@@ -21,11 +23,12 @@ from __future__ import annotations
 import csv
 import itertools
 import random
-from collections import Counter, deque
+from collections import Counter
 
 from . import blades
 from .blades import blade_mul_mask, indices_of
 from .clifford import CliffordElement, InvariantBroken, NotPin, _mat_text, is_spin, rho
+from .finite import closure
 from .gaussian import GR_ONE
 from .report import CheckReport
 
@@ -96,16 +99,7 @@ class DeltaGroup:
         """
         gg = self.generators()
         gens = {self.commutator(a, b) for a in gg for b in gg}
-        seen = {self.identity()}
-        frontier = deque(seen)
-        while frontier:
-            x = frontier.popleft()
-            for g in gens:
-                y = self.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
+        return closure(self.identity(), lambda g, x: self.mul(x, g), gens)
 
     def rho_diagonal(self, a: Element) -> tuple[int, ...]:
         """Diagonal of the vector action v -> eps(a) v bar(a); entries are +-1.

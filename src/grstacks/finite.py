@@ -39,8 +39,12 @@ model acts linearly and blockwise: it sends (v, w) to (f v, h w), or to
 an orbit is first searched, and ``_orbit_numbers`` walks point numbers
 through those tables.  A check that reads only an orbit's size counts those
 numbers; ``orbit_bfs`` decodes them back to tuples for the checks that look
-at the points.  The generator closure in ``verify_model_laws`` runs on
-``mul``.  When an orbit count does not add up (a size that does not divide
+at the points.  ``closure`` is the package's one search over group
+elements: the generator closure in ``verify_model_laws``, the commutator
+subgroup of ``delta.DeltaGroup`` and the element orders in
+``verify_c4_structure`` (cyclic closures, so a broken ``mul`` cannot make
+them loop) all run on it; ``stabilizer`` lists the fixers of a point.
+When an orbit count does not add up (a size that does not divide
 the group order, or an orbit that escapes its stratum), the check reading it
 fails; the report does not raise.  A sampled check that fails keeps its
 first failing sample in ``lhs``/``rhs``: the seed, the sample index, the
@@ -52,7 +56,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .lefschetz import lc_eval_at
@@ -400,8 +404,9 @@ PairModel = ModelSL3Swap | ModelRank2 | ModelUnitriangular
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 
-def _closure(start, step, gens) -> set:
-    """Everything reachable from start by repeated steps x -> step(g, x)."""
+def closure(start, step, gens) -> set:
+    """Everything reachable from start by repeated steps x -> step(g, x);
+    it ends whenever step lands in a finite set, even a wrong one."""
     seen = {start}
     frontier = deque(seen)
     while frontier:
@@ -498,9 +503,10 @@ def orbit_decompose(model: PairModel, points: Iterable[Pt]) -> list[set[Pt]]:
     return out
 
 
-def stabilizer_count(model: PairModel, point: Pt, elements: Iterable) -> int:
-    # one apply per element: the independent cross-check of orbit division
-    return sum(map(point.__eq__, map(model.apply, elements, repeat(point))))
+def stabilizer(model: PairModel, point: Pt, elements: Iterable) -> list:
+    """The elements that fix point: one apply each, the independent
+    cross-check of orbit division."""
+    return [g for g in elements if model.apply(g, point) == point]
 
 
 DIRECT_FILTER_LIMIT = 10_000
@@ -519,7 +525,7 @@ def stabilizer_order(
         )
     by_division = model.group_order // orbit_size
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
-        direct = stabilizer_count(model, point, model.elements)
+        direct = len(stabilizer(model, point, model.elements))
         if direct != by_division:
             raise Inconsistent(
                 f"direct stabilizer count {direct} disagrees with division {by_division}"
@@ -534,15 +540,6 @@ def _or_none(search, *args):
         return search(*args)
     except Inconsistent:
         return None
-
-
-def _element_order(model: PairModel, g) -> int:
-    ident = model.identity()
-    acc, k = g, 1
-    while acc != ident:
-        acc = model.mul(acc, g)
-        k += 1
-    return k
 
 
 def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> CheckReport:
@@ -570,7 +567,7 @@ def verify_model_laws(model: PairModel, samples: int = 100, seed: int = 0) -> Ch
     if model.elements is not None and model.group_order <= DIRECT_FILTER_LIMIT:
         rep.add(
             "closure",
-            _closure(ident, model.mul, model.generators) == set(model.elements),
+            closure(ident, model.mul, model.generators) == set(model.elements),
             f"generators reach all {model.group_order} elements",
         )
     return rep
@@ -723,10 +720,12 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
     rep.add("pairing.orbit", orb == set(unit_pts), "pairing-1 locus is a single orbit")
     stab = _or_none(stabilizer_order, model, base_unit, len(orb))
     # stabilizer_order filters directly only up to DIRECT_FILTER_LIMIT, passed at q = 13
-    fixers = [g for g in model.elements if model.apply(g, base_unit) == base_unit]
+    fixers = stabilizer(model, base_unit, model.elements)
     rep.add("pairing.stab", stab == 8 == len(fixers), f"stabilizer order {stab} (direct filter cross-check ran)")
     # more than one group of order 8 exists, so report the computed shape without naming one
-    orders = sorted(_element_order(model, g) for g in fixers)
+    # the order of g is the size of its cyclic closure {1, g, g^2, ...}
+    ident = model.identity()
+    orders = sorted(len(closure(ident, lambda h, x: model.mul(x, h), [g])) for g in fixers)
     abelian = all(
         model.mul(a, b) == model.mul(b, a) for a in fixers for b in fixers
     )
@@ -794,7 +793,7 @@ def verify_c4_structure(q: int = 5) -> CheckReport:
         if not any(pt in o for o in orbits):
             rep.fail("orth.special.stab", i, {"x": pt}, {"orbit": "none of the special orbits"})
             continue
-        count = stabilizer_count(model, pt, no_sign)
+        count = len(stabilizer(model, pt, no_sign))
         if count != 2 * q:
             rep.fail("orth.special.stab", i, {"x": pt}, {"stabilizer order": count})
     rep.verdict(
@@ -1004,14 +1003,14 @@ def verify_strata_partition(q: int = 5) -> CheckReport:
 
     fixed_pts = [(lam, 0, 0, 0, 0, lam) for lam in range(1, q)]
     for i, pt in enumerate(fixed_pts):
-        stab = stabilizer_count(model, pt, model.elements)
+        stab = len(stabilizer(model, pt, model.elements))
         if stab != model.group_order:
             rep.fail("fixed", i, {"x": pt}, {"stabilizer": stab, "group order": model.group_order})
     rep.verdict("fixed", "matched-scalar axis points are fixed by the whole group")
 
     # the mid-depth matched stratum: stabilizer order 2q by direct filter
     mid = bases["S9"][0]
-    direct = stabilizer_count(model, mid, model.elements)
+    direct = len(stabilizer(model, mid, model.elements))
     rep.add(
         "mid.stab",
         direct == 2 * q and _or_none(stabilizer_order, model, mid) == 2 * q,

@@ -174,6 +174,8 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
             hit = False
             while intpoly.cyclotomic_divides(core, d):
                 core = intpoly.monic_div(core, intpoly.cyclotomic(d))
+                if core is None:
+                    raise intpoly.NotDivisible(f"Phi_{d} passed the residue test but left a remainder")
                 exps[d] = exps.get(d, 0) + 1
                 hit = True
                 if len(core) == 1:

@@ -2,8 +2,11 @@
 built on it report FAIL rather than pass or crash."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import types
 
 import pytest
@@ -289,6 +292,18 @@ def test_dropped_residue_class_fails_the_spin78_ledger_without_raising(monkeypat
     assert failed["bspin8.assembly"].startswith("NotAUnit: not a unit: core")
 
 
+@pytest.mark.parametrize("suite", [suite_g2, suite_spin78])
+def test_a_residue_test_that_always_passes_fails_the_ledgers_without_raising(monkeypatch, suite):
+    # the division the residue test vouched for leaves a remainder, and
+    # lc_normalize names it as NotDivisible instead of carrying None on
+    ids = {c.id for c in suite().checks}
+    monkeypatch.setattr(intpoly, "cyclotomic_divides", lambda p, d: True)
+    rep = suite()
+    assert {c.id for c in rep.checks} == ids
+    assert rep.failures
+    assert all(c.lhs.startswith("NotDivisible: ") for c in rep.failures)
+
+
 def test_wrong_ledger_values_fail_the_ledgers_without_raising(monkeypatch):
     # {G_2} and {Spin_8} off by a factor L, patched where the evaluator's
     # G2() and Spin(n) read them.  The displayed identities that read the
@@ -520,6 +535,40 @@ def test_a_broken_model_product_records_its_first_witness():
     # a passing report keeps its sides empty
     model.mul = product
     assert all(c.lhs == c.rhs == "" for c in finite.verify_model_laws(model, 40, 2).checks)
+
+
+# the rank-2 product with its swap flags ORed instead of XORed: a swapped
+# element never powers back to the identity
+OR_SWAP_SUITE = """
+from grstacks import finite
+from grstacks.suites import suite_finite
+
+product = finite.ModelRank2.mul
+
+
+def or_swap(self, g, h):
+    b, s, t, z = product(self, g, h)
+    return (b, g[1] | h[1], t, z)
+
+
+finite.ModelRank2.mul = or_swap
+print(*(c.id for c in suite_finite(seed=0, samples=25, q=5).failures))
+"""
+
+
+def test_a_swap_flag_that_never_clears_fails_the_finite_suite_without_hanging():
+    # element orders are sizes of cyclic closures, bounded by the element
+    # set, so the suite ends; a fresh process lets the timeout stop a hang
+    src = os.path.dirname(os.path.dirname(finite.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", OR_SWAP_SUITE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {"laws.rank2_twists.compose", "laws.rank2_twists.inverse"} <= set(proc.stdout.split())
 
 
 def _doubled_first_coordinate_of_w(monkeypatch, cls):

@@ -10,13 +10,13 @@ from grstacks.finite import (
     ModelRank2,
     ModelSL3Swap,
     ModelUnitriangular,
-    _closure,
     _draws,
     _orbit_numbers,
     _sample_sl2,
     _sample_sl3,
     _strata_base_points,
     classcount_sanity,
+    closure,
     det3,
     identity_mat,
     mat2_mul_q,
@@ -231,7 +231,28 @@ def test_sl3_swap_order_doubles_sl3():
 
 def test_sl3_swap_generators_reach_the_whole_group_at_3():
     model = ModelSL3Swap(3)
-    assert len(_closure(model.identity(), model.mul, model.generators)) == model.group_order
+    assert len(closure(model.identity(), model.mul, model.generators)) == model.group_order
+
+
+def _power_loop_order(model, g):
+    # the least k >= 1 with g^k = 1, by repeated multiplication
+    ident = model.identity()
+    acc, k = g, 1
+    while acc != ident:
+        acc, k = model.mul(acc, g), k + 1
+    return k
+
+
+@pytest.mark.parametrize("make", [ModelRank2, ModelUnitriangular])
+def test_cyclic_closures_read_element_orders(make):
+    # the order of g is the size of its cyclic closure {1, g, g^2, ...},
+    # the reading the c4 verifier takes
+    model = make(5)
+    ident = model.identity()
+    for g in model.elements:
+        order = len(closure(ident, lambda h, x: model.mul(x, h), [g]))
+        assert order == _power_loop_order(model, g), g
+        assert model.group_order % order == 0, g
 
 
 def test_stabilizer_rejects_non_dividing_orbit():
@@ -256,7 +277,7 @@ MODELS_AT_5 = [ModelSL3Swap(5), ModelRank2(5), ModelUnitriangular(5)]
 
 def _apply_bfs(model, start):
     # the orbit search as it ran before the half tables: apply on tuples
-    return _closure(start, model.apply, model.generators)
+    return closure(start, model.apply, model.generators)
 
 
 @pytest.mark.parametrize("model", MODELS_AT_5, ids=lambda m: m.name)
@@ -311,7 +332,7 @@ def test_sl3_swap_orbits_match_the_transvection_search_at_5():
     model = ModelSL3Swap(5)
     gens = _transvection_generators(model)
     for pt in BASES_AT_5["sl3_swap"]:
-        assert orbit_bfs(model, pt) == _closure(pt, model.apply, gens), pt
+        assert orbit_bfs(model, pt) == closure(pt, model.apply, gens), pt
 
 
 def test_orbit_numbers_start_at_the_start_and_count_the_orbit():

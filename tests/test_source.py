@@ -201,3 +201,27 @@ def test_products_of_several_polynomials_take_one_call():
                 if _callee_name(node.args[0]) == "mul":
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the names of a breadth-first queue
+QUEUE_NAMES = {"deque", "popleft"}
+
+
+def test_one_breadth_first_search_over_group_elements():
+    # finite.closure is the package's only queue-driven search; a second one
+    # would be a second implementation of the same closure
+    found = []
+    for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for search in tree.body
+            if path.name == "finite.py" and getattr(search, "name", None) == "closure"
+            for node in ast.walk(search)
+        }
+        for node in ast.walk(tree):
+            if id(node) in inside or isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if {getattr(node, "id", None), getattr(node, "attr", None)} & QUEUE_NAMES:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
