@@ -12,7 +12,7 @@ slots of the result are read back once.  The width reads one bound for any
 number of factors: max|A| times the product of the other factors' L1
 norms, A the longest factor.  A coefficient of A B is at most max|A| L1(B),
 L1 is submultiplicative and each input coefficient is at most its own L1
-norm; for two factors the bound is at most max|p| max|q| min(len p, len q).
+norm.
 A half-slot offset makes every slot non-negative, so signed coefficients
 pack and unpack without borrows, and both directions are linear in the
 length.

@@ -27,14 +27,16 @@ powers Phi_d^m of its Phi-part, with no Phi-part multiplied out alone.
 Both build polynomials whose size the operands fix in advance.  Inside a
 work budget (work_budget, which dsl.eval opens for untrusted input), each
 site that builds them predicts its work from the operand sizes alone and
-charges it before any polynomial work: a non-unit product its length times
-its predicted coefficient bits; a sum of k nonzero summands
-(D + 1)(D + k - 1) for the largest cofactor degree D, (D + 1)^2 for two,
-plus each cofactor product as the product of the shifted core and a
-Phi-part of length 1 + sum_d totient(d) m_d and of coefficients with as
-many bits as the product of its factors' L1 norms (as Phi_d^m itself, for
-one factor); a polynomial given by its coefficients (lc_poly) (D + 1)^2
-for its degree D; and a power, once, an upper bound on its whole
+charges it before any polynomial work.  Every non-unit product, lc_mul's
+and each cofactor product, is charged by one rule: its length times the
+bit length of the product of its factors' L1 norms, with Phi_d^m counted
+as m factors Phi_d, so a cofactor reads only the memoized Phi_d and pays
+before any Phi_d^m is built.  The L1 norm is submultiplicative, so that
+product bounds every coefficient of the result, and intpoly.mul's slot
+bound as well.  A sum of k nonzero summands is charged (D + 1)(D + k - 1)
+for the largest cofactor degree D, (D + 1)^2 for two, before its cofactor
+products; a polynomial given by its coefficients (lc_poly) (D + 1)^2 for
+its degree D; and a power, once, the same rule summed over its whole
 square-and-multiply loop.  A charge that passes the budget raises
 OverBudget.  Outside a budget, the default, nothing is predicted and no
 size is bounded.
@@ -96,14 +98,8 @@ def _charge(units_of) -> None:
             raise OverBudget(f"the evaluation needs more than {cell[1]} work units")
 
 
-def _bits(p: tuple[int, ...]) -> int:
-    return max(max(p), -min(p)).bit_length()
-
-
-def _units(lp: int, bp: int, lq: int, bq: int) -> int:
-    # the product's length times a bound on its coefficient bits, for factors
-    # of lengths lp, lq with coefficients of at most bp, bq bits
-    return (lp + lq - 1) * (bp + bq + min(lp, lq).bit_length())
+def _l1(p: tuple[int, ...]) -> int:
+    return sum(map(abs, p))
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,7 +220,7 @@ def lc_mul(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
     else:
         # cores are Phi-free so their product is; only x | core is impossible
         # too (both constant terms nonzero), hence no re-extraction at all.
-        _charge(lambda: _units(len(a.core), _bits(a.core), len(b.core), _bits(b.core)))
+        _charge(lambda: (len(a.core) + len(b.core) - 1) * (_l1(a.core) * _l1(b.core)).bit_length())
         core = intpoly.mul(a.core, b.core)
     cyc = _merge_cyc(a.cyc, b.cyc) if a.cyc and b.cyc else a.cyc or b.cyc
     return LefschetzClass(core, a.l_exp + b.l_exp, cyc)
@@ -290,24 +286,14 @@ def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tu
     p = intpoly.shift(x.core, shift)
     if not extra:
         return p
-    phis = [intpoly.cyclotomic_power(d, m) for d, m in extra]
 
     def units() -> int:
-        # the Phi-part's length, and the bits of a bound on its coefficients:
-        # the product of its factors' L1 norms (max|Phi_d^m| for one factor).
-        # mul's slot bound is max|A| times the other factors' L1 norms, A the
-        # longest factor, so it takes an L1 norm in place of a max only on the
-        # side no longer than the other; as L1(f) <= max|f| len(f), it has at
-        # most as many bits as the coefficient width _units charges
-        length = 1 + sum(intpoly.totient(d) * m for d, m in extra)
-        if len(phis) == 1:
-            bits = _bits(phis[0])
-        else:
-            bits = math.prod(sum(map(abs, phi)) for phi in phis).bit_length()
-        return _units(len(p), _bits(p), length, bits)
+        length = len(p) + sum(intpoly.totient(d) * m for d, m in extra)
+        norm = math.prod((_l1(intpoly.cyclotomic(d)) ** m for d, m in extra), start=_l1(p))
+        return length * norm.bit_length()
 
     _charge(units)
-    return intpoly.mul(p, *phis)
+    return intpoly.mul(p, *(intpoly.cyclotomic_power(d, m) for d, m in extra))
 
 
 def lc_sum(values) -> LefschetzClass:
@@ -340,15 +326,18 @@ def lc_poly(coeffs) -> LefschetzClass:
 
 
 def _power_units(p: tuple[int, ...], k: int) -> int:
-    """An upper bound on what lc_mul would charge for lc_pow's loop for p^k.
+    """An upper bound on what lc_mul would charge for lc_pow's loop for p^k:
+    lc_mul's rule written in logarithms, as the loop's products do not
+    exist yet when it is charged.
 
     The step that leaves p^(k >> t) squares and, on a set bit, multiplies by
     p, so each product builds some p^m with m <= k >> t, of length
-    n = m*deg(p) + 1.  Its factors' coefficients have at most j*log2|p|_1 + 1
-    bits for p^j (|p|_1 the sum of p's absolute coefficients), so lc_mul
-    predicts at most m*log2|p|_1 + 2 + bitlen(n) bits; two spare for rounding.
+    n = m*deg(p) + 1.  Its factors are powers of p whose L1 norms multiply
+    to at most |p|_1^m (|p|_1 the sum of p's absolute coefficients), of at
+    most m*log2|p|_1 + 1 bits; the count adds one bit for the float's
+    rounding and bitlen(n) + 2 to spare.
     """
-    deg, log_norm = len(p) - 1, math.log2(sum(map(abs, p)))
+    deg, log_norm = len(p) - 1, math.log2(_l1(p))
 
     def units(m: int) -> int:
         n = m * deg + 1
@@ -440,7 +429,7 @@ def lc_eval_digits(a: LefschetzClass, q: int) -> int:
         else:
             bottom -= intpoly.totient(d) * m
     log_q = math.log10(q)
-    coeff = _bits(a.core) * math.log10(2) + math.log10(len(a.core))
+    coeff = max(map(abs, a.core)).bit_length() * math.log10(2) + math.log10(len(a.core))
     try:
         return math.ceil(max(top * log_q + coeff, bottom * log_q))
     except OverflowError:

@@ -85,9 +85,12 @@ class MotiveExpr:
     atoms: tuple[tuple[int, LefschetzClass], ...] = ()
 
     def __post_init__(self):
+        # sorted atoms make structural equality ring equality
+        last = 0
         for m, c in self.atoms:
-            if m < 1 or not c.core:
-                raise DomainError("atoms need an index >= 1 and a nonzero coefficient")
+            if m <= last or not c.core:
+                raise DomainError("atoms need strictly ascending indices >= 1 and nonzero coefficients")
+            last = m
 
     def atom_map(self) -> dict[int, LefschetzClass]:
         return dict(self.atoms)

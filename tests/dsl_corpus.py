@@ -64,6 +64,9 @@ PAST_THE_BUDGET = [
     "(L+2)^2000*(L+3)^2000*(L+5)^2000",
     "cyclo(7)^2000+1",
     "GL(100)+1",
+    # sums whose cofactor Phi_d^m took seconds to build before its charge
+    "cyclo(2)^2000*cyclo(2)^2000*cyclo(2)^400 + 1",
+    "cyclo(3)^2000*cyclo(3)^200 + 1",
 ]
 
 # powers of a degree-1 core with a 4000-digit coefficient

@@ -9,7 +9,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from grstacks import intpoly, lefschetz, motive
+from grstacks import dsl, intpoly, lefschetz, motive
 from grstacks.lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -756,14 +756,23 @@ def test_coefficient_bits_bound(monkeypatch):
     got = lc_mul(a, b)
     c = 2**4999 + 1
     assert got.core == (c * c, 2 * c, 1)
-    # a product is charged its length times its predicted coefficient bits,
-    # the factors' bits plus the bits of the shorter length
-    top = 3 * (5000 + 5000 + 2)
+    # a product is charged its length times the bits of the product of its
+    # factors' L1 norms
+    top = 3 * ((2**4999 + 2) ** 2).bit_length()
     with work_budget(top):
         assert lc_mul(a, b) == got
     monkeypatch.setattr(intpoly, "mul", _no_product)
     with work_budget(top - 1), pytest.raises(OverBudget, match=f"more than {top - 1} work units"):
         lc_mul(a, b)
+
+
+def test_phi_power_sums_are_refused_before_any_power_is_built(monkeypatch):
+    # a cofactor is charged from the memoized Phi_d alone, so a refused sum
+    # builds no Phi_d^m, here Phi_2^4400 = (L + 1)^4400
+    intpoly.cyclotomic_power.cache_clear()
+    monkeypatch.setattr(intpoly, "mul", _no_product)
+    with pytest.raises(OverBudget):
+        dsl.eval(dsl.parse("cyclo(2)^2000*cyclo(2)^2000*cyclo(2)^400 + 1"))
 
 
 _WIDE = 2**999 + 1  # a 1000-bit coefficient

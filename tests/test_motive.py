@@ -101,6 +101,11 @@ def test_zero_coefficients_are_refused():
         MotiveExpr(LC_ZERO, ((2, LC_ZERO),))
     with pytest.raises(DomainError):
         MotiveExpr(LC_ZERO, ((0, LC_ONE),))
+    # atoms out of order or repeated would be a second form of one motive
+    with pytest.raises(DomainError):
+        MotiveExpr(LC_ZERO, ((3, LC_ONE), (2, LC_ONE)))
+    with pytest.raises(DomainError):
+        MotiveExpr(LC_ZERO, ((2, LC_ONE), (2, LC_ONE)))
 
 
 def test_zero_coefficient_guard_holds_without_asserts():

@@ -225,3 +225,28 @@ def test_one_breadth_first_search_over_group_elements():
             if {getattr(node, "id", None), getattr(node, "attr", None)} & QUEUE_NAMES:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the builders of a polynomial product and of a power Phi_d^m
+PRODUCT_BUILDERS = {"mul", "cyclotomic_power"}
+
+
+def test_products_are_charged_before_they_are_built():
+    # a work-budget charge is predicted from the operand sizes alone, so a
+    # function that charges builds no product, inside its charge or before it
+    path = pathlib.Path(grstacks.__file__).parent / "lefschetz.py"
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)]
+        charges = [node for node in calls if _callee_name(node) == "_charge"]
+        if not charges:
+            continue
+        paid = min((node.end_lineno, node.end_col_offset) for node in charges)
+        for node in calls:
+            owner = getattr(node.func, "value", None)
+            if getattr(owner, "id", None) == "intpoly" and _callee_name(node) in PRODUCT_BUILDERS:
+                if (node.lineno, node.col_offset) < paid:
+                    found.append(f"lefschetz.py:{node.lineno} {func.name} {_callee_name(node)}")
+    assert found == []
