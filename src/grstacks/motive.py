@@ -3,7 +3,7 @@ equation, and the recursion tower that writes the class of B Spin_n as a
 linear combination of the finite-group atoms BDelta_m.
 
 A MotiveExpr is a scalar LefschetzClass plus a finite map m -> coefficient
-on formal atoms BDelta_m.  The whole tower is one memoized recurrence in
+on formal atoms BDelta_m.  The whole tower is one recurrence in
 G(n, r), r >= -1, each step a two-stratum equation (null cone plus quadric):
 
   (L^(n-r) - 1) * G(n, r) = L^(r+2-n) * G(n-2, r) + (L-1) * G(n, r+1)
@@ -26,22 +26,44 @@ for one table shared by every m and both parity classes:
 
   (L^k - 1) * A(j, k) = L^(2-k) * A(j-2, k-2) + (L-1) * A(j, k-1)
 
-with A(0, k) = 1 and A(j > 0, k) = 0 for k <= 1, and A(j < 0, k) = 0;
-A(0, n) is the closed form leading_delta_coeff checks.  The scalar bases
-are constant atoms of that table: G(0, r) = 1 is BDelta_0, and the rank-1
-corner G(1, r >= 0) = 1 sits at m = 1.  So the scalar part of G(n, r) is
-A(n - n mod 2, n - r), and the tower holds that one table.  Only the r = -1
-row of odd n starts elsewhere, at G(1, -1) = (L-1)^-1 against A(0, 2) =
-(L+1)^-1 (r never decreases along the recurrence).  Both rows read the same
-quadric input A(n - 1, n), so the row's excess D over the table solves the
-homogeneous recurrence:
+with A(0, k) = 1 and A(j > 0, k) = 0 for k <= 1, and A(j < 0, k) = 0.
+The scalar bases are constant atoms of that table: G(0, r) = 1 is
+BDelta_0, and the rank-1 corner G(1, r >= 0) = 1 sits at m = 1.  So the
+scalar part of G(n, r) is A(n - n mod 2, n - r), and every cell the tower
+reads has even j.
+
+The table is held without division.  Write
+
+  A(j, k) = P(k) * C(j, k) / (L-1)^(j/2),  P(k) = prod_(i=2..k) (L-1) / (L^i - 1),
+
+so P(k) = A(0, k) is the top atom, the closed form leading_delta_coeff
+checks.  Substituting into the recurrence and dividing by (L^k - 1) P(k)
+/ (L-1)^(j/2) = (L-1) P(k-1) / (L-1)^(j/2) leaves, with u = L^-1 and
+P(k-2) / P(k-1) = (L^(k-1) - 1) / (L-1),
+
+  C(j, k) = C(j, k-1) + [k-1]_u * C(j-2, k-2),  [k-1]_u = 1 + u + ... + u^(k-2),
+
+with C(0, k) = 1, C(j > 0, k) = 0 for k <= 1 and C(j < 0, k) = 0.  So C is
+an integer polynomial in u with non-negative coefficients, and each step is
+one running sum of width k - 1 and one addition: no product, no inverse and
+no normalization.  Unrolled, C(2i, k) is the sum, over the i-subsets S of
+{2..k} with no two consecutive members, of prod_(s in S) [s-1]_u.
+
+A cell is made canonical only where the tower reads it: C(j, k), read
+backwards as a polynomial in L over L^(deg C), is normalized once with
+(L-1)^(-j/2).  Every cell of the row G(n, r) shares k, so the row is then
+scaled by P(k) once, and P(k) is built from the blocks L^i - 1, so that
+the closed form, built from divisor counts, shares no arithmetic with it.
+Only the r = -1 row of odd n starts elsewhere, at G(1, -1) = (L-1)^-1
+against A(0, 2) = (L+1)^-1 (r never decreases along the recurrence).  Both
+rows read the same quadric input A(n - 1, n), so the row's excess D over
+the table solves the homogeneous recurrence:
 
   D(1) = (L-1)^-1 - (L+1)^-1 = 2 / (L^2 - 1)
   D(n) = L^(1-n) * D(n-2) / (L^(n+1) - 1)
   D(2m - 1) = 2 * L^(-m(m-1)) / prod_(i<=m) (L^(2i) - 1)
 
-Each requested G(n, r) is assembled from the table, plus D on that row, so
-a coefficient is computed once however many cells share it.
+The tower memoizes C and the assembled rows, and nothing else.
 """
 
 from __future__ import annotations
@@ -49,6 +71,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import sub
 
 from . import intpoly
 from .lefschetz import (
@@ -62,6 +86,7 @@ from .lefschetz import (
     lc_inv,
     lc_mul,
     lc_neg,
+    lc_normalize,
     lc_sum,
     render_factors,
 )
@@ -200,22 +225,37 @@ def strat_equation(n: int, null_cone_term: MotiveExpr, quadric_term: MotiveExpr)
 # -- the recursion tower ----------------------------------------------
 
 
-def _step(k: int, null_cone: LefschetzClass, quadric: LefschetzClass) -> LefschetzClass:
-    """One recurrence step on scalar coefficients: the two-stratum equation
-    with rank k = n - r, null-cone input scaled by L^(2-k)."""
-    return strat_equation(
-        k, m_scalar(lc_mul(null_cone, l_power(2 - k))), m_scalar(quadric)
-    ).scalar
+def _window(p: tuple[int, ...], w: int) -> list[int]:
+    """p times [w]_u = 1 + u + ... + u^(w-1): a running sum of width w."""
+    # lists, not tuples: a tuple built from an iterator grows by resizing, is
+    # freed onto CPython's small-tuple free lists, and one per step grows them
+    # by about 3 MB over a 25-s perfbench tower-cold run
+    run = list(accumulate(p + (0,) * (w - 1), initial=0))
+    return list(map(sub, run[1:], [0] * (w - 1) + run[: len(p)]))
 
 
 @cache
-def _atom_coeff(j: int, k: int) -> LefschetzClass:
-    """A(j, k), the coefficient of BDelta_m in G(m + j, m + j - k)."""
-    if j < 0:
-        return LC_ZERO
-    if k <= 1:
-        return LC_ONE if j == 0 else LC_ZERO
-    return _step(k, _atom_coeff(j - 2, k - 2), _atom_coeff(j, k - 1))
+def _table(j: int, k: int) -> tuple[int, ...]:
+    """C(j, k) of the module docstring, its coefficients in u = L^-1 from u^0 up."""
+    if j < 0 or (j > 0 and k <= 1):
+        return intpoly.ZERO
+    if j == 0:
+        return intpoly.ONE
+    return intpoly.add(_table(j, k - 1), _window(_table(j - 2, k - 2), k - 1))
+
+
+def _cell(j: int, k: int) -> LefschetzClass:
+    """C(j, k) / (L-1)^(j/2) in canonical form, C read as a polynomial in L."""
+    c = _table(j, k)
+    return lc_normalize(c[::-1], 1 - len(c), ((1, -(j // 2)),))
+
+
+def _top_atom(k: int) -> LefschetzClass:
+    """P(k) = A(0, k) = prod_(i=2..k) (L-1) / (L^i - 1), from the blocks."""
+    out = LC_ONE
+    for i in range(2, k + 1):
+        out = lc_mul(out, lc_mul(l_pow_minus_one(1), lc_inv(l_pow_minus_one(i))))
+    return out
 
 
 def _odd_row_excess(m: int) -> LefschetzClass:
@@ -228,14 +268,17 @@ def _odd_row_excess(m: int) -> LefschetzClass:
 
 @cache
 def _tower(n: int, r: int) -> MotiveExpr:
-    """G(n, r), r >= -1, assembled from the table of the module docstring."""
+    """G(n, r), r >= -1, assembled from the table of the module docstring:
+    its cells for this k, each made canonical once, then scaled by P(k)."""
     if n < 0:
         return M_ONE
-    scalar = _atom_coeff(n - n % 2, n - r)
+    k = n - r
+    atoms = ((m, _cell(n - m, k)) for m in range(2 + n % 2, n + 1, 2))
+    row = MotiveExpr(_cell(n - n % 2, k), tuple((m, c) for m, c in atoms if c.core))
+    row = m_scale(row, _top_atom(k))
     if n % 2 and r == -1:
-        scalar = lc_add(scalar, _odd_row_excess((n + 1) // 2))
-    atoms = ((m, _atom_coeff(n - m, n - r)) for m in range(2 + n % 2, n + 1, 2))
-    return MotiveExpr(scalar, tuple((m, c) for m, c in atoms if c.core))
+        row = m_add(row, m_scalar(_odd_row_excess((n + 1) // 2)))
+    return row
 
 
 def bspin(n: int) -> MotiveExpr:
@@ -262,7 +305,7 @@ def clear_tower_cache() -> None:
     """Empty the assembled cells and the coefficient table, so the next
     tower request recomputes from the base cases."""
     _tower.cache_clear()
-    _atom_coeff.cache_clear()
+    _table.cache_clear()
 
 
 def _lead_closed_form(n: int) -> LefschetzClass:

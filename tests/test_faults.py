@@ -14,7 +14,7 @@ import pytest
 from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import LC_ZERO, l_power, lc_mul, lc_neg, lc_normalize
+from grstacks.lefschetz import LC_ZERO, l_power, lc_mul, lc_neg
 from grstacks.motive import Inconsistent
 from grstacks.suites import (
     suite_clifford,
@@ -335,22 +335,20 @@ def test_wrong_sl3_class_fails_both_routes_to_bspin7(monkeypatch):
 # -- the tower ----------------------------------------------------------
 
 
-def test_wrong_quadric_scale_fails_the_tower_suite_without_raising(monkeypatch):
-    # (L^2 - 1) in place of (L - 1) on the quadric stratum: the closed form of
-    # the top atom and the solve both find the tower inconsistent
-    equation = motive.strat_equation
-
-    def wrong(n, null_cone_term, quadric_term):
-        return equation(n, null_cone_term, motive.m_scale(quadric_term, lc_normalize((1, 1))))
-
-    monkeypatch.setattr(motive, "strat_equation", wrong)
+def test_a_wider_table_window_fails_the_tower_suite_without_raising(monkeypatch):
+    # [k]_u in place of [k - 1]_u in the step of the table C: every row below
+    # the top atom is wrong, so the solve and each substitution fail; the top
+    # atoms read C(0, k) = 1, which no window touches, so every lead check
+    # stays green
+    window = motive._window
+    monkeypatch.setattr(motive, "_window", lambda p, w: window(p, w + 1))
     motive.clear_tower_cache()
     try:
         rep = suite_tower()
     finally:
         motive.clear_tower_cache()
     failing = {c.id for c in rep.failures}
-    assert {f"lead.{n:02d}" for n in range(3, 31)} | {"solve.allones"} <= failing
+    assert failing == {"solve.allones"} | {f"subst.{n}" for n in range(3, 9)}
 
 
 def test_a_wrong_odd_spin_base_fails_the_tower_suite_without_raising(monkeypatch):

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -317,11 +318,64 @@ def _oracle_tower(n, r):
     return _oracle_step(n - r, _oracle_tower(n - 2, r), _oracle_tower(n, r + 1))
 
 
-def test_tables_match_the_per_cell_recursion():
+def _first_row_off_the_per_cell_recursion():
+    """The first (n, r) whose cold tower row differs from the per-cell
+    recursion: every cell with n <= 26, then every row of bspin(2..40) and
+    bpin(0..29); None if there is none."""
     clear_tower_cache()
-    for n in range(-1, 27):
-        for r in range(-1, n + 3):
-            assert motive._tower(n, r) == _oracle_tower(n, r), (n, r)
+    rows = [(n, r) for n in range(-1, 27) for r in range(-1, n + 3)]
+    rows += [(n - 1, -1) for n in range(2, 41)] + [(n, 0) for n in range(30)]
+    return next((row for row in rows if motive._tower(*row) != _oracle_tower(*row)), None)
+
+
+def test_tables_match_the_per_cell_recursion():
+    assert _first_row_off_the_per_cell_recursion() is None
+
+
+def _no_consecutive_subset_sum(i, k):
+    """C(2i, k) unrolled, with no code of the tower's: the sum, over the
+    i-subsets S of {2..k} with no two consecutive members, of the schoolbook
+    product of [s - 1]_u = 1 + u + ... + u^(s-2) over s in S."""
+    total = []
+    for subset in itertools.combinations(range(2, k + 1), i):
+        if any(b == a + 1 for a, b in zip(subset, subset[1:])):
+            continue
+        term = [1]
+        for s in subset:
+            out = [0] * (len(term) + s - 2)
+            for e, c in enumerate(term):
+                for t in range(s - 1):
+                    out[e + t] += c
+            term = out
+        total = [x + y for x, y in itertools.zip_longest(total, term, fillvalue=0)]
+    return tuple(total)
+
+
+def _first_cell_off_the_subset_sums():
+    """The first (j, k), k <= 14, where the cold table C differs from its
+    unrolled sum; None if there is none."""
+    clear_tower_cache()
+    cells = ((i, k) for k in range(-1, 15) for i in range(8))
+    bad = ((2 * i, k) for i, k in cells if motive._table(2 * i, k) != _no_consecutive_subset_sum(i, k))
+    return next(bad, None)
+
+
+def test_the_table_is_its_no_consecutive_subset_sum():
+    assert _first_cell_off_the_subset_sums() is None
+    # a sum of products of [s - 1]_u, so no coefficient of C is negative
+    assert all(c >= 0 for j in range(0, 41, 2) for k in range(41) for c in motive._table(j, k))
+
+
+def test_a_wider_window_fails_both_table_oracles(monkeypatch):
+    # [k]_u in place of [k - 1]_u in the step of C
+    window = motive._window
+    monkeypatch.setattr(motive, "_window", lambda p, w: window(p, w + 1))
+    try:
+        assert _first_cell_off_the_subset_sums() is not None
+        assert _first_row_off_the_per_cell_recursion() is not None
+    finally:
+        monkeypatch.undo()
+        clear_tower_cache()
 
 
 def test_atom_coefficients_depend_only_on_the_offsets():
@@ -362,7 +416,7 @@ def test_the_odd_spin_row_excess_solves_the_homogeneous_recurrence():
 
 def test_clear_tower_cache_empties_every_table():
     # a table left full would serve the next tower warm
-    tables = (motive._tower, motive._atom_coeff)
+    tables = (motive._tower, motive._table)
     bspin(12)
     clear_tower_cache()
     assert [t.cache_info().currsize for t in tables] == [0, 0]

@@ -63,8 +63,8 @@ def test_ledgers_import_only_the_evaluator_and_the_report():
     assert found <= LEDGER_IMPORTS
 
 
-# the tower's coefficient table; only the tower reads it
-TOWER_TABLES = {"_atom_coeff"}
+# the tower's division-free table C; only the tower reads it
+TOWER_TABLES = {"_table"}
 
 
 def test_only_the_tower_reads_its_tables():
@@ -80,8 +80,8 @@ def test_only_the_tower_reads_its_tables():
     assert found == []
 
 
-# the tower's memos: the coefficient table and the assembled cells
-TOWER_MEMOS = {"_tower", "_atom_coeff"}
+# the tower's memos: the table C and the assembled cells
+TOWER_MEMOS = {"_tower", "_table"}
 MEMO_DECORATORS = {"cache", "lru_cache"}
 
 
