@@ -28,6 +28,9 @@ of degree m then totient(d) <= m, and every prime p dividing such a d
 satisfies p - 1 <= totient(d) <= m, so a DFS over prime factorizations with
 totient budget m finds all of them.  The DFS runs once per power-of-two
 budget, and phi_bounded(m) filters the walk for the least one >= m.
+phi_bounded_at(m, t) is the matching table of values Phi_d(t), aligned with
+phi_bounded(m), so a candidate scan at the point t reads each value from
+one tuple instead of making one cyclotomic_at call per candidate.
 """
 
 from __future__ import annotations
@@ -323,6 +326,14 @@ def cyclotomic_at(d: int, t: int) -> int:
     if rem:
         raise NotDivisible(f"Moebius product for Phi_{d}({t}) is not exact")
     return val
+
+
+@cache
+def phi_bounded_at(m: int, t: int) -> tuple[int, ...]:
+    """Phi_d(t) for every d of phi_bounded(m), in its order (each >= 1 for
+    t >= 2).  Values only, not (d, value) pairs: the table lives beside
+    phi_bounded(m), and a pair per candidate would cost about 56 bytes more."""
+    return tuple(cyclotomic_at(d, t) for d in phi_bounded(m))
 
 
 def digit_limit() -> int:

@@ -44,7 +44,11 @@ size is bounded.
 Normalization trial-divides by the complete candidate set of Phi_d.  A
 candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
 then the exact residue test intpoly.cyclotomic_divides before any division
-of the full core, so every such division succeeds.
+of the full core, so every such division succeeds.  The values Phi_d(t)
+are read from one memoized table per degree, intpoly.phi_bounded_at,
+aligned with the candidates; t >= 2, so every value is at least 1.  After
+each division the point core(t) is divided by Phi_d(t), exactly, since
+core(t) = Phi_d(t) * quotient(t), rather than evaluated again.
 """
 
 from __future__ import annotations
@@ -148,7 +152,11 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     Phi_d whose totient is at most deg(core) -- the complete candidate set,
     see intpoly.phi_bounded.  An integer-point divisibility prefilter skips
     most failing candidates; the exact residue test settles the rest, and
-    ends each multiplicity loop, without dividing the full core.
+    ends each multiplicity loop, without dividing the full core.  The
+    prefilter reads Phi_d(t) from the degree's value table
+    intpoly.phi_bounded_at(deg, t), walked alongside the candidates, at the
+    least t >= 2 with core(t) != 0; each division by Phi_d divides the point
+    by Phi_d(t), exactly, so the core is evaluated only to find t.
     """
     core = intpoly.normalize(core)
     exps: dict[int, int] = dict(cyc_exps) if cyc_exps else {}
@@ -163,23 +171,20 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
         while point == 0:
             t += 1
             point = intpoly.eval_at(core, t)
-        for d in intpoly.phi_bounded(deg):
-            phi_t = intpoly.cyclotomic_at(d, t)
-            if phi_t != 0 and point % phi_t:
+        for d, phi_t in zip(intpoly.phi_bounded(deg), intpoly.phi_bounded_at(deg, t)):
+            if point % phi_t:
                 continue
-            hit = False
             while intpoly.cyclotomic_divides(core, d):
                 core = intpoly.monic_div(core, intpoly.cyclotomic(d))
                 if core is None:
                     raise intpoly.NotDivisible(f"Phi_{d} passed the residue test but left a remainder")
                 exps[d] = exps.get(d, 0) + 1
-                hit = True
+                # core(t) was Phi_d(t) * quotient(t), so this division is exact
+                point //= phi_t
                 if len(core) == 1:
                     break
             if len(core) == 1:
                 break
-            if hit:
-                point = intpoly.eval_at(core, t)
         # exact division by monic factors keeps the leading coefficient
         if core[-1] != lead:
             raise intpoly.NotDivisible(f"leading coefficient moved from {lead} to {core[-1]}")

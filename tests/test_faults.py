@@ -14,7 +14,7 @@ import pytest
 from grstacks import blades, clifford, dsl, finite, gaussian, intpoly, motive, suites
 from grstacks.clifford import verify_clifford_relations
 from grstacks.delta import DeltaGroup, verify_delta_structure
-from grstacks.lefschetz import LC_ZERO, l_power, lc_mul, lc_neg
+from grstacks.lefschetz import LC_ZERO, NotAUnit, l_power, lc_int, lc_mul, lc_neg
 from grstacks.motive import Inconsistent
 from grstacks.suites import (
     suite_clifford,
@@ -379,6 +379,21 @@ def test_a_wrong_block_in_the_recursion_fails_the_top_atom_check(monkeypatch):
         motive.leading_delta_coeff(3)
         for n in range(4, 9):
             with pytest.raises(Inconsistent):
+                motive.leading_delta_coeff(n)
+    finally:
+        motive.clear_tower_cache()
+
+
+def test_a_block_that_is_not_a_unit_fails_the_top_atom_check(monkeypatch):
+    # 2 * (L^4 - 1) in place of (L^4 - 1): the one-pass unit products read
+    # whole classes, cores included, so the stray 2 raises or mismatches
+    block = motive.l_pow_minus_one
+    monkeypatch.setattr(motive, "l_pow_minus_one", lambda n: lc_mul(block(n), lc_int(2 if n == 4 else 1)))
+    motive.clear_tower_cache()
+    try:
+        motive.leading_delta_coeff(3)
+        for n in range(4, 9):
+            with pytest.raises((NotAUnit, Inconsistent)):
                 motive.leading_delta_coeff(n)
     finally:
         motive.clear_tower_cache()

@@ -648,6 +648,35 @@ def test_normalize_divides_the_core_only_when_it_succeeds(monkeypatch):
     assert results and None not in results
 
 
+def test_phi_bounded_at_holds_the_candidates_values():
+    # aligned with phi_bounded(m), and at least 1 at t >= 2, so the scan
+    # divides by every value without a guard
+    for t in (2, 3, 5):
+        for m in range(301):
+            values = intpoly.phi_bounded_at(m, t)
+            assert values == tuple(intpoly.cyclotomic_at(d, t) for d in intpoly.phi_bounded(m)), (m, t)
+            assert all(v >= 1 for v in values), (m, t)
+        # and against Horner on the built Phi_d, which shares no arithmetic
+        # with the Moebius product
+        want = tuple(intpoly.eval_at(intpoly.cyclotomic(d), t) for d in intpoly.phi_bounded(300))
+        assert intpoly.phi_bounded_at(300, t) == want
+
+
+def test_a_root_at_two_moves_the_point_and_keeps_a_repeated_factor(monkeypatch):
+    # L - 2 vanishes at 2, so the scan reads its values at t = 3; Phi_3
+    # divides twice, and each time the point is divided by Phi_3(3) = 13
+    points = []
+    table = intpoly.phi_bounded_at
+    monkeypatch.setattr(intpoly, "phi_bounded_at", lambda m, t: points.append(t) or table(m, t))
+    phi = intpoly.cyclotomic
+    p = intpoly.mul((-2, 1), phi(3), phi(3), phi(12))
+    got = lc_normalize(p)
+    assert points == [3]
+    assert got == LefschetzClass((-2, 1), 0, ((3, 2), (12, 1)))
+    assert _cross_multiply_eq(got, LefschetzClass(p, 0, ()))
+    assert not _cross_multiply_eq(got, LefschetzClass(intpoly.add(p, intpoly.ONE), 0, ()))
+
+
 @hypothesis.given(
     strat.lists(strat.integers(-6, 6), min_size=1, max_size=6),
     strat.dictionaries(strat.integers(1, 30), strat.integers(1, 3), max_size=4),

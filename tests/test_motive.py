@@ -414,6 +414,28 @@ def test_the_odd_spin_row_excess_solves_the_homogeneous_recurrence():
         assert motive._odd_row_excess((n + 1) // 2) == d, n
 
 
+def _top_atom_by_products(k):
+    # the chain of products P(k) was built by before the one-pass sum
+    out = LC_ONE
+    for i in range(2, k + 1):
+        out = lc_mul(out, lc_mul(l_pow_minus_one(1), lc_inv(l_pow_minus_one(i))))
+    return out
+
+
+def _odd_row_excess_by_products(m):
+    out = lc_mul(lc_normalize((2,)), l_power(-m * (m - 1)))
+    for i in range(1, m + 1):
+        out = lc_mul(out, lc_inv(l_pow_minus_one(2 * i)))
+    return out
+
+
+def test_the_one_pass_unit_products_match_the_product_chains():
+    for k in range(61):
+        assert motive._top_atom(k) == _top_atom_by_products(k), k
+    for m in range(1, 31):
+        assert motive._odd_row_excess(m) == _odd_row_excess_by_products(m), m
+
+
 def test_clear_tower_cache_empties_every_table():
     # a table left full would serve the next tower warm
     tables = (motive._tower, motive._table)

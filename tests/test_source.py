@@ -110,6 +110,25 @@ def test_the_tower_memoizes_only_its_table_and_its_cells():
     assert sorted(memoized) == sorted(TOWER_MEMOS) and calls == []
 
 
+# what lc_normalize's candidate loop must not call: it reads Phi_d(t) from
+# intpoly.phi_bounded_at and divides the point, never evaluating either anew
+SCAN_CALLS = {"cyclotomic_at", "eval_at"}
+
+
+def test_the_phi_scan_reads_its_values_from_the_table():
+    path = pathlib.Path(grstacks.__file__).parent / "lefschetz.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    normalize = next(n for n in tree.body if getattr(n, "name", None) == "lc_normalize")
+    loops = [n for n in ast.walk(normalize) if isinstance(n, ast.For) and "phi_bounded" in ast.unparse(n.iter)]
+    assert len(loops) == 1
+    found = [
+        f"lefschetz.py:{node.lineno}"
+        for node in ast.walk(loops[0])
+        if isinstance(node, ast.Call) and _callee_name(node) in SCAN_CALLS
+    ]
+    assert found == []
+
+
 # the modules whose looped checks record a failing case only through CheckReport
 RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
 
