@@ -94,8 +94,9 @@ WORK_BUDGET = 20_000_000
 def _tower_units(n: int) -> int:
     # T(n) for the cells G(n, r), fitted to the tower when it held the divided
     # table A (cold build about n^5, BSpin(72) in 2.5-3.7 s).  The division-free
-    # table builds BSpin(72) in 0.5-0.7 s and grows about as n^4.3, so T
-    # overcharges it; it stays so that no verdict moves.  2n^3 covers small n
+    # table builds BSpin(72) in 0.27-0.31 s in process (0.43-0.45 s through the
+    # CLI) and grows about as n^4.3, so T overcharges it; it stays so that no
+    # verdict moves.  2n^3 covers small n
     return max(n, 0) ** 6 // 7000 + 2 * max(n, 0) ** 3
 
 

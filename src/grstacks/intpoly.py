@@ -19,9 +19,15 @@ length.
 
 cyclotomic(d) is the Moebius product  prod_{s | d squarefree}
 (x^{d/s} - 1)^{mu(s)}:  multiplying by x^k - 1 is a shift and subtract,
-dividing exactly by it is a running sum with stride k.  cyclotomic_divides
-decides Phi_d | p without dividing p: Phi_d divides x^d - 1, so it divides
-p iff it divides p mod (x^d - 1), whose degree is below d.  phi_bounded(m)
+dividing exactly by it is a running sum with stride k.  cyclotomic_quotient
+is the one exact division by Phi_d: a core longer than SHORT_CORE is
+multiplied by the mu = -1 binomials of Phi_d and divided exactly by the
+mu = +1 ones (a remainder raises NotDivisible), linear passes in place of a
+long division whose cost is the core's length times the terms of Phi_d; a
+shorter core takes one long division (monic_div), which is cheaper there.
+cyclotomic_divides decides Phi_d | p without dividing p: Phi_d divides
+x^d - 1, so it divides p iff it divides p mod (x^d - 1), whose degree is
+below d, and Phi_1 divides p iff p(1) = 0.  phi_bounded(m)
 enumerates every d with totient(d) <= m.  The latter is the complete
 candidate set for cyclotomic trial division: if Phi_d divides a polynomial
 of degree m then totient(d) <= m, and every prime p dividing such a d
@@ -144,13 +150,64 @@ def cyclotomic_divides(p: tuple[int, ...], d: int) -> bool:
     """Whether Phi_d divides p, by dividing only p mod (x^d - 1).
 
     Phi_d divides x^d - 1, so it divides p iff it divides the residue; the
-    residue takes d slice sums and has degree below d.
+    residue takes at most d slice sums and has degree below d.  Phi_1 = x - 1
+    divides p iff p(1) = 0.
     """
-    r = normalize(sum(p[i::d]) for i in range(d))
+    if d == 1:
+        return not sum(p)
+    r = [sum(p[i::d]) for i in range(min(d, len(p)))]
+    while r and not r[-1]:
+        r.pop()
     phi = cyclotomic(d)
     if len(r) < len(phi):
         return not r
     return not any(_long_division(r, phi)[1])
+
+
+# A core of at most this many coefficients is divided by Phi_d in one long
+# division, a longer one through Phi_d's Moebius binomials, whose 2^omega(d)
+# list passes cost more than one long division on short cores.  Timed on the
+# divisions that recorded tower-cold and eval-roundtrip normalizations make
+# (Python 3.11, 2-vCPU x86 host): long division 2.2 us against 3.2 us on 4-7
+# coefficients, where most of the DSL's divisions fall; the two meet at 12-19;
+# 62 us against 23 us at 128 and more, where most of the tower's fall.
+SHORT_CORE = 16
+
+
+@cache
+def _binomial_split(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The k of Phi_d's Moebius binomials x^k - 1: those with mu = -1, then
+    those with mu = +1, largest first, so each division shortens the most."""
+    if d < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
+    ks = _moebius_binomials(d)
+    return (
+        tuple(sorted((k for k, mu in ks if mu < 0), reverse=True)),
+        tuple(sorted((k for k, mu in ks if mu > 0), reverse=True)),
+    )
+
+
+def cyclotomic_quotient(p: tuple[int, ...], d: int) -> tuple[int, ...]:
+    """p / Phi_d, exact; NotDivisible if Phi_d does not divide p.
+
+    A short core (at most SHORT_CORE coefficients) takes one long division.
+    A longer one is multiplied by the mu = -1 binomials of Phi_d and divided
+    exactly by the mu = +1 ones: p / Phi_d times those binomials is a
+    polynomial whenever Phi_d divides p, and otherwise some division leaves
+    a remainder.
+    """
+    if len(p) <= SHORT_CORE:
+        q = monic_div(p, cyclotomic(d))
+        if q is None:
+            raise NotDivisible(f"Phi_{d} leaves a remainder")
+        return q
+    times, over = _binomial_split(d)
+    q = list(p)
+    for k in times:
+        q = _mul_binomial(q, k)
+    for k in over:
+        q = _div_binomial(q, k)
+    return tuple(q)
 
 
 def eval_at(p: tuple[int, ...], x):

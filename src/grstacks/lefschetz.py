@@ -46,9 +46,14 @@ candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
 then the exact residue test intpoly.cyclotomic_divides before any division
 of the full core, so every such division succeeds.  The values Phi_d(t)
 are read from one memoized table per degree, intpoly.phi_bounded_at,
-aligned with the candidates; t >= 2, so every value is at least 1.  After
-each division the point core(t) is divided by Phi_d(t), exactly, since
-core(t) = Phi_d(t) * quotient(t), rather than evaluated again.
+aligned with the candidates; t >= 2, so every value is at least 1.  Each
+division is one intpoly.cyclotomic_quotient call: a long core through the
+Moebius binomials x^k - 1 of Phi_d, a core of at most intpoly.SHORT_CORE
+coefficients by one long division.  After each division the point core(t)
+is divided by Phi_d(t), exactly, since core(t) = Phi_d(t) * quotient(t),
+rather than evaluated again; when Phi_d(t) no longer divides it, Phi_d
+cannot divide the core, and the multiplicity loop ends without a residue
+test.
 """
 
 from __future__ import annotations
@@ -151,12 +156,15 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     Strips the L-valuation of core into l_exp, then trial-divides by every
     Phi_d whose totient is at most deg(core) -- the complete candidate set,
     see intpoly.phi_bounded.  An integer-point divisibility prefilter skips
-    most failing candidates; the exact residue test settles the rest, and
-    ends each multiplicity loop, without dividing the full core.  The
-    prefilter reads Phi_d(t) from the degree's value table
-    intpoly.phi_bounded_at(deg, t), walked alongside the candidates, at the
-    least t >= 2 with core(t) != 0; each division by Phi_d divides the point
-    by Phi_d(t), exactly, so the core is evaluated only to find t.
+    most failing candidates; the exact residue test settles the rest without
+    dividing the full core.  The prefilter reads Phi_d(t) from the degree's
+    value table intpoly.phi_bounded_at(deg, t), walked alongside the
+    candidates, at the least t >= 2 with core(t) != 0.  Every division is
+    intpoly.cyclotomic_quotient (Moebius binomials on a long core, one long
+    division on a short one) and divides the point by Phi_d(t), exactly, so
+    the core is evaluated only to find t.  A multiplicity loop ends when the
+    core is a constant or Phi_d(t) no longer divides the point: Phi_d(t)
+    not dividing core(t) rules out Phi_d dividing the core.
     """
     core = intpoly.normalize(core)
     exps: dict[int, int] = dict(cyc_exps) if cyc_exps else {}
@@ -175,13 +183,12 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
             if point % phi_t:
                 continue
             while intpoly.cyclotomic_divides(core, d):
-                core = intpoly.monic_div(core, intpoly.cyclotomic(d))
-                if core is None:
-                    raise intpoly.NotDivisible(f"Phi_{d} passed the residue test but left a remainder")
+                core = intpoly.cyclotomic_quotient(core, d)
                 exps[d] = exps.get(d, 0) + 1
-                # core(t) was Phi_d(t) * quotient(t), so this division is exact
+                # core(t) was Phi_d(t) * quotient(t), so this division is
+                # exact, and Phi_d(t) not dividing the new point rules Phi_d out
                 point //= phi_t
-                if len(core) == 1:
+                if len(core) == 1 or point % phi_t:
                     break
             if len(core) == 1:
                 break

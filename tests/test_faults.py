@@ -399,6 +399,29 @@ def test_a_block_that_is_not_a_unit_fails_the_top_atom_check(monkeypatch):
         motive.clear_tower_cache()
 
 
+def test_a_dropped_binomial_fails_the_long_core_suites_without_raising(monkeypatch):
+    # Phi_d's largest mu = -1 binomial left out of the memoized split: a long
+    # core's quotient by Phi_d then leaves a remainder, which the suites
+    # record as a failure.  The tower reads cores of up to 211 coefficients
+    # from lead.09 on, the ring suite the binomials L^n - 1 up to n = 64; the
+    # spin78 ledger divides no core longer than 9 coefficients, each by one
+    # long division, so it stays green
+    split = intpoly._binomial_split
+    monkeypatch.setattr(intpoly, "_binomial_split", lambda d: (split(d)[0][1:], split(d)[1]))
+    motive.clear_tower_cache()
+    try:
+        reports = {s.__name__: s() for s in (suite_tower, suite_spin78, suite_ring)}
+    finally:
+        motive.clear_tower_cache()
+    failing = {name: {c.id for c in rep.failures} for name, rep in reports.items()}
+    assert failing == {
+        "suite_tower": {f"lead.{n:02d}" for n in range(9, 31)} | {"solve.allones", "subst.8"},
+        "suite_spin78": set(),
+        "suite_ring": {"phi.product.class"},
+    }
+    assert all(c.rhs.startswith("error = NotDivisible: ") for c in reports["suite_tower"].failures)
+
+
 # -- the finite layer ---------------------------------------------------
 
 

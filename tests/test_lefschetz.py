@@ -677,6 +677,89 @@ def test_a_root_at_two_moves_the_point_and_keeps_a_repeated_factor(monkeypatch):
     assert not _cross_multiply_eq(got, LefschetzClass(intpoly.add(p, intpoly.ONE), 0, ()))
 
 
+def test_a_multiplicity_loop_ends_on_the_point(monkeypatch):
+    # after each division the point core(t) is divided by Phi_d(t); once
+    # Phi_d(t) no longer divides it, Phi_d cannot divide the core, so no
+    # residue test runs to find that out
+    events = []
+    divides, quotient = intpoly.cyclotomic_divides, intpoly.cyclotomic_quotient
+
+    def spy_divides(p, d):
+        events.append(("test", d, divides(p, d)))
+        return events[-1][2]
+
+    def spy_quotient(p, d):
+        events.append(("div", d, len(p)))
+        return quotient(p, d)
+
+    monkeypatch.setattr(intpoly, "cyclotomic_divides", spy_divides)
+    monkeypatch.setattr(intpoly, "cyclotomic_quotient", spy_quotient)
+    phi = intpoly.cyclotomic
+    got = lc_normalize(intpoly.mul((-2, 1), phi(3), phi(3), phi(12), phi(5)))
+    assert got == LefschetzClass((-2, 1), 0, ((3, 2), (5, 1), (12, 1)))
+    assert [e[1] for e in events if e[0] == "div"] == [3, 3, 5, 12]
+    after_division = [
+        d for (kind, d, _), (next_kind, next_d, ok) in zip(events, events[1:])
+        if kind == "div" and next_kind == "test" and next_d == d and not ok
+    ]
+    assert after_division == []
+
+
+# squarefull indices and indices with many prime factors, past which the
+# binomial path's passes and the long division's terms differ most
+BINOMIAL_INDICES = (8, 9, 27, 64, 128, 243, 256, 400, 30, 210, 330, 390)
+
+
+@hypothesis.given(
+    strat.lists(strat.integers(-9, 9), min_size=1, max_size=40),
+    strat.one_of(strat.integers(1, 12), strat.sampled_from(BINOMIAL_INDICES), strat.integers(1, 400)),
+)
+@hypothesis.example(p=[3, -1, 2], d=3)  # a product of 5 coefficients: one long division
+@hypothesis.example(p=[1] * 20, d=400)  # 180 coefficients: the Moebius binomials
+@hypothesis.settings(max_examples=150, deadline=None)
+def test_cyclotomic_quotient_divides_out_one_phi(p, d):
+    # on either side of the short-core bound, p * Phi_d / Phi_d is p again,
+    # and equal to monic_div's quotient
+    p = intpoly.normalize(p)
+    hypothesis.assume(p)
+    f = intpoly.mul(p, intpoly.cyclotomic(d))
+    assert intpoly.cyclotomic_quotient(f, d) == p
+    assert intpoly.monic_div(f, intpoly.cyclotomic(d)) == p
+    with pytest.raises(intpoly.NotDivisible):
+        intpoly.cyclotomic_quotient(intpoly.add(f, intpoly.ONE), d)
+
+
+def test_cyclotomic_quotient_refuses_non_multiples():
+    # short and long, and shorter than Phi_d itself
+    for d in (1, 2, 6, 30, 64, 210, 400):
+        for p in ((2, 1), (1,) * 17, (1,) * 50, tuple(range(1, 300))):
+            if intpoly.monic_div(p, intpoly.cyclotomic(d)) is None:
+                with pytest.raises(intpoly.NotDivisible):
+                    intpoly.cyclotomic_quotient(p, d)
+    # and a bad index is refused on both paths
+    for p in ((1,) * 5, (1,) * 50):
+        with pytest.raises(ValueError):
+            intpoly.cyclotomic_quotient(p, 0)
+
+
+@hypothesis.given(strat.lists(strat.integers(-3, 3), max_size=30))
+def test_phi_one_divides_exactly_the_polynomials_vanishing_at_one(p):
+    assert intpoly.cyclotomic_divides(intpoly.normalize(p), 1) == (sum(p) == 0)
+
+
+def test_only_short_cores_take_the_long_division(monkeypatch):
+    calls = []
+    real = intpoly.monic_div
+    monkeypatch.setattr(intpoly, "monic_div", lambda p, d: calls.append(len(p)) or real(p, d))
+    phi = intpoly.cyclotomic(30)
+    short = intpoly.mul((1, 2), phi)
+    long = intpoly.mul((1,) * 20, phi)
+    assert len(short) <= intpoly.SHORT_CORE < len(long)
+    assert intpoly.cyclotomic_quotient(short, 30) == (1, 2)
+    assert intpoly.cyclotomic_quotient(long, 30) == (1,) * 20
+    assert calls == [len(short)]
+
+
 @hypothesis.given(
     strat.lists(strat.integers(-6, 6), min_size=1, max_size=6),
     strat.dictionaries(strat.integers(1, 30), strat.integers(1, 3), max_size=4),

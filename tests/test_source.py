@@ -129,6 +129,33 @@ def test_the_phi_scan_reads_its_values_from_the_table():
     assert found == []
 
 
+# the polynomial divisions of the package: cyclotomic_quotient is the one
+# exact division by Phi_d, and it alone calls monic_div
+DIVISIONS = {"cyclotomic_quotient", "monic_div", "_long_division", "_div_binomial"}
+
+
+def _calls_by_function(tree: ast.Module):
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    yield func.name, _callee_name(node), node.lineno
+
+
+def test_one_division_site_for_phi_d():
+    package = pathlib.Path(grstacks.__file__).parent
+    tree = ast.parse((package / "lefschetz.py").read_text(encoding="utf-8"))
+    divisions = {name for func, name, _ in _calls_by_function(tree) if func == "lc_normalize" and name in DIVISIONS}
+    assert divisions == {"cyclotomic_quotient"}
+    callers = [
+        f"{path.name}:{line} {func}"
+        for path in sorted(package.glob("*.py"))
+        for func, name, line in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "monic_div"
+    ]
+    assert [c.split()[1] for c in callers] == ["cyclotomic_quotient"], callers
+
+
 # the modules whose looped checks record a failing case only through CheckReport
 RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
 
