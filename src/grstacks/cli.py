@@ -163,7 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("eval", help="evaluate an expression")
-    p.add_argument("expr")
+    p.add_argument(
+        "expr",
+        help="the expression; one that starts with '-' goes after '--', with options before it",
+    )
     p.add_argument(
         "--deltas-one",
         action="store_true",

@@ -125,7 +125,8 @@ class GaussianRational:
         return self.x == p[0] and self.y == p[1] and self.d == p[2]
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals the Fraction (or int) x/d, so it hashes as one
+        return hash((self.x, self.y, self.d)) if self.y else hash(Fraction(self.x, self.d))
 
     def __bool__(self) -> bool:
         return bool(self.x or self.y)

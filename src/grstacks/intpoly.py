@@ -19,12 +19,17 @@ length.
 
 cyclotomic(d) is the Moebius product  prod_{s | d squarefree}
 (x^{d/s} - 1)^{mu(s)}:  multiplying by x^k - 1 is a shift and subtract,
-dividing exactly by it is a running sum with stride k.  cyclotomic_quotient
-is the one exact division by Phi_d: a core longer than SHORT_CORE is
-multiplied by the mu = -1 binomials of Phi_d and divided exactly by the
-mu = +1 ones (a remainder raises NotDivisible), linear passes in place of a
-long division whose cost is the core's length times the terms of Phi_d; a
-shorter core takes one long division (monic_div), which is cheaper there.
+dividing exactly by it is a running sum with stride k.  Its binomials come
+from one memoized walk, _moebius_binomials(d), ordered so that every running
+product is a polynomial; it alone refuses d < 1, and every Phi_d operation
+reads it: cyclotomic walks it forward on polynomials, cyclotomic_at forward
+at an integer (one exact division per mu = -1 step), totient sums it, and
+cyclotomic_quotient, the one exact division by Phi_d, walks it backwards on
+a core longer than SHORT_CORE, dividing by each mu = +1 binomial and
+multiplying by each mu = -1 one (a remainder raises NotDivisible): linear
+passes in place of a long division whose cost is the core's length times
+the terms of Phi_d.  A shorter core takes one long division (monic_div),
+which is cheaper there.
 cyclotomic_divides decides Phi_d | p without dividing p: Phi_d divides
 x^d - 1, so it divides p iff it divides p mod (x^d - 1), whose degree is
 below d, and Phi_1 divides p iff p(1) = 0.  phi_bounded(m)
@@ -174,39 +179,24 @@ def cyclotomic_divides(p: tuple[int, ...], d: int) -> bool:
 SHORT_CORE = 16
 
 
-@cache
-def _binomial_split(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The k of Phi_d's Moebius binomials x^k - 1: those with mu = -1, then
-    those with mu = +1, largest first, so each division shortens the most."""
-    if d < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
-    ks = _moebius_binomials(d)
-    return (
-        tuple(sorted((k for k, mu in ks if mu < 0), reverse=True)),
-        tuple(sorted((k for k, mu in ks if mu > 0), reverse=True)),
-    )
-
-
 def cyclotomic_quotient(p: tuple[int, ...], d: int) -> tuple[int, ...]:
     """p / Phi_d, exact; NotDivisible if Phi_d does not divide p.
 
     A short core (at most SHORT_CORE coefficients) takes one long division.
-    A longer one is multiplied by the mu = -1 binomials of Phi_d and divided
-    exactly by the mu = +1 ones: p / Phi_d times those binomials is a
-    polynomial whenever Phi_d divides p, and otherwise some division leaves
-    a remainder.
+    A longer one runs the walk that builds Phi_d backwards, dividing by each
+    mu = +1 binomial and multiplying by each mu = -1 one: after undoing the
+    steps past the j-th, the value is p / Phi_d times the j-th running
+    product, a polynomial whenever Phi_d divides p, so every division is
+    exact; otherwise some division leaves a remainder.
     """
     if len(p) <= SHORT_CORE:
         q = monic_div(p, cyclotomic(d))
         if q is None:
             raise NotDivisible(f"Phi_{d} leaves a remainder")
         return q
-    times, over = _binomial_split(d)
     q = list(p)
-    for k in times:
-        q = _mul_binomial(q, k)
-    for k in over:
-        q = _div_binomial(q, k)
+    for k, mu in reversed(_moebius_binomials(d)):
+        q = _div_binomial(q, k) if mu > 0 else _mul_binomial(q, k)
     return tuple(q)
 
 
@@ -275,33 +265,33 @@ def divisors(d: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _moebius_binomials(d: int) -> list[tuple[int, int]]:
+@cache
+def _moebius_binomials(d: int) -> tuple[tuple[int, int], ...]:
     """(d/s, mu(s)) over squarefree s | d, in an order whose running
-    product stays a polynomial.
+    product stays a polynomial: the one walk every Phi_d operation reads.
 
     s runs over the divisors of p_1 ... p_j one prime at a time, and after
     the j-th prime the running product is Phi_{p_1...p_j}(x^(d/(p_1...p_j))).
     Within one prime's batch the mu(s) = +1 factors come first, so each
     mu(s) = -1 factor after them divides exactly.
     """
+    if d < 1:
+        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
     out = [(d, 1)]
     for p in dict.fromkeys(_prime_factors(d)):
         out += sorted(((k // p, -mu) for k, mu in out), key=lambda e: -e[1])
-    return out
+    return tuple(out)
 
 
 @cache
 def cyclotomic(d: int) -> tuple[int, ...]:
     """The d-th cyclotomic polynomial, as an integer tuple."""
-    if d < 1:
-        raise ValueError(f"cyclotomic index must be >= 1, got {d}")
     p = [1]
     for k, mu in _moebius_binomials(d):
         p = _mul_binomial(p, k) if mu > 0 else _div_binomial(p, k)
     return tuple(p)
 
 
-@cache
 def totient(d: int) -> int:
     """deg Phi_d, from the same Moebius binomials that build Phi_d."""
     return sum(mu * k for k, mu in _moebius_binomials(d))
@@ -369,19 +359,19 @@ def phi_bounded(m: int) -> tuple[int, ...]:
 
 @cache
 def cyclotomic_at(d: int, t: int) -> int:
-    """Phi_d(t) for an integer t, via the Moebius product over divisors.
+    """Phi_d(t) for an integer t, by the walk that builds Phi_d, at t:
+    each running product is a polynomial, so each division is exact.
 
     Avoids materializing Phi_d during divisibility prefiltering.
     """
-    top, bottom = 1, 1
+    val = 1
     for k, mu in _moebius_binomials(d):
         if mu > 0:
-            top *= t**k - 1
+            val *= t**k - 1
         else:
-            bottom *= t**k - 1
-    val, rem = divmod(top, bottom)
-    if rem:
-        raise NotDivisible(f"Moebius product for Phi_{d}({t}) is not exact")
+            val, rem = divmod(val, t**k - 1)
+            if rem:
+                raise NotDivisible(f"Moebius walk for Phi_{d}({t}) is not exact")
     return val
 
 

@@ -47,8 +47,9 @@ then the exact residue test intpoly.cyclotomic_divides before any division
 of the full core, so every such division succeeds.  The values Phi_d(t)
 are read from one memoized table per degree, intpoly.phi_bounded_at,
 aligned with the candidates; t >= 2, so every value is at least 1.  Each
-division is one intpoly.cyclotomic_quotient call: a long core through the
-Moebius binomials x^k - 1 of Phi_d, a core of at most intpoly.SHORT_CORE
+division is one intpoly.cyclotomic_quotient call: a long core by the walk
+over the Moebius binomials x^k - 1 that builds Phi_d, run backwards with
+multiplication and division swapped, a core of at most intpoly.SHORT_CORE
 coefficients by one long division.  After each division the point core(t)
 is divided by Phi_d(t), exactly, since core(t) = Phi_d(t) * quotient(t),
 rather than evaluated again; when Phi_d(t) no longer divides it, Phi_d
@@ -160,11 +161,12 @@ def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
     dividing the full core.  The prefilter reads Phi_d(t) from the degree's
     value table intpoly.phi_bounded_at(deg, t), walked alongside the
     candidates, at the least t >= 2 with core(t) != 0.  Every division is
-    intpoly.cyclotomic_quotient (Moebius binomials on a long core, one long
-    division on a short one) and divides the point by Phi_d(t), exactly, so
-    the core is evaluated only to find t.  A multiplicity loop ends when the
-    core is a constant or Phi_d(t) no longer divides the point: Phi_d(t)
-    not dividing core(t) rules out Phi_d dividing the core.
+    intpoly.cyclotomic_quotient (Phi_d's Moebius walk backwards on a long
+    core, one long division on a short one) and divides the point by
+    Phi_d(t), exactly, so the core is evaluated only to find t.  A
+    multiplicity loop ends when the core is a constant or Phi_d(t) no longer
+    divides the point: Phi_d(t) not dividing core(t) rules out Phi_d
+    dividing the core.
     """
     core = intpoly.normalize(core)
     exps: dict[int, int] = dict(cyc_exps) if cyc_exps else {}

@@ -159,6 +159,12 @@ def test_eval_deltas_one(capsys):
     assert got == "L^-9 * (L^2-1)^-1 * (L^4-1)^-1 * (L^6-1)^-1"
 
 
+def test_eval_takes_an_expression_starting_with_minus_after_the_separator(capsys):
+    # argparse reads a bare "-L" as an option, so such an expression follows "--"
+    assert cli.main(["eval", "--", "-L"]) == 0
+    assert capsys.readouterr().out.strip() == "-1 * L"
+
+
 def test_eval_parse_error(capsys):
     assert cli.main(["eval", "Spin(7"]) == 2
     err = capsys.readouterr().err

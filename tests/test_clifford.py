@@ -111,7 +111,10 @@ def _assert_matches(z, pair):
     if not (re or im):
         assert (z.x, z.y, z.d) == (0, 0, 1)
     assert z == GaussianRational(re, im)
-    assert hash(z) == hash((re, im))
+    # equal values hash equal: a real value hashes as the Fraction it equals
+    assert hash(z) == hash(GaussianRational(re, im))
+    if im == 0:
+        assert hash(z) == hash(re)
     assert bool(z) == bool(re or im)
     # equal to a rational exactly when the imaginary part vanishes
     assert (z == re) is (im == 0)
@@ -334,6 +337,23 @@ def test_elements_match_the_per_blade_oracle(case):
         assert bool(e) == bool(want)
     assert (a == b) is (p == q)
     assert CliffordElement.scalar(n, c) == c and (a == c) is (p == scalar)
+
+
+def test_equal_scalars_hash_equal_in_sets_and_dicts():
+    # a real Gaussian rational and a scalar-only element equal the int or
+    # Fraction they hold, so a set keeps one of them and a dict finds either
+    half = Fraction(1, 2)
+    assert hash(GR_ONE) == hash(1) and hash(CliffordElement.scalar(3, 1)) == hash(1)
+    assert len({GaussianRational(1), 1}) == 1
+    assert len({CliffordElement.scalar(3, 1), 1}) == 1
+    assert len({GR_HALF, half, CliffordElement.scalar(3, half)}) == 1
+    assert len({CliffordElement(3), GR_ZERO, 0}) == 1
+    assert {1: "one"}[GaussianRational(1)] == "one"
+    assert {half: "half"}[CliffordElement.scalar(2, GR_HALF)] == "half"
+    assert {GR_I: "i"}[CliffordElement.scalar(2, GR_I)] == "i"
+    # an element with a blade term equals no scalar and stays its own key
+    e = CliffordElement(2, {0: 1, 0b01: 1})
+    assert len({e, CliffordElement(2, {0: 1, 0b01: 1}), 1}) == 2
 
 
 def test_zero_element_is_canonical():

@@ -489,8 +489,19 @@ def test_typed_errors_for_bad_arguments():
         intpoly.monic_div((1, 2, 3), (1, 2))
     with pytest.raises(ValueError):
         intpoly.monic_div((), ())
-    with pytest.raises(ValueError):
-        intpoly.cyclotomic(0)
+    # Phi_d's Moebius walk is the one guard on d, so each reader of it, on a
+    # short core and a long one alike, refuses d < 1
+    for d in (0, -3):
+        calls = [
+            lambda: intpoly.cyclotomic(d),
+            lambda: intpoly.cyclotomic_at(d, 2),
+            lambda: intpoly.totient(d),
+            lambda: intpoly.cyclotomic_quotient((1, 1), d),
+            lambda: intpoly.cyclotomic_quotient(tuple(range(1, 20)), d),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="must be >= 1"):
+                call()
     with pytest.raises(ValueError):
         lc_pow(l_power(1), -1)
     with pytest.raises(ValueError):

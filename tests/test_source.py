@@ -156,6 +156,19 @@ def test_one_division_site_for_phi_d():
     assert [c.split()[1] for c in callers] == ["cyclotomic_quotient"], callers
 
 
+# the Phi_d operations of intpoly: each reads Phi_d's one Moebius walk, and
+# only the walk and divisors factor d, so no second order of the binomials
+PHI_D_OPERATIONS = {"cyclotomic", "cyclotomic_at", "cyclotomic_quotient", "totient"}
+
+
+def test_every_phi_d_operation_reads_the_one_walk():
+    tree = ast.parse((pathlib.Path(grstacks.__file__).parent / "intpoly.py").read_text(encoding="utf-8"))
+    calls = list(_calls_by_function(tree))
+    assert {func for func, name, _ in calls if name == "_prime_factors"} == {"_moebius_binomials", "divisors"}
+    walkers = {func for func, name, _ in calls if name == "_moebius_binomials"}
+    assert walkers == PHI_D_OPERATIONS
+
+
 # the modules whose looped checks record a failing case only through CheckReport
 RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
 
