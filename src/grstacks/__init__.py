@@ -15,6 +15,7 @@ from .lefschetz import (
     LefschetzClass,
     NotAUnit,
     ZeroInverse,
+    l_blocks,
     l_pow_minus_one,
     l_power,
     lc_add,
@@ -72,6 +73,7 @@ __all__ = [
     "class_gl",
     "class_sl",
     "class_spin",
+    "l_blocks",
     "l_pow_minus_one",
     "l_power",
     "lc_add",

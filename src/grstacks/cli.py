@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import dsl, intpoly
 from .delta import DeltaGroup
@@ -52,13 +53,13 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return 2
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
 
 
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
     p.add_argument(
-        "--samples", type=_positive_int, default=100, help="samples per property (at least 1)"
+        "--samples", type=partial(_int_at_least, 1), default=100, help="samples per property (at least 1)"
     )
     p.add_argument("--json", metavar="PATH", help="also write the report as JSON")
     p.add_argument(
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="substitute 1 for every atom before printing",
     )
-    p.add_argument("--at", type=int, metavar="Q", help="also specialize L to Q")
+    p.add_argument("--at", type=partial(_int_at_least, 2), metavar="Q", help="also specialize L to Q >= 2")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("bspin", help="print a classifying class in atom form")

@@ -60,10 +60,10 @@ class CliffordElement:
     (x_s, y_s), and `d > 0` is one denominator for the whole element.  The
     form is canonical: no numerator is (0, 0), gcd(d, every x_s, every y_s)
     is 1, and zero is no terms over d = 1.  It is unique, so equality and
-    hashing compare (n, d, terms), except that a scalar-only element, equal
-    to its coefficient, hashes as that coefficient.  Products, sums and the
-    involutions run on these ints and reduce each result once, by one gcd
-    over all its parts; coefficients go in and come out as GaussianRational.
+    hashing compare (n, d, terms), except that a scalar-only element of any
+    n equals its coefficient and hashes as that coefficient.  Products, sums
+    and the involutions run on these ints and reduce each result once, by one
+    gcd over all its parts; coefficients go in and come out as GaussianRational.
     """
 
     __slots__ = ("n", "d", "terms")
@@ -119,7 +119,9 @@ class CliffordElement:
             other = CliffordElement.scalar(self.n, other)
         if not isinstance(other, CliffordElement):
             return NotImplemented
-        return self.n == other.n and self.d == other.d and self.terms == other.terms
+        # a scalar-only element equals its coefficient, whatever its n
+        same_n = self.n == other.n or self.terms.keys() <= {0}
+        return same_n and self.d == other.d and self.terms == other.terms
 
     def __hash__(self) -> int:
         # a scalar-only element equals its coefficient, so it hashes as one

@@ -10,7 +10,8 @@ An element is stored as  core * L^l_exp * prod_d Phi_d^{m_d}  where
 Because Z[L] is a UFD and the Phi_d are irreducible, this factorization is
 unique, so structural equality is ring equality and the unit test is just
 "core is +-1".  Zero is the single value with core == (), l_exp == 0 and no
-cyclotomic factors.
+cyclotomic factors.  l_blocks builds prod_n (L^n - 1)^(e_n) straight from
+L^n - 1 = prod_(d | n) Phi_d; l_pow_minus_one(n) is its one-block case.
 
 Multiplication never re-scans cores for cyclotomic factors: a product of
 two polynomials not divisible by any Phi_d is again not divisible by any
@@ -209,12 +210,21 @@ def l_power(k: int) -> LefschetzClass:
     return LefschetzClass(intpoly.ONE, k, ())
 
 
+def l_blocks(exps: dict[int, int]) -> LefschetzClass:
+    """The unit prod_n (L^n - 1)^exps[n], with no trial division or product:
+    Phi_d's multiplicity is the sum of exps[n] over the blocks n that d divides."""
+    cyc: dict[int, int] = {}
+    for n, e in exps.items():
+        if n < 1:
+            raise ValueError(f"L^n - 1 needs n >= 1, got {n}")
+        for d in intpoly.divisors(n):
+            cyc[d] = cyc.get(d, 0) + e
+    return LefschetzClass(intpoly.ONE, 0, tuple(sorted((d, m) for d, m in cyc.items() if m)))
+
+
 def l_pow_minus_one(n: int) -> LefschetzClass:
-    """The class of L^n - 1 = prod_(d | n) Phi_d, built from its known
-    factorization rather than by trial division."""
-    if n < 1:
-        raise ValueError(f"L^n - 1 needs n >= 1, got {n}")
-    return LefschetzClass(intpoly.ONE, 0, tuple((d, 1) for d in intpoly.divisors(n)))
+    """The class of L^n - 1, the one-block case of l_blocks."""
+    return l_blocks({n: 1})
 
 
 def lc_neg(a: LefschetzClass) -> LefschetzClass:

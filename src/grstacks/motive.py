@@ -52,12 +52,12 @@ no normalization.  Unrolled, C(2i, k) is the sum, over the i-subsets S of
 A cell is made canonical only where the tower reads it: C(j, k), read
 backwards as a polynomial in L over L^(deg C), is normalized once with
 (L-1)^(-j/2).  Every cell of the row G(n, r) shares k, so the row is then
-scaled by P(k) once, and P(k) is built from the blocks L^i - 1, so that
-the closed form, built from divisor counts, shares no arithmetic with it.
-P(k) and the excess D below are products of unit blocks, built in one
-pass: each block L^i - 1 is inverted, and the signs, L-exponents and
-Phi-exponents of the whole classes are summed in one dict, not through a
-chain of products whose Phi-parts grow at every step.
+scaled by P(k) once.  P(k) and the excess D below are products of the
+blocks L^i - 1, each built by lefschetz.l_blocks from its map i -> exponent:
+Phi_d's multiplicity is summed over the blocks i that d divides, read from
+intpoly.divisors, with no block built, inverted or multiplied.  The closed
+form for P(k) counts floor(k/d) instead and never calls divisors, so it
+shares no arithmetic with the tower.
 Only the r = -1 row of odd n starts elsewhere, at G(1, -1) = (L-1)^-1
 against A(0, 2) = (L+1)^-1 (r never decreases along the recurrence).  Both
 rows read the same quadric input A(n - 1, n), so the row's excess D over
@@ -83,7 +83,7 @@ from .lefschetz import (
     LC_ONE,
     LC_ZERO,
     LefschetzClass,
-    NotAUnit,
+    l_blocks,
     l_pow_minus_one,
     l_power,
     lc_add,
@@ -199,9 +199,7 @@ def class_sl(n: int) -> LefschetzClass:
 
 
 def class_g2() -> LefschetzClass:
-    return lc_mul(
-        l_power(6), lc_mul(l_pow_minus_one(2), l_pow_minus_one(6))
-    )
+    return lc_mul(l_power(6), l_blocks({2: 1, 6: 1}))
 
 
 def class_spin(n: int) -> LefschetzClass:
@@ -255,30 +253,14 @@ def _cell(j: int, k: int) -> LefschetzClass:
     return lc_normalize(c[::-1], 1 - len(c), ((1, -(j // 2)),))
 
 
-def _unit_product(units) -> LefschetzClass:
-    """The product of unit classes in one pass: the signs multiply and the
-    L- and Phi-exponents add up in one dict, with no chain of lc_mul."""
-    sign, l_exp, exps = 1, 0, {}
-    for u in units:
-        if not u.is_unit():
-            raise NotAUnit(f"a tower block is not a unit: its core has degree {len(u.core) - 1}")
-        sign *= u.core[0]
-        l_exp += u.l_exp
-        for d, m in u.cyc:
-            exps[d] = exps.get(d, 0) + m
-    return LefschetzClass((sign,), l_exp, tuple(sorted((d, m) for d, m in exps.items() if m)))
-
-
 def _top_atom(k: int) -> LefschetzClass:
     """P(k) = A(0, k) = prod_(i=2..k) (L-1) / (L^i - 1), from the blocks."""
-    return _unit_product(
-        u for i in range(2, k + 1) for u in (l_pow_minus_one(1), lc_inv(l_pow_minus_one(i)))
-    )
+    return l_blocks({1: max(k - 1, 0), **dict.fromkeys(range(2, k + 1), -1)})
 
 
 def _odd_row_excess(m: int) -> LefschetzClass:
     """D(2m - 1) of the module docstring: G(2m - 1, -1) minus its table atom."""
-    blocks = _unit_product(lc_inv(l_pow_minus_one(2 * i)) for i in range(1, m + 1))
+    blocks = l_blocks(dict.fromkeys(range(2, 2 * m + 1, 2), -1))
     return lc_mul(LefschetzClass((2,), -m * (m - 1), ()), blocks)
 
 

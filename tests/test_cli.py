@@ -205,6 +205,18 @@ def test_eval_at_with_atoms_left_is_an_error(capsys):
     assert "--deltas-one" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--deltas-one"]])
+@pytest.mark.parametrize("q", ["1", "0", "-4"])
+def test_eval_at_refuses_a_point_below_two_before_printing(q, flags, capsys):
+    # a usage error from the argument parser, as --samples below 1 is, so
+    # the expression is neither evaluated nor rendered
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--at", q, *flags, "L"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--at: must be at least 2, got {q}" in err
+
+
 @pytest.mark.parametrize("op, want", [("+", "30000"), ("*", "1")])
 def test_eval_long_chain_has_no_traceback(op, want):
     # a 30,000-operand chain is far longer than the interpreter's recursion

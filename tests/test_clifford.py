@@ -356,6 +356,21 @@ def test_equal_scalars_hash_equal_in_sets_and_dicts():
     assert len({e, CliffordElement(2, {0: 1, 0b01: 1}), 1}) == 2
 
 
+@pytest.mark.parametrize("c", [0, 1, Fraction(1, 2), GR_I])
+def test_scalar_equality_is_transitive_across_dimensions(c):
+    # scalar(2, c) == c == scalar(3, c), so the two elements equal each
+    # other too, and a set keeps one of the three in either order
+    a, b = CliffordElement.scalar(2, c), CliffordElement.scalar(3, c)
+    assert a == b and b == a and a == c and b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c}) == len({c, a, b}) == len({b, c, a}) == 1
+    assert a != CliffordElement.scalar(3, c + 1)
+    # an element with a blade term still equals none of another n
+    blade = CliffordElement.blade(2, (1,), GR_ONE + c)
+    assert blade != CliffordElement.blade(3, (1,), GR_ONE + c)
+    assert len({blade, CliffordElement.blade(3, (1,), GR_ONE + c)}) == 2
+
+
 def test_zero_element_is_canonical():
     zero = CliffordElement(3, {0b101: GaussianRational(Fraction(1, 6)), 0b011: GR_ZERO})
     zero = zero - zero

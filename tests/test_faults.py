@@ -369,11 +369,11 @@ def test_a_wrong_odd_spin_base_fails_the_tower_suite_without_raising(monkeypatch
 
 
 def test_a_wrong_block_in_the_recursion_fails_the_top_atom_check(monkeypatch):
-    # L * (L^4 - 1) in place of (L^4 - 1) in the recursion only: the closed
-    # form is built from divisor counts, not from the blocks, so it does not
-    # absorb the fault
-    block = motive.l_pow_minus_one
-    monkeypatch.setattr(motive, "l_pow_minus_one", lambda n: lc_mul(block(n), l_power(1 if n == 4 else 0)))
+    # L * (L^4 - 1) in place of (L^4 - 1) in the recursion's block products
+    # only: the closed form is built from divisor counts, not from the
+    # blocks, so it does not absorb the fault
+    blocks = motive.l_blocks
+    monkeypatch.setattr(motive, "l_blocks", lambda exps: lc_mul(blocks(exps), l_power(1) ** exps.get(4, 0)))
     motive.clear_tower_cache()
     try:
         motive.leading_delta_coeff(3)
@@ -385,10 +385,10 @@ def test_a_wrong_block_in_the_recursion_fails_the_top_atom_check(monkeypatch):
 
 
 def test_a_block_that_is_not_a_unit_fails_the_top_atom_check(monkeypatch):
-    # 2 * (L^4 - 1) in place of (L^4 - 1): the one-pass unit products read
-    # whole classes, cores included, so the stray 2 raises or mismatches
-    block = motive.l_pow_minus_one
-    monkeypatch.setattr(motive, "l_pow_minus_one", lambda n: lc_mul(block(n), lc_int(2 if n == 4 else 1)))
+    # 2 * (L^4 - 1) in place of (L^4 - 1) in the recursion's block products:
+    # its inverse is no unit, so the stray 2 raises or mismatches
+    blocks = motive.l_blocks
+    monkeypatch.setattr(motive, "l_blocks", lambda exps: lc_mul(blocks(exps), lc_int(2) ** exps.get(4, 0)))
     motive.clear_tower_cache()
     try:
         motive.leading_delta_coeff(3)

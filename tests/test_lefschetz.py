@@ -17,6 +17,7 @@ from grstacks.lefschetz import (
     NotAUnit,
     OverBudget,
     ZeroInverse,
+    l_blocks,
     l_pow_minus_one,
     l_power,
     lc_add,
@@ -413,6 +414,26 @@ def test_phi_product_recovers_binomial_as_classes():
         binomial = lc_normalize(intpoly.x_pow_minus_one(n))
         assert lc_eq(prod, binomial)
         assert l_pow_minus_one(n) == binomial
+
+
+@hypothesis.given(strat.dictionaries(strat.integers(1, 60), strat.integers(-3, 3), max_size=8))
+@hypothesis.example({})
+@hypothesis.example({4: 0, 6: 0})
+def test_l_blocks_is_the_product_chain_of_its_blocks(exps):
+    # the chain multiplies and inverts whole blocks; l_blocks only adds up
+    # Phi-exponents over divisors, so a miscounted divisor shows here
+    chain = LC_ONE
+    for n, e in exps.items():
+        block = l_pow_minus_one(n) if e >= 0 else lc_inv(l_pow_minus_one(n))
+        for _ in range(abs(e)):
+            chain = lc_mul(chain, block)
+    assert l_blocks(exps) == chain
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_l_blocks_refuses_a_block_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        l_blocks({n: 1})
 
 
 @functools.cache

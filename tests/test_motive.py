@@ -415,7 +415,7 @@ def test_the_odd_spin_row_excess_solves_the_homogeneous_recurrence():
 
 
 def _top_atom_by_products(k):
-    # the chain of products P(k) was built by before the one-pass sum
+    # P(k) by a chain of products of whole blocks, not by l_blocks
     out = LC_ONE
     for i in range(2, k + 1):
         out = lc_mul(out, lc_mul(l_pow_minus_one(1), lc_inv(l_pow_minus_one(i))))
@@ -430,9 +430,9 @@ def _odd_row_excess_by_products(m):
 
 
 def test_the_one_pass_unit_products_match_the_product_chains():
-    for k in range(61):
+    for k in range(101):
         assert motive._top_atom(k) == _top_atom_by_products(k), k
-    for m in range(1, 31):
+    for m in range(1, 51):
         assert motive._odd_row_excess(m) == _odd_row_excess_by_products(m), m
 
 

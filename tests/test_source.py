@@ -169,6 +169,22 @@ def test_every_phi_d_operation_reads_the_one_walk():
     assert walkers == PHI_D_OPERATIONS
 
 
+# the products of blocks L^n - 1 in motive.py: each is built by
+# lefschetz.l_blocks, never block by block through inverses and products
+BLOCK_PRODUCTS = ("_top_atom", "_odd_row_excess", "class_g2")
+
+
+def test_the_tower_builds_its_block_products_only_through_l_blocks():
+    # so the tower does not grow a second product of blocks beside l_blocks
+    tree = ast.parse((pathlib.Path(grstacks.__file__).parent / "motive.py").read_text(encoding="utf-8"))
+    assert "_unit_product" not in {getattr(n, "name", None) for n in tree.body}
+    calls: dict[str, set[str]] = {}
+    for func, name, _ in _calls_by_function(tree):
+        calls.setdefault(func, set()).add(name)
+    for func in BLOCK_PRODUCTS:
+        assert "l_blocks" in calls[func] and not calls[func] & {"lc_inv", "l_pow_minus_one"}, func
+
+
 # the modules whose looped checks record a failing case only through CheckReport
 RECORDING_MODULES = ("clifford.py", "finite.py", "delta.py", "suites.py")
 
