@@ -42,6 +42,18 @@ budget, and phi_bounded(m) filters the walk for the least one >= m.
 phi_bounded_at(m, t) is the matching table of values Phi_d(t), aligned with
 phi_bounded(m), so a candidate scan at the point t reads each value from
 one tuple instead of making one cyclotomic_at call per candidate.
+
+cyclotomic_part(p) is that scan, the one place that divides the Phi_d out
+of a polynomial with a nonzero constant term (lefschetz.lc_normalize makes
+every class canonical through it).  It evaluates p at the least t >= 2 with
+p(t) != 0 and walks phi_bounded(deg p) beside phi_bounded_at(deg p, t);
+t >= 2, so every value is at least 1.  A candidate Phi_d divides p as long
+as three tests pass, cheapest first: p is not yet a constant, Phi_d(t)
+divides the point p(t) (a prefilter that rejects most candidates), and
+the exact residue test cyclotomic_divides holds; each pass divides p once
+by cyclotomic_quotient, so every division succeeds.  The point is divided
+by Phi_d(t) with it, exactly, since p(t) = Phi_d(t) * quotient(t), rather
+than evaluated again.  Once p is a constant the scan stops.
 """
 
 from __future__ import annotations
@@ -381,6 +393,33 @@ def phi_bounded_at(m: int, t: int) -> tuple[int, ...]:
     t >= 2).  Values only, not (d, value) pairs: the table lives beside
     phi_bounded(m), and a pair per candidate would cost about 56 bytes more."""
     return tuple(cyclotomic_at(d, t) for d in phi_bounded(m))
+
+
+def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(q, exps) with p = q * prod_d Phi_d^exps[d] and no Phi_d dividing q,
+    for p with a nonzero constant term: the scan of the module docstring.
+
+    The multiplicities found are added to a copy of exps (a map or (d, m)
+    pairs); a leading coefficient that moved raises NotDivisible.
+    """
+    exps, lead, deg = dict(exps), p[-1], len(p) - 1
+    t, point = 2, eval_at(p, 2)
+    while point == 0:
+        t += 1
+        point = eval_at(p, t)
+    for d, phi_t in zip(phi_bounded(deg), phi_bounded_at(deg, t)):
+        # p(t) was Phi_d(t) * quotient(t), so each division of the point is
+        # exact, and Phi_d(t) not dividing the new point rules Phi_d out
+        while len(p) > 1 and not point % phi_t and cyclotomic_divides(p, d):
+            p = cyclotomic_quotient(p, d)
+            exps[d] = exps.get(d, 0) + 1
+            point //= phi_t
+        if len(p) == 1:
+            break
+    # exact division by monic factors keeps the leading coefficient
+    if p[-1] != lead:
+        raise NotDivisible(f"leading coefficient moved from {lead} to {p[-1]}")
+    return p, exps
 
 
 def digit_limit() -> int:

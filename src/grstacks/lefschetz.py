@@ -42,20 +42,8 @@ square-and-multiply loop.  A charge that passes the budget raises
 OverBudget.  Outside a budget, the default, nothing is predicted and no
 size is bounded.
 
-Normalization trial-divides by the complete candidate set of Phi_d.  A
-candidate must pass an integer-point prefilter (Phi_d(t) | core(t)) and
-then the exact residue test intpoly.cyclotomic_divides before any division
-of the full core, so every such division succeeds.  The values Phi_d(t)
-are read from one memoized table per degree, intpoly.phi_bounded_at,
-aligned with the candidates; t >= 2, so every value is at least 1.  Each
-division is one intpoly.cyclotomic_quotient call: a long core by the walk
-over the Moebius binomials x^k - 1 that builds Phi_d, run backwards with
-multiplication and division swapped, a core of at most intpoly.SHORT_CORE
-coefficients by one long division.  After each division the point core(t)
-is divided by Phi_d(t), exactly, since core(t) = Phi_d(t) * quotient(t),
-rather than evaluated again; when Phi_d(t) no longer divides it, Phi_d
-cannot divide the core, and the multiplicity loop ends without a residue
-test.
+Normalization strips the L-valuation of a core and hands the rest to
+intpoly.cyclotomic_part, the one scan that divides out its Phi_d factors.
 """
 
 from __future__ import annotations
@@ -152,54 +140,21 @@ LC_ZERO = LefschetzClass(intpoly.ZERO, 0, ())
 LC_ONE = LefschetzClass(intpoly.ONE, 0, ())
 
 
-def lc_normalize(core, l_exp: int = 0, cyc_exps=None) -> LefschetzClass:
-    """Canonical form of core * L^l_exp * prod Phi_d^cyc_exps[d].
+def lc_normalize(core, l_exp: int = 0, cyc_exps=()) -> LefschetzClass:
+    """Canonical form of core * L^l_exp * prod Phi_d^cyc_exps[d] (cyc_exps a
+    map or (d, m) pairs).
 
-    Strips the L-valuation of core into l_exp, then trial-divides by every
-    Phi_d whose totient is at most deg(core) -- the complete candidate set,
-    see intpoly.phi_bounded.  An integer-point divisibility prefilter skips
-    most failing candidates; the exact residue test settles the rest without
-    dividing the full core.  The prefilter reads Phi_d(t) from the degree's
-    value table intpoly.phi_bounded_at(deg, t), walked alongside the
-    candidates, at the least t >= 2 with core(t) != 0.  Every division is
-    intpoly.cyclotomic_quotient (Phi_d's Moebius walk backwards on a long
-    core, one long division on a short one) and divides the point by
-    Phi_d(t), exactly, so the core is evaluated only to find t.  A
-    multiplicity loop ends when the core is a constant or Phi_d(t) no longer
-    divides the point: Phi_d(t) not dividing core(t) rules out Phi_d
-    dividing the core.
+    Strips the L-valuation of core into l_exp; intpoly.cyclotomic_part
+    divides every Phi_d out of what is left and adds the multiplicities it
+    finds to those of cyc_exps.
     """
     core = intpoly.normalize(core)
-    exps: dict[int, int] = dict(cyc_exps) if cyc_exps else {}
     if not core:
         return LC_ZERO
     v, core = intpoly.content_and_valuation(core)
-    l_exp += v
-    deg = intpoly.degree(core)
-    if deg > 0:
-        lead = core[-1]
-        t, point = 2, intpoly.eval_at(core, 2)
-        while point == 0:
-            t += 1
-            point = intpoly.eval_at(core, t)
-        for d, phi_t in zip(intpoly.phi_bounded(deg), intpoly.phi_bounded_at(deg, t)):
-            if point % phi_t:
-                continue
-            while intpoly.cyclotomic_divides(core, d):
-                core = intpoly.cyclotomic_quotient(core, d)
-                exps[d] = exps.get(d, 0) + 1
-                # core(t) was Phi_d(t) * quotient(t), so this division is
-                # exact, and Phi_d(t) not dividing the new point rules Phi_d out
-                point //= phi_t
-                if len(core) == 1 or point % phi_t:
-                    break
-            if len(core) == 1:
-                break
-        # exact division by monic factors keeps the leading coefficient
-        if core[-1] != lead:
-            raise intpoly.NotDivisible(f"leading coefficient moved from {lead} to {core[-1]}")
+    core, exps = intpoly.cyclotomic_part(core, cyc_exps)
     cyc = tuple(sorted((d, m) for d, m in exps.items() if m))
-    return LefschetzClass(core, l_exp, cyc)
+    return LefschetzClass(core, l_exp + v, cyc)
 
 
 def lc_int(n: int) -> LefschetzClass:
@@ -452,13 +407,10 @@ def lc_eval_digits(a: LefschetzClass, q: int) -> int:
             top += intpoly.totient(d) * m
         else:
             bottom -= intpoly.totient(d) * m
-    log_q = math.log10(q)
-    coeff = max(map(abs, a.core)).bit_length() * math.log10(2) + math.log10(len(a.core))
-    try:
-        return math.ceil(max(top * log_q + coeff, bottom * log_q))
-    except OverflowError:
-        # a degree past the float range: the same estimate in exact arithmetic
-        return math.ceil(max(top * Fraction(log_q) + Fraction(coeff), bottom * Fraction(log_q)))
+    # exact arithmetic on the float logarithms, so no degree overflows a float
+    log_q = Fraction(math.log10(q))
+    coeff = Fraction(max(map(abs, a.core)).bit_length() * math.log10(2) + math.log10(len(a.core)))
+    return math.ceil(max(top * log_q + coeff, bottom * log_q))
 
 
 def lc_eval_at(a: LefschetzClass, q: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -737,6 +738,38 @@ def test_a_multiplicity_loop_ends_on_the_point(monkeypatch):
     assert after_division == []
 
 
+def _naive_totient(d: int) -> int:
+    return sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
+
+
+@hypothesis.given(
+    strat.integers(-6, 6).filter(bool),
+    strat.lists(strat.integers(-6, 6), max_size=6),
+    strat.dictionaries(strat.integers(1, 60), strat.integers(1, 3), max_size=4),
+    strat.dictionaries(strat.integers(1, 60), strat.integers(-3, 3), max_size=2),
+)
+@hypothesis.example(1, [], {}, {})  # a constant: nothing to divide
+@hypothesis.example(-2, [1], {3: 2, 12: 1}, {3: -2})  # L - 2 vanishes at the first point
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_cyclotomic_part_divides_out_every_planted_phi(c0, rest, planted, seed):
+    # p = q * prod Phi_d^e multiplies back, and no Phi_d divides q, checked
+    # by long division by the divisor recurrence's Phi_d, not by the scan's
+    core = intpoly.normalize([c0, *rest])
+    p = intpoly.mul(core, *(intpoly.cyclotomic_power(d, m) for d, m in planted.items()))
+    before = dict(seed)
+    q, exps = intpoly.cyclotomic_part(p, seed)
+    assert seed == before  # the multiplicities go to a copy
+    assert q[0] and q[-1] == p[-1]
+    found = {d: m - seed.get(d, 0) for d, m in exps.items()}
+    assert all(found.get(d, 0) >= m for d, m in planted.items())
+    factors = (intpoly.cyclotomic_power(d, m) for d, m in found.items() if m)
+    assert intpoly.mul(q, *factors) == p
+    k = intpoly.degree(q)
+    for d in range(1, 2 * k * k + 3):
+        if _naive_totient(d) <= k:
+            assert intpoly.monic_div(q, _recurrence_cyclotomic(d)) is None, d
+
+
 # squarefull indices and indices with many prime factors, past which the
 # binomial path's passes and the long division's terms differ most
 BINOMIAL_INDICES = (8, 9, 27, 64, 128, 243, 256, 400, 30, 210, 330, 390)
@@ -981,6 +1014,23 @@ def test_eval_is_a_ring_homomorphism(a, b, q):
 def test_eval_returns_exact_fractions():
     v = lc_eval_at(l_power(-3), 2)
     assert isinstance(v, Fraction) and v == Fraction(1, 8)
+
+
+@hypothesis.given(
+    classes(),
+    # units of high degree, and a core whose coefficient carries 41 digits
+    strat.sampled_from(
+        [LC_ONE, l_power(50), l_power(-50), lc_normalize((7, 10**40)), *map(motive.class_gl, (2, 7, 30, 60))]
+    ),
+    strat.sampled_from((2, 3, 7, 13)),
+)
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_the_digit_estimate_falls_at_most_one_short(a, factor, q):
+    # the estimate decides whether a value is printed, before it is computed
+    x = lc_mul(a, factor)
+    value = lc_eval_at(x, q)
+    digits = max(len(str(abs(value.numerator))), len(str(value.denominator)))
+    assert lefschetz.lc_eval_digits(x, q) >= digits - 1
 
 
 # -- display ----------------------------------------------------------

@@ -366,6 +366,55 @@ def test_the_table_is_its_no_consecutive_subset_sum():
     assert all(c >= 0 for j in range(0, 41, 2) for k in range(41) for c in motive._table(j, k))
 
 
+def _padd(a, b):
+    return [x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+
+
+def _trim(a):
+    return tuple(itertools.dropwhile(lambda c: c == 0, reversed(a)))[::-1]
+
+
+def _first_cell_off_the_q_hermite(top=40):
+    """The first (j, k), k <= top, where (-1)^i 2^(k-2i) (1-u)^i C(2i, k)
+    is not the coefficient of x^(k-2i) in Rogers' continuous q-Hermite
+    polynomial H_k(x | u) = sum_j [k, j]_u T_|k-2j|(x), with its own Gaussian
+    binomials (Pascal's rule in u) and Chebyshev T_m; None if there is none."""
+    clear_tower_cache()
+    gauss = [[[1]]]  # gauss[n][j] = [n, j]_u = [n-1, j-1]_u + u^j [n-1, j]_u
+    for n in range(1, top + 1):
+        prev = gauss[-1]
+        gauss.append([_padd(prev[j - 1] if j else [], [0] * j + prev[j] if j < n else []) for j in range(n + 1)])
+    cheb = [[1], [0, 1]]  # T_(m+1) = 2x T_m - T_(m-1)
+    for m in range(1, top):
+        cheb.append(_padd([0] + [2 * c for c in cheb[m]], [-c for c in cheb[m - 1]]))
+    for k in range(top + 1):
+        hermite: dict[int, list[int]] = {}  # x-degree -> polynomial in u
+        for j in range(k + 1):
+            for e, c in enumerate(cheb[abs(k - 2 * j)]):
+                hermite[e] = _padd(hermite.get(e, []), [c * g for g in gauss[k][j]])
+        for i in range(k // 2 + 1):
+            cell = [(-1) ** i * 2 ** (k - 2 * i) * c for c in motive._table(2 * i, k)]
+            for _ in range(i):
+                cell = _padd(cell, [0] + [-c for c in cell])  # times 1 - u
+            if _trim(cell) != _trim(hermite.get(k - 2 * i, [])):
+                return 2 * i, k
+    return None
+
+
+def test_the_table_is_read_off_the_q_hermite_polynomials():
+    assert _first_cell_off_the_q_hermite() is None
+
+
+def test_a_wider_window_fails_the_q_hermite_oracle(monkeypatch):
+    window = motive._window
+    monkeypatch.setattr(motive, "_window", lambda p, w: window(p, w + 1))
+    try:
+        assert _first_cell_off_the_q_hermite() == (2, 2)
+    finally:
+        monkeypatch.undo()
+        clear_tower_cache()
+
+
 def test_a_wider_window_fails_both_table_oracles(monkeypatch):
     # [k]_u in place of [k - 1]_u in the step of C
     window = motive._window
@@ -469,6 +518,20 @@ def test_tower_renders_are_pinned():
     for n, want in BSPIN_RENDER_SHA256.items():
         got = hashlib.sha256(dsl.render(bspin(n)).encode()).hexdigest()
         assert got == want, n
+
+
+# sha256 over dsl.render of bspin(1..60), bpin(0..39) and bg(n, r) for
+# 1 <= r <= n <= 29, one row per line, from a cold tower: every row the
+# tower checks compare, pinned at once
+TOWER_RENDER_SHA256 = "d04e9be55b3a25c6725e4663a0137dc530eddc06b47436cd1594567f19fc49db"
+
+
+def test_the_tower_rows_render_as_pinned():
+    clear_tower_cache()
+    rows = [bspin(n) for n in range(1, 61)] + [bpin(n) for n in range(40)]
+    rows += [bg(n, r) for n in range(1, 30) for r in range(1, n + 1)]
+    text = "".join(dsl.render(e) + "\n" for e in rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == TOWER_RENDER_SHA256
 
 
 def test_str_is_the_dsl_rendering():

@@ -110,28 +110,34 @@ def test_the_tower_memoizes_only_its_table_and_its_cells():
     assert sorted(memoized) == sorted(TOWER_MEMOS) and calls == []
 
 
-# what lc_normalize's candidate loop must not call: it reads Phi_d(t) from
+# what the Phi_d scan's candidate loop must not call: it reads Phi_d(t) from
 # intpoly.phi_bounded_at and divides the point, never evaluating either anew
 SCAN_CALLS = {"cyclotomic_at", "eval_at"}
 
 
 def test_the_phi_scan_reads_its_values_from_the_table():
-    path = pathlib.Path(grstacks.__file__).parent / "lefschetz.py"
+    path = pathlib.Path(grstacks.__file__).parent / "intpoly.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    normalize = next(n for n in tree.body if getattr(n, "name", None) == "lc_normalize")
-    loops = [n for n in ast.walk(normalize) if isinstance(n, ast.For) and "phi_bounded" in ast.unparse(n.iter)]
+    scan = next(n for n in tree.body if getattr(n, "name", None) == "cyclotomic_part")
+    loops = [n for n in ast.walk(scan) if isinstance(n, ast.For) and "phi_bounded" in ast.unparse(n.iter)]
     assert len(loops) == 1
     found = [
-        f"lefschetz.py:{node.lineno}"
+        f"intpoly.py:{node.lineno}"
         for node in ast.walk(loops[0])
         if isinstance(node, ast.Call) and _callee_name(node) in SCAN_CALLS
     ]
     assert found == []
+    # one multiplicity loop with its one exit in its condition
+    inner = [n for n in ast.walk(loops[0]) if isinstance(n, (ast.For, ast.While)) and n is not loops[0]]
+    assert [type(n) for n in inner] == [ast.While]
+    assert not [n for n in ast.walk(inner[0]) if isinstance(n, (ast.Break, ast.Continue))]
 
 
 # the polynomial divisions of the package: cyclotomic_quotient is the one
 # exact division by Phi_d, and it alone calls monic_div
 DIVISIONS = {"cyclotomic_quotient", "monic_div", "_long_division", "_div_binomial"}
+# the calls of the Phi_d scan, which intpoly.cyclotomic_part alone makes
+SCAN_STEPS = {"cyclotomic_divides", "cyclotomic_quotient", "phi_bounded_at"}
 
 
 def _calls_by_function(tree: ast.Module):
@@ -144,16 +150,18 @@ def _calls_by_function(tree: ast.Module):
 
 def test_one_division_site_for_phi_d():
     package = pathlib.Path(grstacks.__file__).parent
-    tree = ast.parse((package / "lefschetz.py").read_text(encoding="utf-8"))
-    divisions = {name for func, name, _ in _calls_by_function(tree) if func == "lc_normalize" and name in DIVISIONS}
-    assert divisions == {"cyclotomic_quotient"}
-    callers = [
-        f"{path.name}:{line} {func}"
+    calls = [
+        (func, name)
         for path in sorted(package.glob("*.py"))
-        for func, name, line in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
-        if name == "monic_div"
+        for func, name, _ in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert [c.split()[1] for c in callers] == ["cyclotomic_quotient"], callers
+    scan = {name for func, name in calls if func == "cyclotomic_part"}
+    assert scan & DIVISIONS == {"cyclotomic_quotient"} and SCAN_STEPS <= scan
+    assert {func for func, name in calls if name in SCAN_STEPS} == {"cyclotomic_part"}
+    # normalization hands the whole scan over and evaluates nothing itself
+    normalize = {name for func, name in calls if func == "lc_normalize"}
+    assert "cyclotomic_part" in normalize and not normalize & (SCAN_STEPS | DIVISIONS | SCAN_CALLS)
+    assert [func for func, name in calls if name == "monic_div"] == ["cyclotomic_quotient"]
 
 
 # the Phi_d operations of intpoly: each reads Phi_d's one Moebius walk, and
