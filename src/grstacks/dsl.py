@@ -46,12 +46,12 @@ from dataclasses import dataclass
 from . import intpoly, lefschetz
 from .lefschetz import (
     LC_ONE,
+    LefschetzClass,
     NotAUnit,
     l_power,
     lc_int,
     lc_inv,
     lc_neg,
-    lc_normalize,
     lc_poly,
 )
 from .motive import (
@@ -75,7 +75,8 @@ from .motive import (
 def _cyclo(d: int) -> MotiveExpr:
     if d < 1:
         raise DomainError("cyclotomic index must be >= 1")
-    return m_scalar(lc_normalize(intpoly.ONE, 0, ((d, 1),)))
+    # a lone Phi_d over the core 1 is already canonical
+    return m_scalar(LefschetzClass(intpoly.ONE, 0, ((d, 1),)))
 
 
 MAX_DEPTH = 400

@@ -47,13 +47,15 @@ cyclotomic_part(p) is that scan, the one place that divides the Phi_d out
 of a polynomial with a nonzero constant term (lefschetz.lc_normalize makes
 every class canonical through it).  It evaluates p at the least t >= 2 with
 p(t) != 0 and walks phi_bounded(deg p) beside phi_bounded_at(deg p, t);
-t >= 2, so every value is at least 1.  A candidate Phi_d divides p as long
-as three tests pass, cheapest first: p is not yet a constant, Phi_d(t)
-divides the point p(t) (a prefilter that rejects most candidates), and
-the exact residue test cyclotomic_divides holds; each pass divides p once
-by cyclotomic_quotient, so every division succeeds.  The point is divided
-by Phi_d(t) with it, exactly, since p(t) = Phi_d(t) * quotient(t), rather
-than evaluated again.  Once p is a constant the scan stops.
+t >= 2, so every value is at least 1.  The walk passes one lazy filter:
+Phi_d(t) divides the point p(t) as it stands after the divisions so far,
+a prefilter that rejects most candidates without touching p.  A candidate
+that passes divides p as long as three tests pass, cheapest first: p is
+not yet a constant, Phi_d(t) divides the point, and the exact residue test
+cyclotomic_divides holds; each pass divides p once by cyclotomic_quotient,
+so every division succeeds.  The point is divided by Phi_d(t) with it,
+exactly, since p(t) = Phi_d(t) * quotient(t), rather than evaluated again.
+Once p is a constant the scan stops.
 """
 
 from __future__ import annotations
@@ -397,7 +399,8 @@ def phi_bounded_at(m: int, t: int) -> tuple[int, ...]:
 
 def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[int, int]]:
     """(q, exps) with p = q * prod_d Phi_d^exps[d] and no Phi_d dividing q,
-    for p with a nonzero constant term: the scan of the module docstring.
+    for p with a nonzero constant term: the scan of the module docstring,
+    its candidates read through one lazy filter on the current point.
 
     The multiplicities found are added to a copy of exps (a map or (d, m)
     pairs); a leading coefficient that moved raises NotDivisible.
@@ -407,7 +410,8 @@ def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[
     while point == 0:
         t += 1
         point = eval_at(p, t)
-    for d, phi_t in zip(phi_bounded(deg), phi_bounded_at(deg, t)):
+    # lazy, so the filter reads the point as the divisions so far left it
+    for d, phi_t in ((d, v) for d, v in zip(phi_bounded(deg), phi_bounded_at(deg, t)) if not point % v):
         # p(t) was Phi_d(t) * quotient(t), so each division of the point is
         # exact, and Phi_d(t) not dividing the new point rules Phi_d out
         while len(p) > 1 and not point % phi_t and cyclotomic_divides(p, d):

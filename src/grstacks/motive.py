@@ -43,16 +43,19 @@ P(k-2) / P(k-1) = (L^(k-1) - 1) / (L-1),
 
   C(j, k) = C(j, k-1) + [k-1]_u * C(j-2, k-2),  [k-1]_u = 1 + u + ... + u^(k-2),
 
-with C(0, k) = 1 for every k and C(j, k) = 0 for j < 0 and for j > k.  So
-C is an integer polynomial in u with non-negative coefficients, and each
-step is one running sum of width k - 1 and one addition: no product, no
-inverse and no normalization.  Unrolled, C(2i, k) is the sum, over the
-i-subsets S of {2..k} with no two consecutive members, of
-prod_(s in S) [s-1]_u.  {2..k} has such an i-subset exactly when 2i <= k,
-so that is C's support, and a cell off it is zero with no step run.  Times
-(-1)^i 2^(k-2i) (1-u)^i, C(2i, k) is the coefficient of x^(k-2i) in
-Rogers' continuous q-Hermite polynomial H_k(x | u), whose combinatorics
-Ismail, Stanton and Viennot worked out (Europ. J. Combin. 8, 1987).
+with C(0, k) = 1 for every k and C(j, k) = 0 for j < 0 and for j > k,
+so for every odd j.  So C is an integer polynomial in u with non-negative
+coefficients, and each step is one running sum of width k - 1 and one
+addition: no product, no inverse and no normalization.  The addition
+strips no trailing zeros: both terms are >= 0 with a positive top
+coefficient, so their sum is one tuple sum, whichever is longer.
+Unrolled, C(2i, k) is the sum, over the i-subsets S of {2..k} with no two
+consecutive members, of prod_(s in S) [s-1]_u.  {2..k} has such an
+i-subset exactly when 2i <= k, so that is C's support, and a cell off it
+is zero with no step run.  Times (-1)^i 2^(k-2i) (1-u)^i, C(2i, k) is
+the coefficient of x^(k-2i) in Rogers' continuous q-Hermite polynomial
+H_k(x | u), whose combinatorics Ismail, Stanton and Viennot worked out
+(Europ. J. Combin. 8, 1987).
 
 A cell is made canonical only where the tower reads it: C(j, k), read
 backwards as a polynomial in L over L^(deg C), is normalized once with
@@ -81,7 +84,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
-from operator import sub
+from operator import add, sub
 
 from . import intpoly
 from .lefschetz import (
@@ -247,9 +250,12 @@ def _table(j: int, k: int) -> tuple[int, ...]:
     """C(j, k) of the module docstring, its coefficients in u = L^-1 from u^0 up."""
     if j == 0:
         return intpoly.ONE
-    if j < 0 or j > k:
+    if j < 0 or j > k or j % 2:
         return intpoly.ZERO
-    return intpoly.add(_table(j, k - 1), _window(_table(j - 2, k - 2), k - 1))
+    # C >= 0 with a positive top coefficient, so the sum needs no strip; an
+    # odd j would reach a zero window, whose zeros only a strip removes
+    a, b = _table(j, k - 1), _window(_table(j - 2, k - 2), k - 1)
+    return (*map(add, a, b), *a[len(b) :], *b[len(a) :])
 
 
 def _cell(j: int, k: int) -> LefschetzClass:

@@ -27,6 +27,7 @@ from grstacks.lefschetz import (
     lc_int,
     lc_mul,
     lc_neg,
+    lc_normalize,
 )
 from grstacks import motive
 from grstacks.motive import M_ONE, DomainError, class_g2, m_add, m_atom, m_scalar
@@ -393,6 +394,9 @@ def test_atom_products_are_out_of_scope():
 def test_call_argument_domains():
     with pytest.raises(DomainError):
         ev("cyclo(0)")
+    # cyclo(d) builds its class without a normalization scan; it is the canonical one
+    bad = [d for d in range(1, 301) if ev(f"cyclo({d})") != m_scalar(lc_normalize(intpoly.ONE, 0, ((d, 1),)))]
+    assert bad == []
     with pytest.raises(DomainError):
         ev("BDelta(0)")
     with pytest.raises(DomainError):

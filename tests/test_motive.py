@@ -364,6 +364,10 @@ def test_the_table_is_its_no_consecutive_subset_sum():
     assert _first_cell_off_the_subset_sums() is None
     # a sum of products of [s - 1]_u, so no coefficient of C is negative
     assert all(c >= 0 for j in range(0, 41, 2) for k in range(41) for c in motive._table(j, k))
+    # and every cell, odd j too, is empty or ends in a positive coefficient,
+    # so the table's step needs no strip
+    cells = (motive._table(j, k) for k in range(61) for j in range(-2, k + 3))
+    assert all(not c or c[-1] > 0 for c in cells)
 
 
 def _padd(a, b):

@@ -121,6 +121,10 @@ def test_the_phi_scan_reads_its_values_from_the_table():
     scan = next(n for n in tree.body if getattr(n, "name", None) == "cyclotomic_part")
     loops = [n for n in ast.walk(scan) if isinstance(n, ast.For) and "phi_bounded" in ast.unparse(n.iter)]
     assert len(loops) == 1
+    # the prefilter is a lazy generator on the current point: a list built up
+    # front would test every candidate, also those past the exit once p is a
+    # constant
+    assert isinstance(loops[0].iter, ast.GeneratorExp)
     found = [
         f"intpoly.py:{node.lineno}"
         for node in ast.walk(loops[0])
