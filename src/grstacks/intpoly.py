@@ -52,10 +52,11 @@ Phi_d(t) divides the point p(t) as it stands after the divisions so far,
 a prefilter that rejects most candidates without touching p.  A candidate
 that passes divides p as long as three tests pass, cheapest first: p is
 not yet a constant, Phi_d(t) divides the point, and the exact residue test
-cyclotomic_divides holds; each pass divides p once by cyclotomic_quotient,
-so every division succeeds.  The point is divided by Phi_d(t) with it,
-exactly, since p(t) = Phi_d(t) * quotient(t), rather than evaluated again.
-Once p is a constant the scan stops.
+cyclotomic_divides holds (the first round needs only the last: the filter
+has just tested the point, and p is not yet a constant); each pass divides
+p once by cyclotomic_quotient, so every division succeeds.  The point is
+divided by Phi_d(t) with it, exactly, since p(t) = Phi_d(t) * quotient(t),
+rather than evaluated again.  Once p is a constant the scan stops.
 """
 
 from __future__ import annotations
@@ -412,12 +413,16 @@ def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[
         point = eval_at(p, t)
     # lazy, so the filter reads the point as the divisions so far left it
     for d, phi_t in ((d, v) for d, v in zip(phi_bounded(deg), phi_bounded_at(deg, t)) if not point % v):
-        # p(t) was Phi_d(t) * quotient(t), so each division of the point is
-        # exact, and Phi_d(t) not dividing the new point rules Phi_d out
-        while len(p) > 1 and not point % phi_t and cyclotomic_divides(p, d):
+        # the filter has just tested the point and p is not yet a constant,
+        # so the first round needs only the residue test; p(t) was
+        # Phi_d(t) * quotient(t), so each division of the point is exact,
+        # and Phi_d(t) not dividing the new point rules Phi_d out
+        divides = cyclotomic_divides(p, d)
+        while divides:
             p = cyclotomic_quotient(p, d)
             exps[d] = exps.get(d, 0) + 1
             point //= phi_t
+            divides = len(p) > 1 and not point % phi_t and cyclotomic_divides(p, d)
         if len(p) == 1:
             break
     # exact division by monic factors keeps the leading coefficient

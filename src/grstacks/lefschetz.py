@@ -20,24 +20,33 @@ one core is +-1, as it is for the unit classes the tower mostly multiplies
 by, no polynomial product is formed at all.
 
 Addition (lc_sum, and lc_add for two summands) pulls out the common factor
-of all the summands, the componentwise min of their exponents, adds the
-expanded cofactors and normalizes the sum once, from scratch.  Each
-cofactor is one product, intpoly.mul of the shifted core and the memoized
-powers Phi_d^m of its Phi-part, with no Phi-part multiplied out alone.
+of all the summands, the componentwise min of their exponents, and writes
+each cofactor as (L - 1)^a_i * q_i: q_i is one product, intpoly.mul of the
+shifted core and the memoized powers Phi_d^m of the rest of its Phi-part
+(none when that rest is empty), with no Phi-part multiplied out alone.  The
+q_i are added by Horner's rule in L - 1 from the largest a_i down,
+acc <- acc * (L - 1) + (the q_i with a_i = a), each step one
+shift-and-subtract pass, and the sum is normalized once, from scratch.  The
+tower's sums add terms whose (L - 1) powers step by one, so a pass is much
+cheaper than the product by (L - 1)^a_i it replaces; a sum whose a_i are
+all 0 takes no pass.
 
 Both build polynomials whose size the operands fix in advance.  Inside a
 work budget (work_budget, which dsl.eval opens for untrusted input), each
 site that builds them predicts its work from the operand sizes alone and
 charges it before any polynomial work.  Every non-unit product, lc_mul's
-and each cofactor product, is charged by one rule: its length times the
-bit length of the product of its factors' L1 norms, with Phi_d^m counted
-as m factors Phi_d, so a cofactor reads only the memoized Phi_d and pays
-before any Phi_d^m is built.  The L1 norm is submultiplicative, so that
-product bounds every coefficient of the result, and intpoly.mul's slot
-bound as well.  A sum of k nonzero summands is charged (D + 1)(D + k - 1)
-for the largest cofactor degree D, (D + 1)^2 for two, before its cofactor
-products; a polynomial given by its coefficients (lc_poly) (D + 1)^2 for
-its degree D; and a power, once, the same rule summed over its whole
+and each cofactor, is charged by one rule: its length times the bit length
+of the product of its factors' L1 norms, with Phi_d^m counted as m factors
+Phi_d, so a cofactor reads only the memoized Phi_d and pays before any
+Phi_d^m is built.  The L1 norm is submultiplicative, so that product
+bounds every coefficient of the result, and intpoly.mul's slot bound as
+well.  A sum of k nonzero summands is charged (D + 1)(D + k - 1) for the
+largest cofactor degree D, (D + 1)^2 for two, before its cofactors; a
+cofactor's Phi_1^a is still charged as a factors though the Horner passes
+add it, an upper bound on that work, and the sum's own charge covers the
+passes too, at most D of them over at most D + 1 coefficients each; a
+polynomial given by its coefficients (lc_poly) (D + 1)^2 for its degree
+D; and a power, once, the same rule summed over its whole
 square-and-multiply loop.  A charge that passes the budget raises
 OverBudget.  Outside a budget, the default, nothing is predicted and no
 size is bounded.
@@ -52,6 +61,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from . import intpoly
 
@@ -228,9 +238,10 @@ def _merge_cyc(a, b) -> tuple[tuple[int, int], ...]:
 
 
 def _common_cofactors(values):
-    """Write each of the nonzero canonical forms values[i] as F * p_i, with F
-    their common factor (componentwise min of exponents) and p_i expanded
-    integer polynomials.  Returns ([p_0, p_1, ...], l0, common)."""
+    """Write each of the nonzero canonical forms values[i] as
+    F * (L - 1)^a_i * q_i, with F their common factor (componentwise min of
+    exponents) and q_i an expanded integer polynomial.  Returns
+    ([(a_0, q_0), (a_1, q_1), ...], l0, common)."""
     maps = [dict(x.cyc) for x in values]
     l0 = min(x.l_exp for x in values)
     common: dict[int, int] = {}
@@ -260,11 +271,14 @@ def _common_cofactors(values):
     return cofactors, l0, common
 
 
-def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tuple[int, ...]:
-    # the shifted core and each Phi_d^m, multiplied in one product
+def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(a, q) with (L - 1)^a * q the shifted core times the Phi-part extra:
+    a is Phi_1's multiplicity in extra, which lc_sum's Horner passes add,
+    and q the shifted core and every other Phi_d^m in one product.  Charged
+    for the whole cofactor, Phi_1^a as a factors."""
     p = intpoly.shift(x.core, shift)
     if not extra:
-        return p
+        return 0, p
 
     def units() -> int:
         length = len(p) + sum(intpoly.totient(d) * m for d, m in extra)
@@ -272,17 +286,30 @@ def _cofactor(x: LefschetzClass, shift: int, extra: list[tuple[int, int]]) -> tu
         return length * norm.bit_length()
 
     _charge(units)
-    return intpoly.mul(p, *(intpoly.cyclotomic_power(d, m) for d, m in extra))
+    phis = [intpoly.cyclotomic_power(d, m) for d, m in extra if d != 1]
+    return dict(extra).get(1, 0), intpoly.mul(p, *phis) if phis else p
 
 
 def lc_sum(values) -> LefschetzClass:
     """The sum of any number of classes, over their one common factor: the
-    cofactors are added and the sum is normalized once, not once per term."""
+    cofactors (L - 1)^a_i * q_i are added by Horner's rule in L - 1 from the
+    largest a_i down, one shift-and-subtract pass per step, and the sum is
+    normalized once, not once per term."""
     terms = [x for x in values if x.core]
     if len(terms) <= 1:
         return terms[0] if terms else LC_ZERO
     cofactors, l0, common = _common_cofactors(terms)
-    return lc_normalize(intpoly.add(*cofactors), l0, common)
+    by_power: dict[int, list[tuple[int, ...]]] = {}
+    for a, q in cofactors:
+        by_power.setdefault(a, []).append(q)
+    # each addition strip-free, as lc_normalize strips the sum once
+    acc: list[int] = []
+    for a in range(max(by_power), -1, -1):
+        for q in by_power.get(a, ()):
+            acc = [*map(add, acc, q), *acc[len(q) :], *q[len(acc) :]]
+        if a:
+            acc = intpoly._mul_binomial(acc, 1)
+    return lc_normalize(acc, l0, common)
 
 
 def lc_add(a: LefschetzClass, b: LefschetzClass) -> LefschetzClass:
@@ -377,10 +404,12 @@ def lc_eq(a: LefschetzClass, b: LefschetzClass) -> bool:
 
 
 def _cross_multiply_eq(a: LefschetzClass, b: LefschetzClass) -> bool:
-    """Compare by clearing the common factor and expanding both cofactors."""
+    """Compare by clearing the common factor and expanding both cofactors in
+    full, Phi_1^a by a product too, with no Horner pass."""
     if not a.core or not b.core:
         return (not a.core) == (not b.core)
-    (pa, pb), _, _ = _common_cofactors((a, b))
+    cofactors, _, _ = _common_cofactors((a, b))
+    pa, pb = (intpoly.mul(q, intpoly.cyclotomic_power(1, m)) if m else q for m, q in cofactors)
     return pa == pb
 
 

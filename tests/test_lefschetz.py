@@ -219,6 +219,12 @@ def _old_cofactor(x, shift, extra):
     return intpoly.mul(p, phis)
 
 
+def _expanded(cofactor):
+    # a cofactor (a, q) of lefschetz._cofactor, with (L - 1)^a multiplied back
+    a, q = cofactor
+    return _old_cofactor(LefschetzClass(q, 0, ()), 0, [(1, a)] if a else [])
+
+
 def test_cofactors_of_the_cold_tower_match_the_factor_by_factor_expansion(monkeypatch):
     calls = []
     real = lefschetz._cofactor
@@ -239,7 +245,53 @@ def test_cofactors_of_the_cold_tower_match_the_factor_by_factor_expansion(monkey
     # the odd spin row's excess has one factor per odd d up to 2m - 1
     assert max(len(extra) for _, _, extra, _ in calls) >= 10
     for x, shift, extra, got in calls:
-        assert got == _old_cofactor(x, shift, extra), (x, shift, extra)
+        assert got[0] == dict(extra).get(1, 0), (x, shift, extra)
+        assert _expanded(got) == _old_cofactor(x, shift, extra), (x, shift, extra)
+
+
+def _staggered_summands(rng):
+    """2-12 small classes, each times (L - 1)^a for a in -12..12 and some
+    also times (L^n - 1)^(+-1); some lists end in the negations of their
+    own terms, so that their sums cancel to 0."""
+    out, cancel = [], rng.random() < 0.15
+    for _ in range(rng.randint(1, 6) if cancel else rng.randint(2, 12)):
+        core = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        u = lc_mul(lc_mul(lc_normalize(core), l_power(rng.randint(-3, 3))), l_blocks({1: rng.randint(-12, 12)}))
+        if rng.random() < 0.4:
+            u = lc_mul(u, l_blocks({rng.randint(2, 9): rng.choice((-1, 1))}))
+        out.append(u)
+    if cancel:
+        out += [lc_neg(t) for t in out]
+        rng.shuffle(out)
+    return out
+
+
+def test_sums_with_staggered_powers_of_l_minus_one_match_the_expanded_cofactors(monkeypatch):
+    handed = []
+    real = lefschetz.lc_normalize
+
+    def recording(core, l_exp=0, cyc_exps=()):
+        handed.append((intpoly.normalize(core), l_exp, dict(cyc_exps)))
+        return real(core, l_exp, cyc_exps)
+
+    monkeypatch.setattr(lefschetz, "lc_normalize", recording)
+    rng = random.Random(38)
+    distinct, cancelled = [], 0
+    for _ in range(300):
+        terms = _staggered_summands(rng)
+        handed.clear()
+        total = lc_sum(terms)
+        # the polynomial handed to lc_normalize is the sum of the cofactors
+        # multiplied out factor by factor, Phi_1^a by products too
+        cofactors, common = _old_common_cofactors(terms)
+        assert handed == [(intpoly.add(*cofactors), min(t.l_exp for t in terms), common)], terms
+        for q in (2, 3, 5, 7):
+            assert lc_eval_at(total, q) == sum((lc_eval_at(t, q) for t in terms), Fraction(0))
+        distinct.append(len({dict(t.cyc).get(1, 0) for t in terms}))
+        cancelled += not total.core
+    # the Horner loops are deep, with many distinct steps, and some sums are 0
+    assert max(distinct) >= 10 and sum(n >= 5 for n in distinct) >= 100
+    assert cancelled >= 20
 
 
 def _dict_merge(a, b):
@@ -293,7 +345,7 @@ def test_the_exponent_merges_match_the_dict_versions():
         x, y = LefschetzClass(intpoly.ONE, 0, a), LefschetzClass((2, 1), rng.randint(-3, 3), b)
         assert lc_mul(x, y).cyc == want
         cofactors, _, common = lefschetz._common_cofactors((x, y))
-        assert (cofactors, common) == _old_common_cofactors((x, y)), (a, b)
+        assert ([_expanded(c) for c in cofactors], common) == _old_common_cofactors((x, y)), (a, b)
         seen.add(kind)
         if any(d in dict(b) and d not in dict(want) for d, _ in a):
             seen.add("cancelled")
