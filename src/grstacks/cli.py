@@ -4,7 +4,9 @@ Four subcommands: `verify` runs a named check suite and reports pass/fail,
 `eval` parses and evaluates an expression, `bspin` prints the classifying
 class of a spin group in atom form, and `delta` summarizes one of the finite
 blade groups.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or parse errors.
+2 usage or parse errors.  Every subcommand prints through `_print`, so a
+reader that leaves early (`| head`) changes no exit code and shows no
+traceback.
 """
 
 import argparse
@@ -38,14 +40,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 fh.write(rep.to_json())
         except OSError as exc:
             return _cannot_write(args.json, exc)
+    _print(rep.to_text())
+    return 0 if rep.ok else 1
+
+
+def _print(text: str) -> None:
+    """Print text and a newline to stdout, flushed.  A reader that left early
+    (`| head`) ends the output, not the command: devnull takes the rest, so
+    no later print and no exit flush can fail again, and the command still
+    returns its own exit code."""
     try:
-        print(rep.to_text())
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader left early (`| head`); the checks' verdict still stands,
-        # and devnull takes the rest so the exit flush cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if rep.ok else 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cannot_write(path: str, exc: OSError) -> int:
@@ -71,7 +81,7 @@ def _print_at(cls: LefschetzClass, q: int) -> None:
         raise ValueError(
             f"the value at L={q} has about {digits} digits, above the {limit} the interpreter prints"
         )
-    print(f"at L={q}: {lc_eval_at(cls, q)}")
+    _print(f"at L={q}: {lc_eval_at(cls, q)}")
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -81,11 +91,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             # adding the atoms' coefficients to the scalar is work like eval's
             with work_budget(dsl.WORK_BUDGET):
                 cls = substitute_deltas(value, {m: LC_ONE for m in value.support()})
-            print(render_factors(cls))
+            _print(render_factors(cls))
             if args.at is not None:
                 _print_at(cls, args.at)
             return 0
-        print(dsl.render(value))
+        _print(dsl.render(value))
         if args.at is not None:
             if not value.is_scalar():
                 print("error: atoms remain, evaluate with --deltas-one", file=sys.stderr)
@@ -109,9 +119,9 @@ def _cmd_bspin(args: argparse.Namespace) -> int:
             "scalar": render_factors(e.scalar),
             "atoms": [{"m": m, "coeff": render_factors(c)} for m, c in e.atoms],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(dsl.render(e))
+        _print(dsl.render(e))
     return 0
 
 
@@ -126,17 +136,16 @@ def _cmd_delta(args: argparse.Namespace) -> int:
     grp = DeltaGroup(args.n)
     center = grp.center()
     comm = grp.commutator_subgroup()
-    print(f"order {grp.order}")
-    print(f"center {len(center)}")
-    print(f"abelianization {grp.order // len(comm)}")
+    lines = [f"order {grp.order}", f"center {len(center)}", f"abelianization {grp.order // len(comm)}"]
     if len(center) == grp.order:
-        print("abelian")
+        lines.append("abelian")
+    _print("\n".join(lines))
     if args.table:
         try:
             grp.write_table(args.table)
         except OSError as exc:
             return _cannot_write(args.table, exc)
-        print(f"table written to {args.table}")
+        _print(f"table written to {args.table}")
     return 0
 
 

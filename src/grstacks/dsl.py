@@ -16,7 +16,10 @@ identifier, a punctuation byte, or any other non-whitespace byte, which is
 an error.  The matches tile the input, so a token's offset is the summed
 length of the matches before it plus its own leading whitespace.  Tokens
 are plain (kind, offset, value) tuples, a punctuation byte being its own
-kind, and the parser reads them in place by index.  It recurses only
+kind, and the parser reads them in place by index.  The syntax nodes are
+frozen, slotted dataclasses, each built by one __init__ that sets its
+fields through their slot setters (the construction idiom of
+lefschetz.LefschetzClass); every L is one shared LSymbol.  It recurses only
 through `expr` and `factor`, so a parenthesized group costs two interpreter
 frames and a leading minus none; MAX_DEPTH nested groups need about 800
 free frames, so parse runs inside the default recursion limit.
@@ -144,56 +147,98 @@ class ArityError(ParseError):
 # -- abstract syntax ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class IntLit:
     value: int
 
+    def __init__(self, value: int):
+        _set_value(self, value)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class LSymbol:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Neg:
     child: "ExprAst"
 
+    def __init__(self, child: "ExprAst"):
+        _set_child(self, child)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Add:
     left: "ExprAst"
     right: "ExprAst"
 
+    def __init__(self, left: "ExprAst", right: "ExprAst"):
+        _set_add_left(self, left)
+        _set_add_right(self, right)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Sub:
     left: "ExprAst"
     right: "ExprAst"
 
+    def __init__(self, left: "ExprAst", right: "ExprAst"):
+        _set_sub_left(self, left)
+        _set_sub_right(self, right)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Mul:
     left: "ExprAst"
     right: "ExprAst"
 
+    def __init__(self, left: "ExprAst", right: "ExprAst"):
+        _set_mul_left(self, left)
+        _set_mul_right(self, right)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Div:
     left: "ExprAst"
     right: "ExprAst"
 
+    def __init__(self, left: "ExprAst", right: "ExprAst"):
+        _set_div_left(self, left)
+        _set_div_right(self, right)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Pow:
     base: "ExprAst"
     exponent: int
 
+    def __init__(self, base: "ExprAst", exponent: int):
+        _set_base(self, base)
+        _set_exponent(self, exponent)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Call:
     name: str
     args: tuple[int, ...]
 
+    def __init__(self, name: str, args: tuple[int, ...]):
+        _set_name(self, name)
+        _set_args(self, args)
+
+
+_set_value = IntLit.value.__set__
+_set_child = Neg.child.__set__
+_set_add_left, _set_add_right = Add.left.__set__, Add.right.__set__
+_set_sub_left, _set_sub_right = Sub.left.__set__, Sub.right.__set__
+_set_mul_left, _set_mul_right = Mul.left.__set__, Mul.right.__set__
+_set_div_left, _set_div_right = Div.left.__set__, Div.right.__set__
+_set_base, _set_exponent = Pow.base.__set__, Pow.exponent.__set__
+_set_name, _set_args = Call.name.__set__, Call.args.__set__
+
+# LSymbol has no fields, so the parser reuses one instance
+_L = LSymbol()
 
 ExprAst = IntLit | LSymbol | Neg | Add | Sub | Mul | Div | Pow | Call
 
@@ -321,7 +366,7 @@ class _Parser:
         if kind == "int":
             node = IntLit(value)
         elif kind == "ident" and value == "L":
-            node = LSymbol()
+            node = _L
         elif kind == "(":
             if depth >= MAX_DEPTH:
                 raise ParseError("expression nests too deeply", offset)

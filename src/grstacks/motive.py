@@ -3,8 +3,14 @@ equation, and the recursion tower that writes the class of B Spin_n as a
 linear combination of the finite-group atoms BDelta_m.
 
 A MotiveExpr is a scalar LefschetzClass plus a finite map m -> coefficient
-on formal atoms BDelta_m.  The whole tower is one recurrence in
-G(n, r), r >= -1, each step a two-stratum equation (null cone plus quadric):
+on formal atoms BDelta_m, held as atom terms sorted by m, each m >= 1 with
+a nonzero coefficient, so structural equality is ring equality.  Its one
+constructor checks the atoms, raising DomainError, before it sets each
+field through its slot's setter, the construction idiom of
+lefschetz.LefschetzClass.
+
+The whole tower is one recurrence in G(n, r), r >= -1, each step a
+two-stratum equation (null cone plus quadric):
 
   (L^(n-r) - 1) * G(n, r) = L^(r+2-n) * G(n-2, r) + (L-1) * G(n, r+1)
 
@@ -117,18 +123,22 @@ class Inconsistent(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MotiveExpr:
     scalar: LefschetzClass = LC_ZERO
     atoms: tuple[tuple[int, LefschetzClass], ...] = ()
 
-    def __post_init__(self):
+    def __init__(
+        self, scalar: LefschetzClass = LC_ZERO, atoms: tuple[tuple[int, LefschetzClass], ...] = ()
+    ):
         # sorted atoms make structural equality ring equality
         last = 0
-        for m, c in self.atoms:
+        for m, c in atoms:
             if m <= last or not c.core:
                 raise DomainError("atoms need strictly ascending indices >= 1 and nonzero coefficients")
             last = m
+        _set_scalar(self, scalar)
+        _set_atoms(self, atoms)
 
     def atom_map(self) -> dict[int, LefschetzClass]:
         return dict(self.atoms)
@@ -153,6 +163,9 @@ class MotiveExpr:
             parts.append(f"BDelta({m})" if c == LC_ONE else f"({render_factors(c)})*BDelta({m})")
         return " + ".join(parts)
 
+
+_set_scalar = MotiveExpr.scalar.__set__
+_set_atoms = MotiveExpr.atoms.__set__
 
 M_ZERO = MotiveExpr()
 M_ONE = MotiveExpr(LC_ONE)

@@ -106,6 +106,35 @@ def test_verify_survives_a_closed_pipe(tmp_path):
     assert json.loads(path.read_bytes())["suite"] == "ring"
 
 
+@pytest.mark.parametrize("read", [0, 1])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "ring", "--samples", "5"),
+        ("eval", "BSpin(60)*(L^2+3) + BPin(60)*(L-5)"),
+        ("bspin", "60"),
+        ("bspin", "60", "--format", "json"),
+        ("delta", "12"),
+    ],
+    ids=["verify", "eval", "bspin", "bspin-json", "delta"],
+)
+def test_every_subcommand_survives_a_closed_pipe(args, read):
+    # the reader takes `read` bytes and leaves, as `| head -c 1` does; the
+    # rest of the output goes nowhere, with no traceback and exit code 0
+    src = os.path.dirname(os.path.dirname(grstacks.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grstacks.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert proc.returncode == 0
+
+
 def _assert_one_error_line(proc):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

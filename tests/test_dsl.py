@@ -16,6 +16,7 @@ import hypothesis.strategies as strat
 import pytest
 
 from dsl_corpus import CORPUS, HUGE_SCALAR_INPUTS, PAST_THE_BUDGET, WIDE_POWERS, wide_power
+from frozen_values import assert_frozen_value
 from grstacks import dsl, intpoly, lefschetz
 from grstacks.dsl import ArityError, ParseError, UnknownIdent, eval as dsl_eval, parse, render
 from grstacks.lefschetz import (
@@ -85,6 +86,50 @@ def test_whitespace_is_free():
 
 def test_bytes_input_accepted():
     assert ev(b"L^2") == ev("L^2")
+
+
+# -- the syntax tree ---------------------------------------------------
+
+
+ONE, TWO, L_SYM = dsl.IntLit(1), dsl.IntLit(2), dsl.LSymbol()
+
+# class -> (field names, field tuples to build it from, the first one's repr)
+AST_VALUES = {
+    dsl.IntLit: (("value",), [(5,), (-5,), (0,)], "IntLit(value=5)"),
+    dsl.LSymbol: ((), [()], "LSymbol()"),
+    dsl.Neg: (("child",), [(ONE,), (L_SYM,)], "Neg(child=IntLit(value=1))"),
+    **{
+        cls: (
+            ("left", "right"),
+            [(ONE, L_SYM), (L_SYM, ONE), (ONE, TWO), (ONE, ONE)],
+            f"{cls.__name__}(left=IntLit(value=1), right=LSymbol())",
+        )
+        for cls in (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)
+    },
+    dsl.Pow: (("base", "exponent"), [(L_SYM, -2), (L_SYM, 2), (TWO, -2)], "Pow(base=LSymbol(), exponent=-2)"),
+    dsl.Call: (
+        ("name", "args"),
+        [("BSpin", (7,)), ("BPin", (7,)), ("BSpin", (8,)), ("BG", (7, 2))],
+        "Call(name='BSpin', args=(7,))",
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(AST_VALUES), ids=lambda cls: cls.__name__)
+def test_a_syntax_node_is_a_frozen_value(cls):
+    names, samples, pinned = AST_VALUES[cls]
+    assert_frozen_value(cls, names, samples, pinned)
+
+
+def test_nodes_of_two_kinds_differ_on_the_same_fields():
+    nodes = [cls(ONE, L_SYM) for cls in (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)]
+    assert [a == b for a in nodes for b in nodes] == [a is b for a in nodes for b in nodes]
+
+
+def test_every_symbol_l_parses_to_one_node():
+    node = parse("L + L^2")
+    assert node == dsl.Add(dsl.LSymbol(), dsl.Pow(dsl.LSymbol(), 2))
+    assert node.left is node.right.base
 
 
 # -- call dispatch ----------------------------------------------------

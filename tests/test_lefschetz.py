@@ -10,6 +10,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from frozen_values import assert_frozen_value
 from grstacks import dsl, intpoly, lefschetz, motive
 from grstacks.lefschetz import (
     LC_ONE,
@@ -427,6 +428,21 @@ def test_pow_matches_repeated_product(a, k):
 
 
 # -- structural equality examples -------------------------------------
+
+
+def test_a_class_is_a_frozen_value():
+    assert_frozen_value(
+        LefschetzClass,
+        ("core", "l_exp", "cyc"),
+        [
+            ((-2, 1), 3, ((3, 2), (12, 1))),
+            ((-2, 1), 3, ((3, 2),)),
+            ((-2, 1), -3, ((3, 2), (12, 1))),
+            ((1,), 3, ((3, 2), (12, 1))),
+            ((), 0, ()),
+        ],
+        "LefschetzClass(core=(-2, 1), l_exp=3, cyc=((3, 2), (12, 1)))",
+    )
 
 
 def test_stratification_sum_collapses():

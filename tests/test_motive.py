@@ -1,5 +1,6 @@
 """Class formulas, the stratification equation, and the recursion tower."""
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -13,6 +14,7 @@ import hypothesis.strategies as strat
 import pytest
 
 import grstacks
+from frozen_values import assert_frozen_value
 from grstacks import dsl, motive
 
 from grstacks.lefschetz import (
@@ -97,28 +99,33 @@ def test_atom_indices_start_at_two_in_the_tower():
         assert 1 not in bpin(n).support()
 
 
+# atoms that are not a motive's one form: a zero coefficient, index 0, and
+# atoms out of order or repeated, which would be a second form of one motive
+BAD_ATOMS = (
+    "((2, LC_ZERO),)",
+    "((0, LC_ONE),)",
+    "((3, LC_ONE), (2, LC_ONE))",
+    "((2, LC_ONE), (2, LC_ONE))",
+)
+
+
 def test_zero_coefficients_are_refused():
-    with pytest.raises(DomainError):
-        MotiveExpr(LC_ZERO, ((2, LC_ZERO),))
-    with pytest.raises(DomainError):
-        MotiveExpr(LC_ZERO, ((0, LC_ONE),))
-    # atoms out of order or repeated would be a second form of one motive
-    with pytest.raises(DomainError):
-        MotiveExpr(LC_ZERO, ((3, LC_ONE), (2, LC_ONE)))
-    with pytest.raises(DomainError):
-        MotiveExpr(LC_ZERO, ((2, LC_ONE), (2, LC_ONE)))
+    for atoms in BAD_ATOMS:
+        with pytest.raises(DomainError):
+            MotiveExpr(LC_ZERO, eval(atoms))
 
 
 def test_zero_coefficient_guard_holds_without_asserts():
     # python -O strips assert statements; the guard must still raise
     code = (
-        "from grstacks.lefschetz import LC_ZERO\n"
+        "from grstacks.lefschetz import LC_ONE, LC_ZERO\n"
         "from grstacks.motive import DomainError, MotiveExpr\n"
-        "try:\n"
-        "    MotiveExpr(LC_ZERO, ((2, LC_ZERO),))\n"
-        "except DomainError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit('no DomainError')\n"
+        f"for atoms in {BAD_ATOMS!r}:\n"
+        "    try:\n"
+        "        MotiveExpr(LC_ZERO, eval(atoms))\n"
+        "    except DomainError:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no DomainError for {atoms}')\n"
     )
     src = os.path.dirname(os.path.dirname(grstacks.__file__))
     proc = subprocess.run(
@@ -129,6 +136,29 @@ def test_zero_coefficient_guard_holds_without_asserts():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_a_motive_is_a_frozen_value():
+    two = l_power(2)
+    assert_frozen_value(
+        MotiveExpr,
+        ("scalar", "atoms"),
+        [
+            (LC_ONE, ((2, LC_ONE),)),
+            (LC_ONE, ((2, two),)),
+            (LC_ONE, ((2, LC_ONE), (4, two))),
+            (LC_ZERO, ((2, LC_ONE),)),
+            (two, ()),
+            (LC_ZERO, ()),
+        ],
+        "MotiveExpr(scalar=LefschetzClass(core=(1,), l_exp=0, cyc=()), "
+        "atoms=((2, LefschetzClass(core=(1,), l_exp=0, cyc=())),))",
+    )
+    # the zero motive and a scalar one keep their defaults
+    assert [f.default for f in dataclasses.fields(MotiveExpr)] == [LC_ZERO, ()]
+    assert (MotiveExpr().scalar, MotiveExpr().atoms) == (LC_ZERO, ())
+    assert (MotiveExpr(two).scalar, MotiveExpr(two).atoms) == (two, ())
+    assert MotiveExpr() == M_ZERO and MotiveExpr(LC_ONE) == M_ONE
 
 
 def test_atom_accessors():

@@ -337,3 +337,42 @@ def test_products_are_charged_before_they_are_built():
                 if (node.lineno, node.col_offset) < paid:
                     found.append(f"lefschetz.py:{node.lineno} {func.name} {_callee_name(node)}")
     assert found == []
+
+
+# the frozen dataclasses built rarely enough to keep the generated __init__
+COLD_FROZEN_DATACLASSES = {"report.py CheckResult", "clifford.py QuadSpace"}
+
+
+def _frozen_dataclass(node: ast.AST) -> ast.Call | None:
+    """The @dataclass(frozen=True, ...) decorator of a class, or None."""
+    for deco in getattr(node, "decorator_list", ()):
+        if isinstance(deco, ast.Call) and _callee_name(deco) == "dataclass":
+            if any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in deco.keywords):
+                return deco
+    return None
+
+
+def test_frozen_values_are_built_through_their_slot_setters():
+    # the hot frozen values (LefschetzClass, MotiveExpr, the DSL's syntax
+    # nodes) skip the generated __init__, which sets each field through
+    # object.__setattr__: theirs is hand-written and sets each field through
+    # its slot's own setter, a module-level _set_<field> name
+    found = []
+    for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+                if getattr(node.value, "id", None) == "object":
+                    found.append(f"{path.name}:{node.lineno} object.__setattr__")
+            deco = _frozen_dataclass(node)
+            if deco is None or f"{path.name} {node.name}" in COLD_FROZEN_DATACLASSES:
+                continue
+            if not any(k.arg == "init" and getattr(k.value, "value", None) is False for k in deco.keywords):
+                found.append(f"{path.name}:{node.lineno} {node.name} without init=False")
+            fields = [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+            init = next((s for s in node.body if getattr(s, "name", None) == "__init__"), None)
+            calls = [] if init is None else [_callee_name(c) for c in ast.walk(init) if isinstance(c, ast.Call)]
+            setters = [c for c in calls if c.startswith("_set_")]
+            if len(setters) != len(fields) or not all(map(str.endswith, setters, (f"_{f}" for f in fields))):
+                found.append(f"{path.name}:{node.lineno} {node.name} fields {fields} set by {setters}")
+    assert found == []
