@@ -24,6 +24,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .blades import blade_mul_mask, indices_of, mask_of
+from .frozen import refuse_writes
 from .gaussian import GR_HALF, GR_I, GR_ONE, GR_ZERO, GaussianRational, dot, reduced
 from .report import CheckReport
 
@@ -323,6 +324,7 @@ NEG_SUM = "neg_sum"
 SPLIT = "split"
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True)
 class QuadSpace:
     n: int

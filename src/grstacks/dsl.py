@@ -47,6 +47,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import intpoly, lefschetz
+from .frozen import refuse_writes
 from .lefschetz import (
     LC_ONE,
     LefschetzClass,
@@ -147,6 +148,7 @@ class ArityError(ParseError):
 # -- abstract syntax ---------------------------------------------------
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class IntLit:
     value: int
@@ -155,11 +157,13 @@ class IntLit:
         _set_value(self, value)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class LSymbol:
     pass
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Neg:
     child: "ExprAst"
@@ -168,6 +172,7 @@ class Neg:
         _set_child(self, child)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Add:
     left: "ExprAst"
@@ -178,6 +183,7 @@ class Add:
         _set_add_right(self, right)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Sub:
     left: "ExprAst"
@@ -188,6 +194,7 @@ class Sub:
         _set_sub_right(self, right)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Mul:
     left: "ExprAst"
@@ -198,6 +205,7 @@ class Mul:
         _set_mul_right(self, right)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Div:
     left: "ExprAst"
@@ -208,6 +216,7 @@ class Div:
         _set_div_right(self, right)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Pow:
     base: "ExprAst"
@@ -218,6 +227,7 @@ class Pow:
         _set_exponent(self, exponent)
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class Call:
     name: str

@@ -46,17 +46,31 @@ one tuple instead of making one cyclotomic_at call per candidate.
 cyclotomic_part(p) is that scan, the one place that divides the Phi_d out
 of a polynomial with a nonzero constant term (lefschetz.lc_normalize makes
 every class canonical through it).  It evaluates p at the least t >= 2 with
-p(t) != 0 and walks phi_bounded(deg p) beside phi_bounded_at(deg p, t);
-t >= 2, so every value is at least 1.  The walk passes one lazy filter:
-Phi_d(t) divides the point p(t) as it stands after the divisions so far,
-a prefilter that rejects most candidates without touching p.  A candidate
-that passes divides p as long as three tests pass, cheapest first: p is
-not yet a constant, Phi_d(t) divides the point, and the exact residue test
-cyclotomic_divides holds (the first round needs only the last: the filter
-has just tested the point, and p is not yet a constant); each pass divides
-p once by cyclotomic_quotient, so every division succeeds.  The point is
-divided by Phi_d(t) with it, exactly, since p(t) = Phi_d(t) * quotient(t),
-rather than evaluated again.  Once p is a constant the scan stops.
+p(t) != 0, and once at the second point s = t + 1, and walks
+phi_bounded(deg p) beside phi_bounded_at(deg p, t); t >= 2, so every value
+is at least 1.  The walk passes one lazy filter: Phi_d(t) divides the point
+p(t) as it stands after the divisions so far, a prefilter that rejects most
+candidates without touching p.  A candidate that passes reads Phi_d(s)
+from the memoized cyclotomic_at and divides p as long as four tests pass,
+cheapest first: p is not yet a constant, Phi_d(t) divides the point,
+Phi_d(s) divides the second point, and the exact residue test
+cyclotomic_divides holds (the first round needs only the last two: the
+filter has just tested the point, and p is not yet a constant); each pass
+divides p once by cyclotomic_quotient, so every division succeeds.  Both
+points are divided with it, exactly, since p(t) = Phi_d(t) * quotient(t)
+and likewise at s, rather than evaluated again.  Once p is a constant the
+scan stops.
+Both point tests are necessary conditions, so they reject only what the
+residue test would: Phi_d is monic with integer coefficients, so
+Phi_d | p in Z[x] gives Phi_d(n) | p(n) for every integer n.  A second
+point pays where the first cannot: Phi_d(2) is small for small d (Phi_2(2)
+= 3, Phi_1(2) = 1), so the first point lets a third of those candidates
+through, and Phi_d(3) rejects most of them.  p(s) = 0 needs no case of its
+own: every value divides 0, so the second test then passes every
+candidate, which is still sound.  Moving the one point to 3 instead slows
+the big cores of a cold tower, whose every candidate would then be tested
+against a larger Phi_d(3); the second point reads Phi_d(3) only for the
+candidates the first lets through.
 """
 
 from __future__ import annotations
@@ -401,7 +415,10 @@ def phi_bounded_at(m: int, t: int) -> tuple[int, ...]:
 def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[int, int]]:
     """(q, exps) with p = q * prod_d Phi_d^exps[d] and no Phi_d dividing q,
     for p with a nonzero constant term: the scan of the module docstring,
-    its candidates read through one lazy filter on the current point.
+    its candidates read through one lazy filter on the current point p(t),
+    and the residue test run only where Phi_d(t + 1) divides p(t + 1) too.
+    Both are necessary conditions (Phi_d is monic, so Phi_d | p gives
+    Phi_d(n) | p(n) at every integer n), so neither changes the result.
 
     The multiplicities found are added to a copy of exps (a map or (d, m)
     pairs); a leading coefficient that moved raises NotDivisible.
@@ -411,18 +428,22 @@ def cyclotomic_part(p: tuple[int, ...], exps=()) -> tuple[tuple[int, ...], dict[
     while point == 0:
         t += 1
         point = eval_at(p, t)
+    second = eval_at(p, t + 1)
     # lazy, so the filter reads the point as the divisions so far left it
     for d, phi_t in ((d, v) for d, v in zip(phi_bounded(deg), phi_bounded_at(deg, t)) if not point % v):
         # the filter has just tested the point and p is not yet a constant,
-        # so the first round needs only the residue test; p(t) was
-        # Phi_d(t) * quotient(t), so each division of the point is exact,
-        # and Phi_d(t) not dividing the new point rules Phi_d out
-        divides = cyclotomic_divides(p, d)
+        # so the first round needs only the second point and the residue
+        # test; p(t) was Phi_d(t) * quotient(t), and p(t + 1) likewise, so
+        # each division of a point is exact, and Phi_d not dividing either
+        # new point rules Phi_d out
+        phi_s = cyclotomic_at(d, t + 1)
+        divides = not second % phi_s and cyclotomic_divides(p, d)
         while divides:
             p = cyclotomic_quotient(p, d)
             exps[d] = exps.get(d, 0) + 1
             point //= phi_t
-            divides = len(p) > 1 and not point % phi_t and cyclotomic_divides(p, d)
+            second //= phi_s
+            divides = len(p) > 1 and not point % phi_t and not second % phi_s and cyclotomic_divides(p, d)
         if len(p) == 1:
             break
     # exact division by monic factors keeps the leading coefficient

@@ -59,7 +59,9 @@ __init__ that sets each field through its slot's own setter, such as
 _set_core = LefschetzClass.core.__set__: the package's one construction
 idiom for its hot values (motive.MotiveExpr, the dsl syntax nodes,
 gaussian and clifford).  The generated __init__ would set each field
-through object.__setattr__, at about 1.5 times the cost.
+through object.__setattr__, at about 1.5 times the cost.  Like every
+frozen dataclass of the package it is stacked under frozen.refuse_writes,
+so any attribute write or delete raises FrozenInstanceError.
 """
 
 from __future__ import annotations
@@ -71,6 +73,7 @@ from fractions import Fraction
 from operator import add
 
 from . import intpoly
+from .frozen import refuse_writes
 
 
 class NotAUnit(ArithmeticError):
@@ -118,6 +121,7 @@ def _l1(p: tuple[int, ...]) -> int:
     return sum(map(abs, p))
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class LefschetzClass:
     core: tuple[int, ...]

@@ -93,6 +93,7 @@ from itertools import accumulate
 from operator import add, sub
 
 from . import intpoly
+from .frozen import refuse_writes
 from .lefschetz import (
     LC_ONE,
     LC_ZERO,
@@ -123,6 +124,7 @@ class Inconsistent(ArithmeticError):
     pass
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True, init=False)
 class MotiveExpr:
     scalar: LefschetzClass = LC_ZERO

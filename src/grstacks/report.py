@@ -13,11 +13,14 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .frozen import refuse_writes
+
 PASS = "pass"
 FAIL = "fail"
 DESCRIPTIVE = "descriptive"
 
 
+@refuse_writes
 @dataclass(frozen=True, slots=True)
 class CheckResult:
     id: str

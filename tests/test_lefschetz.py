@@ -752,7 +752,8 @@ def test_normalize_divides_the_core_only_when_it_succeeds(monkeypatch):
 def test_phi_bounded_at_holds_the_candidates_values():
     # aligned with phi_bounded(m), and at least 1 at t >= 2, so the scan
     # divides by every value without a guard
-    for t in (2, 3, 5):
+    # t = 4 is also read as the second point of a scan whose first is 3
+    for t in (2, 3, 4, 5):
         for m in range(301):
             values = intpoly.phi_bounded_at(m, t)
             assert values == tuple(intpoly.cyclotomic_at(d, t) for d in intpoly.phi_bounded(m)), (m, t)
@@ -806,6 +807,53 @@ def test_a_multiplicity_loop_ends_on_the_point(monkeypatch):
     assert after_division == []
 
 
+def test_a_root_at_the_second_point_passes_every_candidate_and_stays_exact(monkeypatch):
+    # L - 3 vanishes at the second point s = 3, so Phi_d(3) divides p(3) = 0
+    # for every d: each candidate that passes the first point's filter gets
+    # its residue test, and the scan is exact as with one point
+    tested = []
+    divides = intpoly.cyclotomic_divides
+    monkeypatch.setattr(intpoly, "cyclotomic_divides", lambda p, d: tested.append(d) or divides(p, d))
+    phi = intpoly.cyclotomic
+    p = intpoly.mul((-3, 1), phi(3), phi(3), phi(5), phi(12))
+    assert intpoly.eval_at(p, 3) == 0 and intpoly.eval_at(p, 2) != 0
+    q, exps = intpoly.cyclotomic_part(p)
+    assert (q, exps) == ((-3, 1), {3: 2, 5: 1, 12: 1})
+    assert intpoly.mul(q, phi(3), phi(3), phi(5), phi(12)) == p
+    # the tests the first point alone lets through: one per candidate whose
+    # Phi_d(2) divides the point, and one more after each division that
+    # leaves it divisible
+    point, want = intpoly.eval_at(p, 2), []
+    for d in intpoly.phi_bounded(intpoly.degree(p)):
+        v = intpoly.cyclotomic_at(d, 2)
+        want += [d] * (not point % v)
+        for _ in range(exps.get(d, 0)):
+            point //= v
+            want += [d] * (not point % v)
+    assert tested == want
+
+
+def test_the_second_point_spares_most_residue_tests(monkeypatch):
+    # on a cold run of leading_delta_coeff(3..24) at most half of the
+    # residue tests at d >= 2 say no (292 of 373 with the first point alone,
+    # 51 of 132 with both)
+    said = []
+    divides = intpoly.cyclotomic_divides
+
+    def spy(p, d):
+        ok = divides(p, d)
+        if d >= 2:
+            said.append(ok)
+        return ok
+
+    monkeypatch.setattr(intpoly, "cyclotomic_divides", spy)
+    motive.clear_tower_cache()
+    for k in range(3, 25):
+        motive.leading_delta_coeff(k)
+    motive.clear_tower_cache()
+    assert said and 2 * said.count(False) <= len(said), (said.count(False), len(said))
+
+
 def _naive_totient(d: int) -> int:
     return sum(math.gcd(i, d) == 1 for i in range(1, d + 1))
 
@@ -818,6 +866,8 @@ def _naive_totient(d: int) -> int:
 )
 @hypothesis.example(1, [], {}, {})  # a constant: nothing to divide
 @hypothesis.example(-2, [1], {3: 2, 12: 1}, {3: -2})  # L - 2 vanishes at the first point
+@hypothesis.example(-3, [1], {1: 1, 2: 2, 6: 1}, {})  # L - 3 vanishes at the second point
+@hypothesis.example(6, [-5, 1], {2: 1, 4: 2, 10: 1}, {})  # (L - 2)(L - 3): the points are 4 and 5
 @hypothesis.settings(max_examples=60, deadline=None)
 def test_cyclotomic_part_divides_out_every_planted_phi(c0, rest, planted, seed):
     # p = q * prod Phi_d^e multiplies back, and no Phi_d divides q, checked

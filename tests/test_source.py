@@ -111,8 +111,11 @@ def test_the_tower_memoizes_only_its_table_and_its_cells():
 
 
 # what the Phi_d scan's candidate loop must not call: it reads Phi_d(t) from
-# intpoly.phi_bounded_at and divides the point, never evaluating either anew
+# intpoly.phi_bounded_at and divides the points, never evaluating p anew
 SCAN_CALLS = {"cyclotomic_at", "eval_at"}
+# the one value the loop reads past the table: Phi_d at the second point
+# t + 1, memoized, for the candidates that pass the first point's filter
+SECOND_POINT = "cyclotomic_at(d, t + 1)"
 
 
 def test_the_phi_scan_reads_its_values_from_the_table():
@@ -125,10 +128,16 @@ def test_the_phi_scan_reads_its_values_from_the_table():
     # front would test every candidate, also those past the exit once p is a
     # constant
     assert isinstance(loops[0].iter, ast.GeneratorExp)
+    # the first point's values come from the table beside the candidates,
+    # and the generator calls nothing else that evaluates
+    assert "phi_bounded_at(deg, t)" in ast.unparse(loops[0].iter)
+    assert not [n for n in ast.walk(loops[0].iter) if isinstance(n, ast.Call) and _callee_name(n) in SCAN_CALLS]
+    # the body evaluates no polynomial, and reads Phi_d only at the second
+    # point, never at t
     found = [
-        f"intpoly.py:{node.lineno}"
+        f"intpoly.py:{node.lineno} {ast.unparse(node)}"
         for node in ast.walk(loops[0])
-        if isinstance(node, ast.Call) and _callee_name(node) in SCAN_CALLS
+        if isinstance(node, ast.Call) and _callee_name(node) in SCAN_CALLS and ast.unparse(node) != SECOND_POINT
     ]
     assert found == []
     # one multiplicity loop with its one exit in its condition
@@ -375,4 +384,17 @@ def test_frozen_values_are_built_through_their_slot_setters():
             setters = [c for c in calls if c.startswith("_set_")]
             if len(setters) != len(fields) or not all(map(str.endswith, setters, (f"_{f}" for f in fields))):
                 found.append(f"{path.name}:{node.lineno} {node.name} fields {fields} set by {setters}")
+    assert found == []
+
+
+def test_every_frozen_dataclass_refuses_writes_alike():
+    # a frozen dataclass is stacked under frozen.refuse_writes, outermost,
+    # so a write to a field or to any other name raises FrozenInstanceError
+    # on every Python version
+    found = []
+    for path in sorted(pathlib.Path(grstacks.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if _frozen_dataclass(node) is not None:
+                if _callee_name(node.decorator_list[0]) != "refuse_writes" or len(node.decorator_list) != 2:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
